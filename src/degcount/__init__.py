@@ -31,6 +31,7 @@ from .saddle import (
     SaddlePoint,
     SaddlePoleError,
     abg_coefficients,
+    contour_point,
     fixed_radii_point,
     integral_quadrature,
     integrand_modulus,

@@ -23,6 +23,7 @@ from .graphcore import (
     Parameters,
     compute_parameters,
     induced_spec,
+    interior_density,
 )
 
 NEG_INF = float("-inf")
@@ -147,23 +148,25 @@ def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
         X = ForbiddenGraph.empty(d.n)
     p = compute_parameters(d, X)
     report = check_hypotheses(d, X, p, a=a, b=b)
-    lam = _f(p.lam)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError(f"degenerate density lambda={lam}")
+    interior_density(p)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ()), report
-    n = d.n
+    base = 0.5 * log(2.0) + ghat.log_value
+    return LogEstimate.build(base, _count_terms(p, X.edge_count), f"O(n^-{b:g})"), report
+
+
+def _count_terms(p: Parameters, Xc: int) -> tuple[tuple[str, float], ...]:
+    """Exponential correction of the dense count estimate, shared by "num"."""
+    lam = _f(p.lam)
+    n = p.n
     A = _f(p.A)
-    Xc = X.edge_count
-    terms = (
+    return (
         ("quarter", 0.25),
         ("degree_spread", -_f(p.R) ** 2 / (16.0 * A * A * n ** 4)),
         ("forbidden_sq", lam * Xc * Xc / ((1.0 - lam) * n * n)),
         ("forbidden_dd", -_f(p.D) / (2.0 * A * n * n)),
     )
-    base = 0.5 * log(2.0) + ghat.log_value
-    return LogEstimate.build(base, terms, f"O(n^-{b:g})"), report
 
 
 def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -> dict[str, LogEstimate]:
@@ -173,11 +176,8 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -
     the exponential factor of the dense count estimate.
     """
     p = compute_parameters(d, X)
-    lam = _f(p.lam)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError(f"degenerate density lambda={lam}")
+    lam = interior_density(p)
     n = d.n
-    A = _f(p.A)
     Xc = X.edge_count
     X2, X3 = float(p.X2), float(p.X3)
     D, L = _f(p.D), _f(p.L)
@@ -205,16 +205,10 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -
         ("C12", (1.0 + 2.0 * lam) * C12 / (2.0 * lam * lam * n * n)),
         ("C21", -C21 / (2.0 * lam * lam * n * n)),
     )
-    num_terms = (
-        ("quarter", 0.25),
-        ("degree_spread", -_f(p.R) ** 2 / (16.0 * A * A * n ** 4)),
-        ("forbidden_sq", lam * Xc * Xc / (om * n * n)),
-        ("forbidden_dd", -D / (2.0 * A * n * n)),
-    )
     return {
         "miss": LogEstimate.build(0.0, miss_terms, order),
         "hit": LogEstimate.build(0.0, hit_terms, order),
-        "num": LogEstimate.build(0.0, num_terms, order),
+        "num": LogEstimate.build(0.0, _count_terms(p, Xc), order),
     }
 
 
@@ -223,9 +217,7 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
     """Specialized displays: case "flat" for constant degrees, "reg" for
     constant forbidden degrees x_j."""
     p = compute_parameters(d, X)
-    lam = _f(p.lam)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError(f"degenerate density lambda={lam}")
+    lam = interior_density(p)
     n = d.n
     A = _f(p.A)
     Xc = X.edge_count
@@ -236,24 +228,26 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
         if not d.is_regular():
             raise ValueError("flat case requires constant degrees")
         X2, X3, H = float(p.X2), float(p.X3), float(p.H)
-        num_terms = (
-            ("quarter", 0.25),
-            ("Xsq_H", lam * (Xc * Xc - H) / (om * n * n)),
-        )
-        miss_terms = (
-            ("X", lam * Xc / (om * n)),
-            ("X2", -lam * X2 / (2.0 * om * n)),
-            ("X3", -lam * (2.0 - lam) * X3 / (6.0 * om * om * n * n)),
-            ("Xsq", lam * Xc * Xc / (om * n * n)),
-            ("H", -lam * H / (om * n * n)),
-        )
-        hit_terms = (
-            ("X", om * Xc / (lam * n)),
-            ("X2", -om * X2 / (2.0 * lam * n)),
-            ("X3", -(1.0 - lam * lam) * X3 / (6.0 * lam * lam * n * n)),
-            ("Xsq", om * Xc * Xc / (lam * n * n)),
-            ("H", -om * H / (lam * n * n)),
-        )
+        terms = {
+            "num": (
+                ("quarter", 0.25),
+                ("Xsq_H", lam * (Xc * Xc - H) / (om * n * n)),
+            ),
+            "miss": (
+                ("X", lam * Xc / (om * n)),
+                ("X2", -lam * X2 / (2.0 * om * n)),
+                ("X3", -lam * (2.0 - lam) * X3 / (6.0 * om * om * n * n)),
+                ("Xsq", lam * Xc * Xc / (om * n * n)),
+                ("H", -lam * H / (om * n * n)),
+            ),
+            "hit": (
+                ("X", om * Xc / (lam * n)),
+                ("X2", -om * X2 / (2.0 * lam * n)),
+                ("X3", -(1.0 - lam * lam) * X3 / (6.0 * lam * lam * n * n)),
+                ("Xsq", om * Xc * Xc / (lam * n * n)),
+                ("H", -om * H / (lam * n * n)),
+            ),
+        }
     elif case == "reg":
         xs = set(X.row_sums)
         if len(xs) != 1:
@@ -261,29 +255,27 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
         xv = float(xs.pop())
         R = _f(p.R)
         K = _f(p.K)
-        num_terms = (
-            ("quarter", 0.25),
-            ("xsq", lam * xv * xv / (4.0 * om)),
-            ("K", -K / (2.0 * A * n * n)),
-            ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
-        )
-        miss_terms = (
-            ("x(x-2)", -lam * xv * (xv - 2.0) / (4.0 * om)),
-            ("xR", -xv * R / (2.0 * om * om * n * n)),
-            ("K", -K / (2.0 * A * n * n)),
-        )
-        hit_terms = (
-            ("x(x-2)", -om * xv * (xv - 2.0) / (4.0 * lam)),
-            ("xR", -xv * R / (2.0 * lam * lam * n * n)),
-            ("K", -K / (2.0 * A * n * n)),
-        )
+        terms = {
+            "num": (
+                ("quarter", 0.25),
+                ("xsq", lam * xv * xv / (4.0 * om)),
+                ("K", -K / (2.0 * A * n * n)),
+                ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
+            ),
+            "miss": (
+                ("x(x-2)", -lam * xv * (xv - 2.0) / (4.0 * om)),
+                ("xR", -xv * R / (2.0 * om * om * n * n)),
+                ("K", -K / (2.0 * A * n * n)),
+            ),
+            "hit": (
+                ("x(x-2)", -om * xv * (xv - 2.0) / (4.0 * lam)),
+                ("xR", -xv * R / (2.0 * lam * lam * n * n)),
+                ("K", -K / (2.0 * A * n * n)),
+            ),
+        }
     else:
         raise ValueError(f"unknown case {case!r}")
-    return {
-        "num": LogEstimate.build(0.0, num_terms, order),
-        "miss": LogEstimate.build(0.0, miss_terms, order),
-        "hit": LogEstimate.build(0.0, hit_terms, order),
-    }
+    return {key: LogEstimate.build(0.0, t, order) for key, t in terms.items()}
 
 
 def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
@@ -311,13 +303,11 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     two-term form, and "lambdaModel" the reduced expansion over the pairwise
     edge-weight base product.
     """
-    spec = induced_spec(d, X, m)
+    p = compute_parameters(d, X)
+    spec = induced_spec(d, X, m, p)
     if m == 0:
         return LogEstimate.build(0.0, (), "exact")
-    p = compute_parameters(d, X)
-    lam = _f(p.lam)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError(f"degenerate density lambda={lam}")
+    lam = interior_density(p)
     n = d.n
     A = _f(p.A)
     Xc = X.edge_count

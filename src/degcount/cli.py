@@ -4,11 +4,13 @@ validation harness.
 
 Reports are JSON by default (sorted keys, stable schema "degcount-report/1"),
 so an identical run configuration, seed included, reproduces byte-identical
-output; `count` alone carries a wall-clock field and only in JSON mode.  CSV
-is a flattened terms-only view.  Vertices are 1-indexed in all files.
+output; `count` alone carries a wall-clock field and only in JSON mode.  JSON
+is strict: non-finite values are written as null.  CSV is a flattened
+terms-only view.  Vertices are 1-indexed in all files.
 
-Exit codes: 0 success, 1 failed validation, 2 input errors (with
-line-numbered diagnostics where applicable).
+Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
+and non-integer DEGCOUNT_* variables (with line-numbered diagnostics where
+applicable).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .graphcore import (
     DegreeSequence,
@@ -39,27 +40,24 @@ FORMULAS = ("naive", "dense", "miss", "hit", "num", "flat", "reg", "induced",
             "cycles", "sptrees")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation; equal configs produce identical reports."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("DEGCOUNT_SEED")
-    return int(raw) if raw else DEFAULT_SEED
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("DEGCOUNT_THREADS")
-    return int(raw) if raw else 1
+def _finite(value: float) -> float | None:
+    """JSON has no infinities or NaN; such values are reported as null."""
+    return value if math.isfinite(value) else None
 
 
 def _emit(out, payload: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     elif fmt == "csv":
         for key, value in _flatten(payload):
             out.write(f"{key},{value}\n")
@@ -82,13 +80,16 @@ def _flatten(obj, prefix=""):
 
 
 def _estimate_payload(est: asymptotics.LogEstimate) -> dict:
-    return {
-        "logValue": est.log_value,
-        "baseLog": est.base_log,
+    payload = {
+        "logValue": _finite(est.log_value),
+        "baseLog": _finite(est.base_log),
         "correction": est.correction,
         "errorOrder": est.error_order,
         "terms": [{"name": name, "value": value} for name, value in est.terms],
     }
+    if est.log_value == asymptotics.NEG_INF:
+        payload["zero"] = True
+    return payload
 
 
 def _load_instance(args) -> tuple[DegreeSequence, ForbiddenGraph]:
@@ -195,14 +196,7 @@ def _cmd_saddle(args, out) -> int:
 def _cmd_verify_start(args, out) -> int:
     if args.degrees:
         d, X = _load_instance(args)
-        lam = 2 * d.edge_count / (d.n * (d.n - 1))
-        if 0.0 < lam < 1.0:
-            try:
-                sp = saddle.solve_saddle(d, X, mode="fixed")
-            except (saddle.SaddlePoleError, ValueError):
-                sp = saddle.fixed_radii_point(d, X)
-        else:
-            sp = saddle.fixed_radii_point(d, X)
+        sp = saddle.contour_point(d, X)
         I = saddle.integral_quadrature(sp, d, X)
         P = math.exp(saddle.log_prefactor(sp, d, X))
         G = exactcount.exact_count(d, X)
@@ -251,7 +245,7 @@ def _cmd_sample(args, out) -> int:
                 fh.write(f"{j} {k}\n")
     payload = {
         "schema": SCHEMA, "subcommand": "sample", "mode": args.mode,
-        "mean": est.mean, "stderr": est.stderr, "samples": est.samples,
+        "mean": est.mean, "stderr": _finite(est.stderr), "samples": est.samples,
         "burnIn": est.burn_in, "thinning": est.thinning, "seed": est.seed,
         "scale": "linear",
     }
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mw3", help="box-integral evaluation")
     p.add_argument("--coefficients", required=True, help="coefficient JSON document")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=_env_int("DEGCOUNT_SEED", DEFAULT_SEED))
 
     p = sub.add_parser("sample", help="switch-chain probability estimate")
     add_instance(p)
@@ -335,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thinning", type=int)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=_env_int("DEGCOUNT_SEED", DEFAULT_SEED))
     p.add_argument("--dump-graph", help="write one realization as an edge list")
 
     p = sub.add_parser("validate", help="run the validation suite")
     p.add_argument("--suite", choices=("small", "full"), default="small")
-    p.add_argument("--threads", type=int, default=_env_threads())
+    p.add_argument("--threads", type=int, default=_env_int("DEGCOUNT_THREADS", 1))
 
     return parser
 
@@ -358,20 +352,14 @@ _HANDLERS = {
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.subcommand](args, out)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    config = RunConfig(subcommand=args.subcommand, args=args)
-    try:
-        return _HANDLERS[config.subcommand](config.args, out)
-    except (InputFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, exactcount.CountLimitError,
-            exactcount.UndefinedProbabilityError, mcsampler.NonGraphicalError,
-            mvintegral.DegenerateProposalError, saddle.SaddleDivergenceError,
+    # InputFormatError and every exactcount, mcsampler and mvintegral error
+    # subclass ValueError
+    except (OSError, ValueError, saddle.SaddleDivergenceError,
             saddle.SaddlePoleError, saddle.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph
+from .graphcore import DegreeSequence, ForbiddenGraph, check_support
 
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
@@ -204,11 +204,8 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if mode == "induced":
         if m is None:
             raise ValueError("induced mode requires m")
-        x = X.row_sums
-        for j in range(m, d.n):
-            if x[j] != 0:
-                raise ValueError(f"support violation: x_{j + 1} != 0 with m={m}")
-        dm = _shifted(d, x)
+        check_support(X, m)
+        dm = _shifted(d, X.row_sums)
         if dm is None:
             return Fraction(0)
         Y = ForbiddenGraph.clique(d.n, m)

@@ -128,28 +128,18 @@ class ForbiddenGraph:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Every scalar/sequence parameter derived from (d, X).
+    """Every scalar/sequence parameter the evaluators read, derived from (d, X).
 
-    All rational quantities are exact Fractions (ints where integral); the
-    sparse-regime fields d_max/x_max/Delta_sparse ride along so the sparse
-    and dense evaluators share one record.
+    All rational quantities are exact Fractions (ints where integral).
     """
 
     n: int
-    E: int
     d_avg: Fraction
     lam: Fraction
     A: Fraction
-    A3: Fraction
-    A4: Fraction
     delta: tuple[Fraction, ...]
     dev: tuple[Fraction, ...]
-    B_seq: tuple[Fraction, ...]
     R: Fraction
-    R1: Fraction
-    R2: Fraction
-    R3: Fraction
-    R4: Fraction
     X2: int
     X3: int
     D: Fraction
@@ -159,9 +149,7 @@ class Parameters:
     C11: Fraction
     C12: Fraction
     C21: Fraction
-    d_max: int
     x_max: int
-    Delta_sparse: int
 
 
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
@@ -174,26 +162,15 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     n = d.n
     if n < 2:
         raise ValueError("need n >= 2")
-    E = d.edge_count
-    d_avg = Fraction(2 * E, n)
+    d_avg = Fraction(2 * d.edge_count, n)
     lam = d_avg / (n - 1)
     A = lam * (1 - lam) / 2
-    A3 = lam * (1 - lam) * (1 - 2 * lam) / 6
-    A4 = lam * (1 - lam) * (1 - 6 * lam + 6 * lam * lam) / 24
 
     x = X.row_sums
     delta = tuple(dj - d_avg + lam * xj for dj, xj in zip(d.degrees, x))
-    B_seq = tuple(
-        sum((delta[k - 1] for k in X.neighbors(j)), start=Fraction(0))
-        for j in range(1, n + 1)
-    )
     dev = tuple(dj - d_avg for dj in d.degrees)
 
     R = sum((t * t for t in dev), start=Fraction(0))
-    R1 = sum(delta, start=Fraction(0))
-    R2 = sum((t * t for t in delta), start=Fraction(0))
-    R3 = sum((t ** 3 for t in delta), start=Fraction(0))
-    R4 = sum((t ** 4 for t in delta), start=Fraction(0))
     X2 = sum(xj * xj for xj in x)
     X3 = sum(xj ** 3 for xj in x)
 
@@ -212,15 +189,27 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     C12 = sum((delta[j] * x[j] ** 2 for j in range(n)), start=Fraction(0))
     C21 = sum((delta[j] ** 2 * x[j] for j in range(n)), start=Fraction(0))
 
-    d_max = max(d.degrees)
-    x_max = max(x) if x else 0
     return Parameters(
-        n=n, E=E, d_avg=d_avg, lam=lam, A=A, A3=A3, A4=A4,
-        delta=delta, dev=dev, B_seq=B_seq,
-        R=R, R1=R1, R2=R2, R3=R3, R4=R4, X2=X2, X3=X3,
-        D=D, H=H, L=L, K=K, C11=C11, C12=C12, C21=C21,
-        d_max=d_max, x_max=x_max, Delta_sparse=d_max * (d_max + x_max),
+        n=n, d_avg=d_avg, lam=lam, A=A, delta=delta, dev=dev,
+        R=R, X2=X2, X3=X3, D=D, H=H, L=L, K=K, C11=C11, C12=C12, C21=C21,
+        x_max=max(x) if x else 0,
     )
+
+
+def interior_density(p: Parameters) -> float:
+    """lambda as a float; raises for the degenerate densities lambda in {0, 1}."""
+    lam = float(p.lam)
+    if lam <= 0.0 or lam >= 1.0:
+        raise ValueError(f"degenerate density lambda={lam}")
+    return lam
+
+
+def check_support(X: ForbiddenGraph, m: int) -> None:
+    """Raise unless X is supported on vertices 1..m, i.e. x_j = 0 for j > m."""
+    x = X.row_sums
+    for j in range(m, X.n):
+        if x[j] != 0:
+            raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
 
 
 @dataclass(frozen=True)
@@ -235,20 +224,21 @@ class InducedSpec:
     omega: Mapping[tuple[int, int], Fraction]
 
 
-def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int) -> InducedSpec:
+def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
+                 p: Parameters | None = None) -> InducedSpec:
     """Build the omega-moment table for a forbidden graph supported on 1..m.
 
-    Raises if some x_j != 0 for j > m (the support condition).
+    Raises if some x_j != 0 for j > m (the support condition).  Pass p to
+    reuse an already computed Parameters record for (d, X).
     """
     if d.n != X.n:
         raise ValueError("dimension mismatch")
     if not 0 <= m <= d.n:
         raise ValueError(f"m={m} outside 0..{d.n}")
+    check_support(X, m)
+    if p is None:
+        p = compute_parameters(d, X)
     x = X.row_sums
-    for j in range(m, d.n):
-        if x[j] != 0:
-            raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
-    p = compute_parameters(d, X)
     shift = p.lam * (m - 1) if m >= 1 else Fraction(0)
     omega: dict[tuple[int, int], Fraction] = {}
     for k in range(0, 4):

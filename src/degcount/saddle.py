@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, compute_parameters
+from .graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, interior_density
 
 
 class SaddleDivergenceError(RuntimeError):
@@ -64,8 +64,7 @@ class AbgCoefficients:
     gamma: np.ndarray
 
 
-def _masks(d: DegreeSequence, X: ForbiddenGraph):
-    n = d.n
+def _masks(n: int, X: ForbiddenGraph):
     adj = np.zeros((n, n))
     for j, k in X.edges:
         adj[j - 1, k - 1] = adj[k - 1, j - 1] = 1.0
@@ -111,9 +110,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     if n < 3:
         raise ValueError("need n >= 3")
     p = compute_parameters(d, X)
-    lam = float(p.lam)
-    if lam <= 0.0 or lam >= 1.0:
-        raise ValueError(f"degenerate density lambda={lam}")
+    lam = interior_density(p)
     x = X.row_sums
     if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, x)):
         raise ValueError("infeasible degrees: some d_j > n-1-x_j")
@@ -122,7 +119,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     r = math.sqrt(r2)
     delta = np.array([float(v) for v in p.delta])
     xs = np.asarray(x, dtype=float)
-    adj, xbar = _masks(d, X)
+    adj, xbar = _masks(n, X)
     Xc = float(X.edge_count)
 
     def z_rows(a: np.ndarray) -> np.ndarray:
@@ -241,7 +238,7 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
         X = ForbiddenGraph.empty(n)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    _, xbar = _masks(d, X)
+    _, xbar = _masks(n, X)
     radii = np.full(n, float(radius))
     lam_jk = _lambda_matrix(radii)
     residual = (lam_jk * xbar).sum(axis=1) - np.asarray(d.degrees, dtype=float)
@@ -249,6 +246,16 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     return SaddlePoint(r=float(radius), lam=lam, a=np.zeros(n), radii=radii,
                        lambda_jk=lam_jk, residual=residual, iterations=0,
                        mode="fixed-radii", converged=False)
+
+
+def contour_point(d: DegreeSequence, X: ForbiddenGraph | None = None) -> SaddlePoint:
+    """Contour for checking count = P * I: the four-sweep saddle iterate where
+    it exists, else unit radii (lambda in {0, 1}, infeasible degrees, n < 3, or
+    an iterate that crossed a pole)."""
+    try:
+        return solve_saddle(d, X, mode="fixed")
+    except (SaddlePoleError, ValueError):
+        return fixed_radii_point(d, X)
 
 
 def abg_coefficients(sp: SaddlePoint) -> AbgCoefficients:
@@ -274,7 +281,7 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
     n = d.n
     if X is None:
         X = ForbiddenGraph.empty(n)
-    _, xbar = _masks(d, X)
+    _, xbar = _masks(n, X)
     rr = np.outer(sp.radii, sp.radii)
     terms = np.log1p(rr[np.triu(xbar, 1) > 0])
     acc = math.fsum(terms.tolist())
@@ -294,10 +301,8 @@ def integrand_modulus(sp: SaddlePoint, theta, X: ForbiddenGraph | None = None) -
     n = th.size
     if X is None:
         X = ForbiddenGraph.empty(n)
-    adj = np.zeros((n, n))
-    for j, k in X.edges:
-        adj[j - 1, k - 1] = adj[k - 1, j - 1] = 1.0
-    mask = np.triu(1.0 - adj - np.eye(n), 1) > 0
+    _, xbar = _masks(n, X)
+    mask = np.triu(xbar, 1) > 0
     L = sp.lambda_jk
     q = 0.5 * L * (1 - L)
     z = th[:, None] + th[None, :]

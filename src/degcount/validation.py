@@ -27,13 +27,7 @@ from .exactcount import (
     exact_count,
     exact_probability,
 )
-from .saddle import (
-    SaddlePoleError,
-    fixed_radii_point,
-    integral_quadrature,
-    log_prefactor,
-    solve_saddle,
-)
+from .saddle import contour_point, integral_quadrature, log_prefactor, solve_saddle
 from .asymptotics import (
     dense_count_estimate,
     miss_hit_estimate,
@@ -158,14 +152,7 @@ def check_contour_factorization(ns=(3, 4, 5), rel_tol: float = 1e-6,
             d = DegreeSequence(degs)
             for edge in edge_options:
                 X = ForbiddenGraph.from_pairs(n, [edge] if edge else [])
-                lam = sum(degs) / (n * (n - 1))
-                if 0.0 < lam < 1.0:
-                    try:
-                        sp = solve_saddle(d, X, mode="fixed")
-                    except (SaddlePoleError, ValueError):
-                        sp = fixed_radii_point(d, X)
-                else:
-                    sp = fixed_radii_point(d, X)
+                sp = contour_point(d, X)
                 I = integral_quadrature(sp, d, X)
                 P = math.exp(log_prefactor(sp, d, X))
                 G = exact_count(d, X)

@@ -130,6 +130,12 @@ def test_miss_terms_against_independent_arithmetic():
         assert value == pytest.approx(float(expected[name]), abs=1e-15), name
 
 
+def test_num_terms_are_the_dense_count_terms():
+    d = DegreeSequence((5, 4, 4, 4, 4, 5, 4, 4, 4, 4))
+    X = fg(10, [(1, 2), (2, 3), (4, 9)])
+    assert miss_hit_estimate(d, X)["num"].terms == dense_count_estimate(d, X)[0].terms
+
+
 def test_complement_duality_shrinks_with_n():
     # (1-lam)^X miss(d,X) and lam'^X hit(d',X) agree up to the error order;
     # the base factors cancel exactly, so compare the corrections on a sweep

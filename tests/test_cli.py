@@ -12,6 +12,12 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def files(tmp_path):
     d4 = tmp_path / "d4.txt"
@@ -140,6 +146,43 @@ def test_input_errors_exit_two(files, tmp_path):
     big.write_text("0\n" * 13)
     code, _ = run(["count", "--degrees", str(big)])
     assert code == 2
+    # a directory where a file is expected is an OS error, also exit 2
+    code, _ = run(["sample", "--degrees", files["d8"], "--mode", "miss",
+                   "--samples", "10", "--dump-graph", str(tmp_path)])
+    assert code == 2
+    code, _ = run(["mw3", "--coefficients", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("name", ["DEGCOUNT_SEED", "DEGCOUNT_THREADS"])
+def test_bad_environment_variable_exits_two(files, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    code, out = run(["count", "--degrees", files["d4"]])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("degrees,edges,argv", [
+    ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "naive"]),
+    ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "dense"]),
+    ("1\n1\n2\n2\n", "1 2\n1 3\n", ["estimate", "--formula", "mckay81"]),
+])
+def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
+    d = tmp_path / "d.txt"
+    d.write_text(degrees)
+    x = tmp_path / "x.txt"
+    x.write_text(edges)
+    code, out = run(argv + ["--degrees", str(d), "--forbidden", str(x)])
+    doc = strict_json(out)
+    assert code == 0 and doc["zero"] is True
+    assert doc["logValue"] is None and doc["baseLog"] is None
+
+
+def test_single_sample_stderr_is_null(files):
+    code, out = run(["sample", "--degrees", files["d8"], "--forbidden", files["x"],
+                     "--mode", "miss", "--samples", "1", "--seed", "3"])
+    doc = strict_json(out)
+    assert code == 0 and doc["stderr"] is None and "zero" not in doc
 
 
 def test_missing_options_exit_two(files):

@@ -7,6 +7,7 @@ from degcount.graphcore import DegreeSequence, ForbiddenGraph
 from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
     LabeledGraph,
+    MCEstimate,
     NonGraphicalError,
     SampleConfig,
     estimate_probability,
@@ -145,6 +146,19 @@ def test_same_seed_same_path():
     other = SampleConfig(samples=5000, thinning=6, seed=8)
     assert estimate_probability(d, X, "miss", other).mean != \
         estimate_probability(d, X, "miss", cfg).mean
+
+
+def test_pinned_seeded_estimate():
+    # the pinned values fix the RNG draw order of the switch kernel;
+    # invariant checking must not perturb that stream
+    d = DegreeSequence((3,) * 8)
+    X = fg(8, [(1, 2)])
+    cfg = SampleConfig(samples=500, thinning=3, seed=99)
+    est = estimate_probability(d, X, "miss", cfg)
+    assert est == MCEstimate(mean=0.64, stderr=0.05708719093125053, samples=500,
+                             burn_in=298, thinning=3, seed=99)
+    checked = SampleConfig(samples=500, thinning=3, seed=99, check_invariants=True)
+    assert estimate_probability(d, X, "miss", checked) == est
 
 
 def test_invariant_checking_mode():

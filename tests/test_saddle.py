@@ -8,6 +8,7 @@ from degcount.exactcount import exact_count
 from degcount.saddle import (
     QuadratureError,
     abg_coefficients,
+    contour_point,
     fixed_radii_point,
     integral_quadrature,
     integrand_modulus,
@@ -288,9 +289,7 @@ def test_modulus_bounded_by_exponential_bound():
 def test_factorization_matches_exact_count(degrees, pairs):
     d = DegreeSequence(degrees)
     X = fg(len(degrees), pairs)
-    n = d.n
-    lam = 2 * d.edge_count / (n * (n - 1))
-    sp = solve_saddle(d, X, mode="fixed") if 0 < lam < 1 else fixed_radii_point(d, X)
+    sp = contour_point(d, X)
     I = integral_quadrature(sp, d, X)
     P = math.exp(log_prefactor(sp, d, X))
     G = exact_count(d, X)
@@ -303,7 +302,6 @@ def test_factorization_random_multi_edge_forbidden():
     # the identity is unconditional in X; sweep random multi-edge instances
     import random
     from itertools import combinations
-    from degcount.saddle import SaddlePoleError
     rng = random.Random(9)
     tested = 0
     while tested < 25:
@@ -318,16 +316,30 @@ def test_factorization_random_multi_edge_forbidden():
                 continue
             deg[j] += 1
         d = DegreeSequence(tuple(deg))
-        lam = 2 * d.edge_count / (n * (n - 1))
-        try:
-            sp = solve_saddle(d, X, mode="fixed") if 0 < lam < 1 else fixed_radii_point(d, X)
-        except (SaddlePoleError, ValueError):
-            sp = fixed_radii_point(d, X)
+        sp = contour_point(d, X)
         I = integral_quadrature(sp, d, X)
         P = math.exp(log_prefactor(sp, d, X))
         G = exact_count(d, X)
         assert abs(P * I.real - G) <= 1e-9 * max(G, 1)
         tested += 1
+
+
+def test_contour_point_prefers_fixed_saddle():
+    d = DegreeSequence((3, 2, 2, 2, 1))
+    X = fg(5, [(1, 5)])
+    got, want = contour_point(d, X), solve_saddle(d, X, mode="fixed")
+    assert got.mode == "fixed"
+    assert np.array_equal(got.radii, want.radii)
+    assert np.array_equal(got.residual, want.residual)
+
+
+@pytest.mark.parametrize("degrees", [(0, 0, 0, 0), (3, 3, 3, 3)])
+def test_contour_point_falls_back_at_degenerate_density(degrees):
+    d = DegreeSequence(degrees)
+    got, want = contour_point(d), fixed_radii_point(d)
+    assert got.mode == "fixed-radii"
+    assert np.array_equal(got.radii, want.radii)
+    assert np.array_equal(got.residual, want.residual)
 
 
 def test_factorization_for_any_radii():
