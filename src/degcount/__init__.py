@@ -27,7 +27,6 @@ from .exactcount import (
 from .saddle import (
     AbgCoefficients,
     QuadratureError,
-    SaddleDivergenceError,
     SaddlePoint,
     SaddlePoleError,
     abg_coefficients,

@@ -10,7 +10,8 @@ terms-only view.  Vertices are 1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
 and non-integer DEGCOUNT_* variables (with line-numbered diagnostics where
-applicable).
+applicable).  A saddle solve that finds no saddle exits 0 and reports
+"converged": false.
 """
 
 from __future__ import annotations
@@ -359,8 +360,7 @@ def main(argv=None, stdout=None) -> int:
         return int(exc.code) if exc.code else 0
     # InputFormatError and every exactcount, mcsampler and mvintegral error
     # subclass ValueError
-    except (OSError, ValueError, saddle.SaddleDivergenceError,
-            saddle.SaddlePoleError, saddle.QuadratureError) as exc:
+    except (OSError, ValueError, saddle.SaddlePoleError, saddle.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

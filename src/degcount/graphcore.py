@@ -205,7 +205,10 @@ def interior_density(p: Parameters) -> float:
 
 
 def check_support(X: ForbiddenGraph, m: int) -> None:
-    """Raise unless X is supported on vertices 1..m, i.e. x_j = 0 for j > m."""
+    """Raise unless 0 <= m <= n and X is supported on vertices 1..m, i.e.
+    x_j = 0 for j > m."""
+    if not 0 <= m <= X.n:
+        raise ValueError(f"m={m} outside 0..{X.n}")
     x = X.row_sums
     for j in range(m, X.n):
         if x[j] != 0:
@@ -233,8 +236,6 @@ def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
     """
     if d.n != X.n:
         raise ValueError("dimension mismatch")
-    if not 0 <= m <= d.n:
-        raise ValueError(f"m={m} outside 0..{d.n}")
     check_support(X, m)
     if p is None:
         p = compute_parameters(d, X)

@@ -206,6 +206,8 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     burn_in = cfg.burn_in if cfg.burn_in is not None else (
         int(10 * E * math.log(E)) if E > 1 else 0)
     thinning = cfg.thinning if cfg.thinning is not None else max(E, 1)
+    if burn_in < 0 or thinning < 1:
+        raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
     rng = random.Random(cfg.seed)
     mixed = [0.0] * cfg.samples
 

@@ -5,9 +5,9 @@ prefactor P times an n-dimensional angular integral I, for *any* choice of
 positive contour radii; the saddle choice makes the integrand's log expansion
 lose its linear term, i.e. the weight matrix lambda_jk = r_j r_k/(1+r_j r_k)
 row-sums (over non-forbidden partners) to the degrees.  This module locates
-that point by the contraction iteration in the shifted variables a_j, with a
-damped-Newton fallback, and verifies the factorization by direct tensor
-quadrature at tiny n.
+that point by damped Newton in the shifted variables a_j (or takes a fixed
+number of contraction sweeps), and verifies the factorization by direct
+tensor quadrature at tiny n.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, interior_density
-
-
-class SaddleDivergenceError(RuntimeError):
-    """Residual grew repeatedly and no descent step could be found."""
 
 
 class SaddlePoleError(RuntimeError):
@@ -40,7 +36,6 @@ class SaddlePoint:
     d_j; a vanishing residual means an exact saddle.
     """
 
-    r: float
     lam: float
     a: np.ndarray
     radii: np.ndarray
@@ -87,16 +82,21 @@ def _state_valid(a: np.ndarray, r2: float) -> bool:
     return bool(np.min(1.0 + r2 * np.outer(a, a)) > 1e-14)
 
 
+FIXED_SWEEPS = 4
+
+
 def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
-                 mode: str = "converge", iterations: int = 4,
-                 tol: float = 1e-12, max_iter: int = 100) -> SaddlePoint:
+                 mode: str = "converge", tol: float = 1e-12,
+                 max_iter: int = 100) -> SaddlePoint:
     """Locate the saddle point of the contour factorization.
 
-    mode "converge" (default) iterates the contraction map until the residual
-    max |lambda-row-sum - d_j| drops below tol or max_iter is reached, falling
-    back to damped Newton if the contraction stalls; the best iterate and its
-    residual are recorded either way.  mode "fixed" runs exactly `iterations`
-    sweeps from a = 0 (four by default) with no convergence requirement.
+    mode "converge" (default) takes damped Newton steps from a = 0 until the
+    residual max |lambda-row-sum - d_j| drops below tol or max_iter steps are
+    taken.  A step is taken only if it lowers that residual; when none does,
+    or the Jacobian is singular, the current iterate is returned with
+    converged=False.  mode "fixed" runs exactly FIXED_SWEEPS contraction
+    sweeps from a = 0 with no convergence requirement, and raises
+    SaddlePoleError if an iterate crosses a pole of the radius map.
 
     Intended for interior instances 0 < d_j < n-1-x_j.  Boundary instances
     are accepted (the factorization holds for any positive radii) but cannot
@@ -145,82 +145,47 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
 
     def jacobian(a: np.ndarray) -> np.ndarray:
         # d lambda_jk / d a_k = lam * (1+a_j)(1-r2 a_j) / (1 + r2 a_j a_k)^2
+        # (the diagonal of xbar is zero, so the off-diagonal part leaves it free)
         numer = (1.0 + a) * (1.0 - r2 * a)
-        q = (1.0 + r2 * np.outer(a, a)) ** 2
-        off = lam * xbar * numer[:, None] / q
-        diag = (lam * xbar * numer[None, :] / q).sum(axis=1)
-        return off + np.diag(diag)
+        w = lam * xbar / (1.0 + r2 * np.outer(a, a)) ** 2
+        J = w * numer[:, None]
+        np.fill_diagonal(J, w @ numer)
+        return J
 
     a = np.zeros(n)
-    best_a = a
-    best_res = residual_of(a)
-    best_m = float(np.abs(best_res).max())
     iters = 0
-
     if mode == "fixed":
-        for _ in range(iterations):
+        for _ in range(FIXED_SWEEPS):
             a = sweep(a)
             iters += 1
             if not _state_valid(a, r2):
                 raise SaddlePoleError("iterate crossed a pole of the radius map")
-        res = residual_of(a)
-        return SaddlePoint(r=r, lam=lam, a=a, radii=radii_of(a),
-                           lambda_jk=_lambda_matrix(radii_of(a)), residual=res,
-                           iterations=iters, mode=mode,
-                           converged=bool(np.abs(res).max() < tol))
-    if mode != "converge":
+    elif mode != "converge":
         raise ValueError(f"unknown mode {mode!r}")
-
-    prev_m = best_m
-    grew = 0
-    contraction_budget = min(max_iter, 30)
-    while iters < contraction_budget and best_m >= tol:
-        trial = sweep(a)
+    res = residual_of(a)
+    m = float(np.abs(res).max())
+    while mode == "converge" and iters < max_iter and m >= tol:
+        try:
+            step = np.linalg.solve(jacobian(a), -res)
+        except np.linalg.LinAlgError:
+            break  # singular Jacobian
+        alpha = 1.0
+        while alpha > 1e-14:
+            trial = a + alpha * step
+            if _state_valid(trial, r2):
+                trial_res = residual_of(trial)
+                trial_m = float(np.abs(trial_res).max())
+                if trial_m < m:
+                    break
+            alpha /= 2.0
+        else:
+            break  # no step along the Newton direction lowers the residual
+        a, res, m = trial, trial_res, trial_m
         iters += 1
-        if not _state_valid(trial, r2):
-            break  # hand over to Newton from the best point so far
-        res = residual_of(trial)
-        m = float(np.abs(res).max())
-        if m < best_m:
-            best_a, best_res, best_m = trial, res, m
-        grew = grew + 1 if m > prev_m else 0
-        prev_m = m
-        a = trial
-        if grew >= 3:
-            break
 
-    if best_m >= tol:
-        # contraction stalled or ran out of budget: damped Newton from the
-        # best iterate
-        a = best_a
-        while iters < max_iter and best_m >= tol:
-            res = residual_of(a)
-            m = float(np.abs(res).max())
-            try:
-                step = np.linalg.solve(jacobian(a), -res)
-            except np.linalg.LinAlgError as exc:
-                raise SaddleDivergenceError(f"singular Jacobian at residual {m:g}") from exc
-            alpha = 1.0
-            accepted = False
-            while alpha > 1e-14:
-                trial = a + alpha * step
-                if _state_valid(trial, r2):
-                    m_new = float(np.abs(residual_of(trial)).max())
-                    if m_new < m:
-                        a = trial
-                        accepted = True
-                        if m_new < best_m:
-                            best_a, best_res, best_m = trial, residual_of(trial), m_new
-                        break
-                alpha /= 2.0
-            iters += 1
-            if not accepted:
-                raise SaddleDivergenceError(
-                    f"no descent step found at residual {m:g} after {iters} iterations")
-
-    return SaddlePoint(r=r, lam=lam, a=best_a, radii=radii_of(best_a),
-                       lambda_jk=_lambda_matrix(radii_of(best_a)), residual=best_res,
-                       iterations=iters, mode=mode, converged=bool(best_m < tol))
+    radii = radii_of(a)
+    return SaddlePoint(lam=lam, a=a, radii=radii, lambda_jk=_lambda_matrix(radii),
+                       residual=res, iterations=iters, mode=mode, converged=bool(m < tol))
 
 
 def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
@@ -243,7 +208,7 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     lam_jk = _lambda_matrix(radii)
     residual = (lam_jk * xbar).sum(axis=1) - np.asarray(d.degrees, dtype=float)
     lam = radius * radius / (1.0 + radius * radius)
-    return SaddlePoint(r=float(radius), lam=lam, a=np.zeros(n), radii=radii,
+    return SaddlePoint(lam=lam, a=np.zeros(n), radii=radii,
                        lambda_jk=lam_jk, residual=residual, iterations=0,
                        mode="fixed-radii", converged=False)
 

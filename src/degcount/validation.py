@@ -419,6 +419,8 @@ def check_determinism() -> CheckResult:
             ["mw3", "--coefficients", cpath, "--samples", "5000", "--seed", "99"],
             ["sample", "--degrees", dpath, "--forbidden", xpath, "--mode", "miss",
              "--samples", "500", "--thinning", "3", "--seed", "99"],
+            ["saddle", "--degrees", dpath, "--forbidden", xpath, "--mode", "converge"],
+            ["saddle", "--degrees", dpath, "--forbidden", xpath, "--mode", "fixed"],
         ]
         mismatched = []
         for argv in commands:
@@ -432,7 +434,7 @@ def check_determinism() -> CheckResult:
     return CheckResult(
         "determinism", not mismatched,
         {"mismatched": mismatched},
-        "estimate/mw3/sample reports byte-identical across two runs"
+        "estimate/mw3/sample/saddle (both modes) reports byte-identical across two runs"
         if not mismatched else f"non-deterministic: {mismatched}")
 
 

@@ -152,6 +152,11 @@ def test_input_errors_exit_two(files, tmp_path):
     assert code == 2
     code, _ = run(["mw3", "--coefficients", str(tmp_path)])
     assert code == 2
+    # chain lengths that give no honest error bar
+    for flag, value in (("--thinning", "0"), ("--burn-in", "-5")):
+        code, out = run(["sample", "--degrees", files["d8"], "--mode", "miss",
+                         "--samples", "10", flag, value])
+        assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("name", ["DEGCOUNT_SEED", "DEGCOUNT_THREADS"])
@@ -176,6 +181,15 @@ def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     doc = strict_json(out)
     assert code == 0 and doc["zero"] is True
     assert doc["logValue"] is None and doc["baseLog"] is None
+
+
+def test_saddle_without_solution_reports_nonconvergence(tmp_path):
+    # (3,3,0,0) has no graph and no saddle; the solver says so in the report
+    d = tmp_path / "d.txt"
+    d.write_text("[3, 3, 0, 0]")
+    code, out = run(["saddle", "--degrees", str(d)])
+    doc = strict_json(out)
+    assert code == 0 and doc["converged"] is False and doc["residualMax"] > 0.1
 
 
 def test_single_sample_stderr_is_null(files):

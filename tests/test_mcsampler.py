@@ -4,6 +4,7 @@ import random
 import pytest
 
 from degcount.graphcore import DegreeSequence, ForbiddenGraph
+from degcount.asymptotics import induced_estimate
 from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
     LabeledGraph,
@@ -177,3 +178,20 @@ def test_estimate_errors():
         estimate_probability(d, fg(4, [(1, 2)]), "induced")   # missing m
     with pytest.raises(ValueError):
         estimate_probability(d, fg(4, [(3, 4)]), "induced", m=2)  # support
+    with pytest.raises(ValueError, match="burn_in >= 0"):
+        estimate_probability(d, fg(4, [(1, 2)]), "miss", SampleConfig(burn_in=-5))
+    with pytest.raises(ValueError, match="thinning >= 1"):
+        estimate_probability(d, fg(4, [(1, 2)]), "miss", SampleConfig(thinning=0))
+
+
+@pytest.mark.parametrize("m", [-1, 9, 100])
+def test_induced_order_out_of_range_same_message_on_every_route(m):
+    d = DegreeSequence((3,) * 8)
+    X = fg(8, [(1, 2)])
+    message = f"m={m} outside 0..8"
+    with pytest.raises(ValueError, match=message):
+        exact_probability(d, X, "induced", m=m)
+    with pytest.raises(ValueError, match=message):
+        induced_estimate(d, X, m)
+    with pytest.raises(ValueError, match=message):
+        estimate_probability(d, X, "induced", SampleConfig(samples=10), m=m)

@@ -91,9 +91,13 @@ def test_convergence_mode_reaches_tol_like_newton_oracle():
     assert np.abs(resid).max() < 1e-8
 
 
-def test_well_posed_instance_matches_newton_oracle():
-    d = DegreeSequence((3, 3, 2, 2, 2, 2))
-    X = ForbiddenGraph.empty(6)
+@pytest.mark.parametrize("degrees,pairs", [
+    ((3, 3, 2, 2, 2, 2), []),
+    ((26, 26) + (25,) * 46 + (24, 24), [(1, 2), (3, 50)]),
+], ids=["n6", "n50-two-forbidden"])
+def test_well_posed_instance_matches_newton_oracle(degrees, pairs):
+    d = DegreeSequence(degrees)
+    X = fg(d.n, pairs)
     sp = solve_saddle(d, X, tol=1e-12)
     assert sp.converged
     r_oracle = newton_radii_oracle(d, X)
@@ -130,10 +134,11 @@ def test_pole_error_on_extreme_spread_fixed_mode():
         solve_saddle(d, mode="fixed")
 
 
-def test_infeasible_system_reports_nonconvergence_and_zero_count():
+@pytest.mark.parametrize("degrees", [(4, 4, 4, 0, 0), (3, 3, 0, 0)], ids=["44400", "3300"])
+def test_infeasible_system_reports_nonconvergence_and_zero_count(degrees):
     # no saddle exists when the row-sum system is infeasible; the solver
-    # records its best residual, and the factorization still gives G = 0
-    d = DegreeSequence((4, 4, 4, 0, 0))
+    # returns its last iterate unconverged, and the factorization still gives G = 0
+    d = DegreeSequence(degrees)
     sp = solve_saddle(d, max_iter=150)
     assert not sp.converged and sp.max_residual > 0.1
     I = integral_quadrature(sp, d)
