@@ -4,7 +4,9 @@ Holds the target degree sequence, the forbidden graph, and every derived
 scalar parameter the estimate evaluators consume.  Averages, densities and
 the moment-style parameters are kept as exact rationals so that algebraic
 identities between them (for example sum(delta) = 2*lambda*X) survive into
-the test suite bit-for-bit; evaluators convert to float at the point of use.
+the test suite bit-for-bit; they are summed as integers over a common
+denominator and turned into Fractions once.  Evaluators convert to float at
+the point of use.
 
 Vertices are 1-indexed throughout the public API, including edge lists and
 the file formats parsed here.
@@ -155,6 +157,9 @@ class Parameters:
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     """Populate a Parameters record from a degree sequence and forbidden graph.
 
+    Every sum is taken over integers scaled by a common denominator:
+    delta_j * n(n-1) and dev_j * n = n d_j - 2E are integers.  Each field then
+    becomes one exact Fraction (the per-vertex fields one per distinct value).
     Pure and deterministic; raises on dimension mismatch or n < 2.
     """
     if d.n != X.n:
@@ -162,36 +167,34 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     n = d.n
     if n < 2:
         raise ValueError("need n >= 2")
-    d_avg = Fraction(2 * d.edge_count, n)
-    lam = d_avg / (n - 1)
-    A = lam * (1 - lam) / 2
+    S = 2 * d.edge_count
+    N = n * (n - 1)                     # denominator of lam and of every delta_j
+    lam = Fraction(S, N)
 
     x = X.row_sums
-    delta = tuple(dj - d_avg + lam * xj for dj, xj in zip(d.degrees, x))
-    dev = tuple(dj - d_avg for dj in d.degrees)
+    # scaled integers: delta_j = dl[j] / N, dev_j = dv[j] / n
+    dl = [dj * N - S * (n - 1) + S * xj for dj, xj in zip(d.degrees, x)]
+    dv = [n * dj - S for dj in d.degrees]
+    fr_dl = {v: Fraction(v, N) for v in set(dl)}
+    fr_dv = {v: Fraction(v, n) for v in set(dv)}
 
-    R = sum((t * t for t in dev), start=Fraction(0))
-    X2 = sum(xj * xj for xj in x)
-    X3 = sum(xj ** 3 for xj in x)
-
-    D = Fraction(0)
-    H = 0
-    L = Fraction(0)
-    K = Fraction(0)
+    D = H = L = K = 0
     for j, k in X.edges:
-        dj, dk = delta[j - 1], delta[k - 1]
+        dj, dk, xj, xk = dl[j - 1], dl[k - 1], x[j - 1], x[k - 1]
         D += dj * dk
-        H += x[j - 1] * x[k - 1]
-        L += (dj - x[j - 1]) * (dk - x[k - 1])
-        K += dev[j - 1] * dev[k - 1]
-
-    C11 = sum((delta[j] * x[j] for j in range(n)), start=Fraction(0))
-    C12 = sum((delta[j] * x[j] ** 2 for j in range(n)), start=Fraction(0))
-    C21 = sum((delta[j] ** 2 * x[j] for j in range(n)), start=Fraction(0))
+        H += xj * xk
+        L += (dj - xj * N) * (dk - xk * N)
+        K += dv[j - 1] * dv[k - 1]
 
     return Parameters(
-        n=n, d_avg=d_avg, lam=lam, A=A, delta=delta, dev=dev,
-        R=R, X2=X2, X3=X3, D=D, H=H, L=L, K=K, C11=C11, C12=C12, C21=C21,
+        n=n, d_avg=Fraction(S, n), lam=lam, A=lam * (1 - lam) / 2,
+        delta=tuple(fr_dl[v] for v in dl), dev=tuple(fr_dv[v] for v in dv),
+        R=Fraction(sum(v * v for v in dv), n * n),
+        X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
+        D=Fraction(D, N * N), H=H, L=Fraction(L, N * N), K=Fraction(K, n * n),
+        C11=Fraction(sum(v * xj for v, xj in zip(dl, x)), N),
+        C12=Fraction(sum(v * xj * xj for v, xj in zip(dl, x)), N),
+        C21=Fraction(sum(v * v * xj for v, xj in zip(dl, x)), N * N),
         x_max=max(x) if x else 0,
     )
 

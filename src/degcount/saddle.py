@@ -8,6 +8,11 @@ row-sums (over non-forbidden partners) to the degrees.  This module locates
 that point by damped Newton in the shifted variables a_j (or takes a fixed
 number of contraction sweeps), and verifies the factorization by direct
 tensor quadrature at tiny n.
+
+Vertices outside the support of the forbidden graph that share a degree
+share a radius, so both solver modes and the log prefactor work on vertex
+classes and cost O(k^2 + n) for k classes; the n x n weight matrix is built
+only on demand, for the tiny-n consumers.
 """
 
 from __future__ import annotations
@@ -30,16 +35,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Solution state of the radius equations.
+    """Solution state of the radius equations, one entry per vertex.
 
     residual[j] is the row sum of lambda_jk over non-forbidden partners minus
-    d_j; a vanishing residual means an exact saddle.
+    d_j; a vanishing residual means an exact saddle.  The n x n matrix
+    lambda_jk is not stored: the property builds it from the radii.
     """
 
     lam: float
     a: np.ndarray
     radii: np.ndarray
-    lambda_jk: np.ndarray
     residual: np.ndarray
     iterations: int
     mode: str
@@ -48,6 +53,14 @@ class SaddlePoint:
     @property
     def max_residual(self) -> float:
         return float(np.abs(self.residual).max()) if self.residual.size else 0.0
+
+    @property
+    def lambda_jk(self) -> np.ndarray:
+        """Pair weights r_j r_k/(1+r_j r_k) with a zero diagonal."""
+        rr = np.outer(self.radii, self.radii)
+        lam_jk = rr / (1.0 + rr)
+        np.fill_diagonal(lam_jk, 0.0)
+        return lam_jk
 
 
 @dataclass(frozen=True)
@@ -59,19 +72,23 @@ class AbgCoefficients:
     gamma: np.ndarray
 
 
-def _masks(n: int, X: ForbiddenGraph):
-    adj = np.zeros((n, n))
+def _classes(d: DegreeSequence, X: ForbiddenGraph):
+    """Vertex classes of the radius equations.
+
+    Each vertex touching X is a class of its own; the other vertices are
+    grouped by degree, since their equations depend on nothing else.  Returns
+    (cls, first, m, F): cls[j] is the class of vertex j (0-indexed), first[c]
+    the first vertex of class c, m[c] its size, and F[c, c'] = 1 where an
+    X-edge joins c and c' (both ends of an X-edge are one-vertex classes).
+    """
+    index: dict[tuple[int, int], int] = {}
+    cls = np.array([index.setdefault((dj, j + 1 if xj else 0), len(index))
+                    for j, (dj, xj) in enumerate(zip(d.degrees, X.row_sums))], dtype=np.intp)
+    first, m = np.unique(cls, return_index=True, return_counts=True)[1:]
+    F = np.zeros((len(m), len(m)))
     for j, k in X.edges:
-        adj[j - 1, k - 1] = adj[k - 1, j - 1] = 1.0
-    xbar = 1.0 - adj - np.eye(n)
-    return adj, xbar
-
-
-def _lambda_matrix(radii: np.ndarray) -> np.ndarray:
-    rr = np.outer(radii, radii)
-    lam_jk = rr / (1.0 + rr)
-    np.fill_diagonal(lam_jk, 0.0)
-    return lam_jk
+        F[cls[j - 1], cls[k - 1]] = F[cls[k - 1], cls[j - 1]] = 1.0
+    return cls, first, m.astype(float), F
 
 
 def _state_valid(a: np.ndarray, r2: float) -> bool:
@@ -83,6 +100,7 @@ def _state_valid(a: np.ndarray, r2: float) -> bool:
 
 
 FIXED_SWEEPS = 4
+MIN_DECREASE = 0.01   # fraction of the max-residual a Newton step must remove
 
 
 def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
@@ -92,11 +110,17 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
 
     mode "converge" (default) takes damped Newton steps from a = 0 until the
     residual max |lambda-row-sum - d_j| drops below tol or max_iter steps are
-    taken.  A step is taken only if it lowers that residual; when none does,
-    or the Jacobian is singular, the current iterate is returned with
-    converged=False.  mode "fixed" runs exactly FIXED_SWEEPS contraction
-    sweeps from a = 0 with no convergence requirement, and raises
-    SaddlePoleError if an iterate crosses a pole of the radius map.
+    taken.  A step is taken only if it cuts that residual by at least the
+    fraction MIN_DECREASE; when none does, or the Jacobian is singular, the
+    current iterate is returned with converged=False.  mode "fixed" runs
+    exactly FIXED_SWEEPS contraction sweeps from a = 0 with no convergence
+    requirement, and raises SaddlePoleError if an iterate crosses a pole of
+    the radius map.
+
+    Both modes solve for one a per vertex class (see _classes), so a Newton
+    step or sweep costs O(k^2) for k classes: the distinct degrees outside
+    supp(X) plus one per vertex of supp(X).  The class values are expanded to
+    the per-vertex a, radii and residual in O(n).
 
     Intended for interior instances 0 < d_j < n-1-x_j.  Boundary instances
     are accepted (the factorization holds for any positive radii) but cannot
@@ -117,42 +141,39 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
 
     r2 = lam / (1.0 - lam)
     r = math.sqrt(r2)
-    delta = np.array([float(v) for v in p.delta])
-    xs = np.asarray(x, dtype=float)
-    adj, xbar = _masks(n, X)
+    cls, first, mult, F = _classes(d, X)
+    W = mult[None, :] - np.eye(mult.size) - F   # non-forbidden partners per class
+    delta = np.array([float(p.delta[j]) for j in first])
+    xs = np.asarray(x, dtype=float)[first]
     Xc = float(X.edge_count)
 
     def z_rows(a: np.ndarray) -> np.ndarray:
         outer = np.outer(a, a)
         Z = outer * (1.0 - r2 - r2 * a[:, None] - r2 * a[None, :]) / (1.0 + r2 * outer)
-        np.fill_diagonal(Z, 0.0)
-        return (Z * xbar).sum(axis=1)
+        return (Z * W).sum(axis=1)
 
     def sweep(a: np.ndarray) -> np.ndarray:
         z_row = z_rows(a)
-        z_cc = z_row.sum() / 2.0
+        z_cc = (mult @ z_row) / 2.0
         return (delta / (lam * n) + (2.0 * a + a * xs) / n - Xc / n ** 2
-                - (a + a * xs).sum() / n ** 2 + (adj @ a) / n
+                - (mult @ (a + a * xs)) / n ** 2 + (F @ a) / n
                 - z_row / n + z_cc / n ** 2)
-
-    def radii_of(a: np.ndarray) -> np.ndarray:
-        return r * (1.0 + a) / (1.0 - r2 * a)
 
     def residual_of(a: np.ndarray) -> np.ndarray:
         # lambda-row-sum minus d_j, with the constant part cancelled exactly:
         # residual = lam * ((n-1-x_j) a_j + sum_{non-forbidden k} a_k + Z-row) - delta_j
-        return lam * ((n - 1.0 - xs) * a + xbar @ a + z_rows(a)) - delta
+        return lam * ((n - 1.0 - xs) * a + W @ a + z_rows(a)) - delta
 
     def jacobian(a: np.ndarray) -> np.ndarray:
-        # d lambda_jk / d a_k = lam * (1+a_j)(1-r2 a_j) / (1 + r2 a_j a_k)^2
-        # (the diagonal of xbar is zero, so the off-diagonal part leaves it free)
+        # d lambda_jk / d a_k = lam * (1+a_j)(1-r2 a_j) / (1 + r2 a_j a_k)^2, times
+        # the W partners in each class; the diagonal adds d/d a_j of the whole row
         numer = (1.0 + a) * (1.0 - r2 * a)
-        w = lam * xbar / (1.0 + r2 * np.outer(a, a)) ** 2
+        w = lam * W / (1.0 + r2 * np.outer(a, a)) ** 2
         J = w * numer[:, None]
-        np.fill_diagonal(J, w @ numer)
+        J[np.diag_indices_from(J)] += w @ numer
         return J
 
-    a = np.zeros(n)
+    a = np.zeros(mult.size)
     iters = 0
     if mode == "fixed":
         for _ in range(FIXED_SWEEPS):
@@ -175,17 +196,17 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
             if _state_valid(trial, r2):
                 trial_res = residual_of(trial)
                 trial_m = float(np.abs(trial_res).max())
-                if trial_m < m:
+                if trial_m <= (1.0 - MIN_DECREASE) * m:
                     break
             alpha /= 2.0
         else:
-            break  # no step along the Newton direction lowers the residual
+            break  # no step along the Newton direction cuts the residual enough
         a, res, m = trial, trial_res, trial_m
         iters += 1
 
-    radii = radii_of(a)
-    return SaddlePoint(lam=lam, a=a, radii=radii, lambda_jk=_lambda_matrix(radii),
-                       residual=res, iterations=iters, mode=mode, converged=bool(m < tol))
+    radii = r * (1.0 + a) / (1.0 - r2 * a)
+    return SaddlePoint(lam=lam, a=a[cls], radii=radii[cls], residual=res[cls],
+                       iterations=iters, mode=mode, converged=bool(m < tol))
 
 
 def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
@@ -195,21 +216,19 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     Not a saddle: the factorization count = P * I holds for any positive
     radii, so this serves degenerate densities (lambda in {0, 1}) where the
     saddle change of variables is undefined.  The recorded lam is the uniform
-    pair weight radius^2/(1+radius^2) and the residual is taken directly from
-    the row sums.
+    pair weight radius^2/(1+radius^2), and the residual is its closed form
+    lam * (n-1-x_j) - d_j.
     """
     n = d.n
     if X is None:
         X = ForbiddenGraph.empty(n)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    _, xbar = _masks(n, X)
-    radii = np.full(n, float(radius))
-    lam_jk = _lambda_matrix(radii)
-    residual = (lam_jk * xbar).sum(axis=1) - np.asarray(d.degrees, dtype=float)
     lam = radius * radius / (1.0 + radius * radius)
-    return SaddlePoint(lam=lam, a=np.zeros(n), radii=radii,
-                       lambda_jk=lam_jk, residual=residual, iterations=0,
+    residual = (lam * (n - 1.0 - np.asarray(X.row_sums, dtype=float))
+                - np.asarray(d.degrees, dtype=float))
+    return SaddlePoint(lam=lam, a=np.zeros(n), radii=np.full(n, float(radius)),
+                       residual=residual, iterations=0,
                        mode="fixed-radii", converged=False)
 
 
@@ -241,15 +260,18 @@ def abg_coefficients(sp: SaddlePoint) -> AbgCoefficients:
 def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None = None) -> float:
     """ln P = sum over non-forbidden pairs of ln(1 + r_j r_k) - n ln 2pi - sum d_j ln r_j.
 
-    Accumulated with compensated summation in log space.
+    The pair sum runs over groups of equal radius, with m_c vertices of radius
+    r_c: 1/2 [sum m_c m_c' L_cc' - sum m_c L_cc] with L = ln(1 + r r'), minus
+    one term per X-edge.  It is accumulated with compensated summation.
     """
     n = d.n
     if X is None:
         X = ForbiddenGraph.empty(n)
-    _, xbar = _masks(n, X)
-    rr = np.outer(sp.radii, sp.radii)
-    terms = np.log1p(rr[np.triu(xbar, 1) > 0])
-    acc = math.fsum(terms.tolist())
+    r, m = np.unique(sp.radii, return_counts=True)
+    pairs = 0.5 * (np.outer(m, m) - np.diag(m))
+    edges = np.array(list(X.edges), dtype=np.intp).reshape(-1, 2) - 1
+    forbidden = np.log1p(sp.radii[edges[:, 0]] * sp.radii[edges[:, 1]])
+    acc = math.fsum((pairs * np.log1p(np.outer(r, r))).ravel().tolist() + (-forbidden).tolist())
     acc -= n * math.log(2.0 * math.pi)
     acc -= math.fsum(dj * math.log(rj) for dj, rj in zip(d.degrees, sp.radii))
     return acc
@@ -266,8 +288,9 @@ def integrand_modulus(sp: SaddlePoint, theta, X: ForbiddenGraph | None = None) -
     n = th.size
     if X is None:
         X = ForbiddenGraph.empty(n)
-    _, xbar = _masks(n, X)
-    mask = np.triu(xbar, 1) > 0
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    for j, k in X.edges:
+        mask[j - 1, k - 1] = False
     L = sp.lambda_jk
     q = 0.5 * L * (1 - L)
     z = th[:, None] + th[None, :]

@@ -8,6 +8,7 @@ from degcount.graphcore import (
     DegreeSequence,
     ForbiddenGraph,
     InputFormatError,
+    Parameters,
     compute_parameters,
     induced_spec,
     parse_degrees,
@@ -136,6 +137,45 @@ def test_regular_degenerations():
     assert p.D == p.lam ** 2 * p.H
     assert p.L == (1 - p.lam) ** 2 * p.H
     assert p.K == 0
+
+
+def fraction_parameters(d, X):
+    """Reference: every field accumulated term by term in Fraction arithmetic."""
+    n = d.n
+    d_avg = Fraction(2 * d.edge_count, n)
+    lam = d_avg / (n - 1)
+    x = X.row_sums
+    delta = tuple(dj - d_avg + lam * xj for dj, xj in zip(d.degrees, x))
+    dev = tuple(dj - d_avg for dj in d.degrees)
+    D, H, L, K = Fraction(0), 0, Fraction(0), Fraction(0)
+    for j, k in X.edges:
+        dj, dk = delta[j - 1], delta[k - 1]
+        D += dj * dk
+        H += x[j - 1] * x[k - 1]
+        L += (dj - x[j - 1]) * (dk - x[k - 1])
+        K += dev[j - 1] * dev[k - 1]
+    return Parameters(
+        n=n, d_avg=d_avg, lam=lam, A=lam * (1 - lam) / 2, delta=delta, dev=dev,
+        R=sum((t * t for t in dev), start=Fraction(0)),
+        X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
+        D=D, H=H, L=L, K=K,
+        C11=sum((delta[j] * x[j] for j in range(n)), start=Fraction(0)),
+        C12=sum((delta[j] * x[j] ** 2 for j in range(n)), start=Fraction(0)),
+        C21=sum((delta[j] ** 2 * x[j] for j in range(n)), start=Fraction(0)),
+        x_max=max(x),
+    )
+
+
+@pytest.mark.parametrize("forbidden", [False, True], ids=["empty", "forbidden"])
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_parameters_match_fraction_reference(seed, forbidden):
+    rng = random.Random(500 + seed)
+    for _ in range(25):
+        n = rng.randint(2, 40)
+        d, X = random_instance(rng, n)
+        if not forbidden:
+            X = ForbiddenGraph.empty(n)
+        assert compute_parameters(d, X) == fraction_parameters(d, X)
 
 
 # ------------------------------------------------------------- induced spec

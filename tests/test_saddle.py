@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters
+from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, relabel
 from degcount.exactcount import exact_count
 from degcount.saddle import (
     QuadratureError,
@@ -152,6 +153,105 @@ def test_fixed_mode_runs_exactly_four_sweeps():
     X = fg(8, [(1, 2)])
     sp = solve_saddle(d, X, mode="fixed")
     assert sp.iterations == 4 and sp.mode == "fixed"
+
+
+def test_no_finite_saddle_instance_converges_in_22_steps():
+    # every accepted step cuts the residual by a factor of at most 0.774
+    d = DegreeSequence((1, 3, 1, 2, 1))
+    sp = solve_saddle(d, fg(5, [(1, 5), (4, 5)]))
+    assert sp.converged and sp.iterations == 22
+
+
+@pytest.mark.parametrize("degrees,pairs", [
+    ((4, 4, 4, 0, 0), []),
+    ((2,) * 5, [(1, 2), (2, 3), (1, 3)]),
+], ids=["44400", "forbidden-triangle"])
+def test_stalled_solve_ends_early(degrees, pairs):
+    # no saddle: full Newton steps remove under 1% of the residual from the
+    # third (fifth) step on, so the solve stops instead of using max_iter
+    sp = solve_saddle(DegreeSequence(degrees), fg(len(degrees), pairs))
+    assert not sp.converged and sp.iterations < 10
+
+
+def dense_residual(sp, d, X):
+    """Row sums of r_j r_k/(1+r_j r_k) over non-forbidden partners, minus d_j."""
+    n = d.n
+    xbar = 1.0 - np.eye(n)
+    for j, k in X.edges:
+        xbar[j - 1, k - 1] = xbar[k - 1, j - 1] = 0.0
+    rr = np.outer(sp.radii, sp.radii)
+    return (rr / (1 + rr) * xbar).sum(axis=1) - np.asarray(d.degrees, float)
+
+
+def near_regular(rng, n, forbidden):
+    X = fg(n, [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(forbidden)])
+    deg = [n // 2 + rng.choice((-1, 0, 1)) - xj for xj in X.row_sums]
+    deg[-1] += sum(deg) % 2
+    return DegreeSequence(tuple(deg)), X
+
+
+def spread_degrees(rng, n, matching):
+    # degrees drawn over [n/4, 3n/4] and a forbidden matching on 2*matching
+    # vertices: most vertices are a class of their own
+    verts = rng.sample(range(1, n + 1), 2 * matching)
+    X = fg(n, [verts[i:i + 2] for i in range(0, len(verts), 2)])
+    deg = [rng.randint(n // 4, 3 * n // 4) for _ in range(n)]
+    deg[-1] += sum(deg) % 2
+    return DegreeSequence(tuple(deg)), X
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_class_solve_residual_matches_dense_recompute(seed):
+    rng = random.Random(seed)
+    cases = [near_regular(rng, rng.randint(20, 200), rng.randint(1, 3)),
+             spread_degrees(rng, rng.randint(20, 200), 0)]
+    n = rng.randint(60, 200)
+    cases.append(spread_degrees(rng, n, n // 3))
+    for d, X in cases:
+        sp = solve_saddle(d, X)
+        assert sp.converged
+        dense = dense_residual(sp, d, X)
+        assert np.abs(dense).max() < 1e-10
+        assert np.abs(dense - sp.residual).max() < 1e-12
+    # in the last instance most vertices have a radius of their own
+    assert np.unique(sp.radii).size > 0.6 * n
+
+
+def test_class_solve_at_ten_thousand_vertices():
+    n = 10_000
+    d, X = near_regular(random.Random(1), n, 2)
+    sp = solve_saddle(d, X)
+    assert sp.converged and sp.iterations <= 3
+    assert sp.radii.shape == sp.a.shape == sp.residual.shape == (n,)
+
+
+def test_fixed_radii_residual_is_closed_form():
+    d = DegreeSequence((3, 2, 2, 2, 1))
+    X = fg(5, [(1, 2), (2, 3)])
+    sp = fixed_radii_point(d, X, radius=0.7)
+    assert np.abs(sp.residual - dense_residual(sp, d, X)).max() < 1e-14
+
+
+def test_relabelling_permutes_radii_and_keeps_log_prefactor():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(seed=st.integers(0, 10 ** 6), data=st.data())
+    def check(seed, data):
+        rng = random.Random(seed)
+        n = rng.randint(8, 40)
+        d, X = (near_regular if seed % 2 else spread_degrees)(rng, n, 2)
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        d2, X2 = relabel(d, X, perm)
+        sp, sp2 = solve_saddle(d, X), solve_saddle(d2, X2)
+        assert sp.converged == sp2.converged
+        idx = np.asarray(perm) - 1
+        assert np.allclose(sp2.radii[idx], sp.radii, rtol=1e-12, atol=0.0)
+        lp, lp2 = log_prefactor(sp, d, X), log_prefactor(sp2, d2, X2)
+        assert abs(lp2 - lp) <= 1e-12 * abs(lp)
+
+    check()
 
 
 # --------------------------------------------------------------- invariants
