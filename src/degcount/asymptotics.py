@@ -87,8 +87,8 @@ def _f(v) -> float:
 
 
 def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph, p: Parameters | None = None,
-                     a: float = 0.3, b: float = 0.1) -> ValidityReport:
-    """Advisory check of the dense-regime hypotheses with constants a, b.
+                     a: float = 0.3) -> ValidityReport:
+    """Advisory check of the dense-regime hypotheses with constant a.
 
     No explicit epsilon(a, b) accompanies the hypotheses, so degree
     deviations and forbidden-degree budgets are measured against n^(1/2)
@@ -147,7 +147,7 @@ def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     if X is None:
         X = ForbiddenGraph.empty(d.n)
     p = compute_parameters(d, X)
-    report = check_hypotheses(d, X, p, a=a, b=b)
+    report = check_hypotheses(d, X, p, a=a)
     interior_density(p)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:

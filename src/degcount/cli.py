@@ -4,9 +4,8 @@ validation harness.
 
 Reports are JSON by default (sorted keys, stable schema "degcount-report/1"),
 so an identical run configuration, seed included, reproduces byte-identical
-output; `count` alone carries a wall-clock field and only in JSON mode.  JSON
-is strict: non-finite values are written as null.  CSV is a flattened
-terms-only view.  Vertices are 1-indexed in all files.
+output.  JSON is strict: non-finite values are written as null.  CSV is a
+flattened terms-only view.  Vertices are 1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
 and non-integer DEGCOUNT_* variables (with line-numbered diagnostics where
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-import time
 
 from .graphcore import (
     DegreeSequence,
@@ -101,12 +99,10 @@ def _load_instance(args) -> tuple[DegreeSequence, ForbiddenGraph]:
 
 def _cmd_count(args, out) -> int:
     d, X = _load_instance(args)
-    t0 = time.perf_counter()
     count = exactcount.exact_count(d, X, limit=args.limit)
-    elapsed = time.perf_counter() - t0
     if args.format == "json":
         _emit(out, {"schema": SCHEMA, "subcommand": "count", "n": d.n,
-                    "count": count, "elapsed": elapsed, "scale": "linear"}, "json")
+                    "count": count, "scale": "linear"}, "json")
     else:
         out.write(f"{count}\n")
     return 0
@@ -128,7 +124,7 @@ def _cmd_estimate(args, out) -> int:
             n, dv = args.n, args.d
         else:
             raise InputFormatError("provide --degrees or both --n and --d")
-        est = asymptotics.regular_graph_expectations(n, dv, formula, q=args.q)
+        est = asymptotics.regular_graph_expectations(n, dv, formula, q=args.q, b=args.b)
         payload.update(_estimate_payload(est))
         _emit(out, payload, args.format)
         return 0
@@ -208,8 +204,7 @@ def _cmd_verify_start(args, out) -> int:
                     "relError": err, "passed": ok, "scale": "linear"}, args.format)
         return 0 if ok else 1
     result = validation.check_contour_factorization(ns=tuple(range(3, args.n_max + 1)))
-    out.write(result.line() + "\n")
-    return 0 if result.passed else 1
+    return _emit_results(out, args.format, "verify-start", [result])
 
 
 def _cmd_mw3(args, out) -> int:
@@ -217,7 +212,7 @@ def _cmd_mw3(args, out) -> int:
         doc = json.load(fh)
     try:
         coeffs = mvintegral.CoefficientSet.from_dict(doc)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(str(exc), args.coefficients) from exc
     t1 = mvintegral.theta1(coeffs)
     zf = mvintegral.z_factor(coeffs)
@@ -254,24 +249,26 @@ def _cmd_sample(args, out) -> int:
     return 0
 
 
-def _cmd_validate(args, out) -> int:
-    results = validation.run_suite(args.suite, threads=args.threads)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA, "subcommand": "validate", "suite": args.suite,
-            "results": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                         "measured": r.measured} for r in results],
-            "passed": all(r.passed for r in results),
-        }
-        _emit(out, payload, "json")
+def _emit_results(out, fmt: str, subcommand: str, results, **fields) -> int:
+    """Report validation check results: JSON, or one text line per check."""
+    passed = all(r.passed for r in results)
+    if fmt == "json":
+        _emit(out, {"schema": SCHEMA, "subcommand": subcommand, **fields,
+                    "results": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                                 "measured": r.measured} for r in results],
+                    "passed": passed}, "json")
     else:
         width = max(len(r.name) for r in results)
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             out.write(f"{r.name:<{width}}  {status}  {r.detail}\n")
-        out.write("suite result: "
-                  + ("PASS" if all(r.passed for r in results) else "FAIL") + "\n")
-    return 0 if all(r.passed for r in results) else 1
+        out.write("suite result: " + ("PASS" if passed else "FAIL") + "\n")
+    return 0 if passed else 1
+
+
+def _cmd_validate(args, out) -> int:
+    results = validation.run_suite(args.suite, threads=args.threads)
+    return _emit_results(out, args.format, "validate", results, suite=args.suite)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from .graphcore import DegreeSequence, ForbiddenGraph, check_support
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
 ENUMERATION_LIMIT = 6
+OVERLAP_LIMIT_EDGES = 8   # an overlap distribution sums over all 2^|Y| edge subsets of Y
 
 
 class CountLimitError(ValueError):
@@ -214,7 +215,6 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
 
 
 def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
-                               limit_edges: int = 8,
                                limit: int | None = None) -> tuple[Fraction, ...]:
     """Exact distribution of the number of edges shared with Y, indexed 0..|Y|.
 
@@ -224,8 +224,8 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     if d.n != Y.n:
         raise ValueError("dimension mismatch")
     Yc = Y.edge_count
-    if Yc > limit_edges:
-        raise CountLimitError(f"|Y|={Yc} exceeds overlap limit {limit_edges}")
+    if Yc > OVERLAP_LIMIT_EDGES:
+        raise CountLimitError(f"|Y|={Yc} exceeds overlap limit {OVERLAP_LIMIT_EDGES}")
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0")

@@ -97,18 +97,15 @@ def realize(d: DegreeSequence) -> LabeledGraph:
     return g
 
 
-def switch_step(g: LabeledGraph, rng: random.Random,
-                edges: list[tuple[int, int]] | None = None,
+def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]],
                 steps: int = 1) -> LabeledGraph:
     """Run `steps` double-edge-switch proposals, each applied in place when accepted.
 
     A proposal picks an ordered pair of distinct edges uniformly, flips the
     pairing with probability 1/2, and is rejected (a chain self-loop) whenever
-    the rewiring would create a loop or multi-edge.  Passing the current edge
-    list keeps each proposal O(1); it is updated in place on acceptance.
+    the rewiring would create a loop or multi-edge.  `edges` is the current
+    edge list of g, updated in place on acceptance, so each proposal is O(1).
     """
-    if edges is None:
-        edges = g.edge_list()
     m = len(edges)
     if m < 2:
         return g

@@ -2,8 +2,8 @@
 control factor, and an importance-sampled Monte-Carlo evaluator.
 
 The integrand is exp of a dominant Gaussian -A N sum z_j^2 plus perturbation
-monomials up to quartic order with coefficient tables (vectors, zero-diagonal
-matrices, and optional 3/4-index tables over distinct indices), integrated
+monomials up to quartic order with coefficient tables of rank 1 to 4 (RANKS;
+3- and 4-index tables are optional; sums run over distinct indices), integrated
 over the box |z_j| <= N^(-1/2+eps).  theta1 gives the closed-form correction
 exponent relative to the pure Gaussian value (pi/(A N))^(N/2); the MC path
 uses the Gaussian restricted to the box as the proposal, so the weight is
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -28,22 +29,23 @@ class DegenerateProposalError(ValueError):
     """The box captures too little Gaussian mass for importance sampling."""
 
 
-def _as_complex_vector(value, N: int, name: str) -> np.ndarray:
-    if value is None:
-        return np.zeros(N, dtype=complex)
-    arr = np.asarray(value, dtype=complex)
-    if arr.shape != (N,):
-        raise ValueError(f"{name} must have shape ({N},)")
-    return arr
+RANKS = {"J": 1, "a": 1, "B": 1, "E": 1, "C": 2, "F": 2, "G": 2, "D": 3, "H": 3, "I": 4}
+BATCH_SIZE = 1 << 16   # Monte-Carlo proposals per batch
+MASS_FLOOR = 0.99      # least Gaussian mass the box must keep for the proposal
 
 
-def _as_complex_matrix(value, N: int, name: str) -> np.ndarray:
+def _table(value, N: int, name: str) -> np.ndarray | None:
+    """Complex table of shape (N,)*rank with every coincident-index entry zeroed;
+    absent tables are zero, except absent 3- and 4-index tables stay None."""
+    rank = RANKS[name]
     if value is None:
-        return np.zeros((N, N), dtype=complex)
+        return np.zeros((N,) * rank, dtype=complex) if rank < 3 else None
     arr = np.array(value, dtype=complex)
-    if arr.shape != (N, N):
-        raise ValueError(f"{name} must have shape ({N},{N})")
-    np.fill_diagonal(arr, 0.0)  # primed sums ignore coincident indices
+    if arr.shape != (N,) * rank:
+        raise ValueError(f"{name} must have shape {(N,) * rank}")
+    idx = np.indices(arr.shape)
+    for i, j in combinations(range(rank), 2):
+        arr[idx[i] == idx[j]] = 0.0
     return arr
 
 
@@ -78,25 +80,8 @@ class CoefficientSet:
             raise ValueError("N must be positive")
         if not self.A > 0:
             raise ValueError("A must be positive")
-        self.J = _as_complex_vector(self.J, self.N, "J")
-        self.a = _as_complex_vector(self.a, self.N, "a")
-        self.B = _as_complex_vector(self.B, self.N, "B")
-        self.E = _as_complex_vector(self.E, self.N, "E")
-        self.C = _as_complex_matrix(self.C, self.N, "C")
-        self.F = _as_complex_matrix(self.F, self.N, "F")
-        self.G = _as_complex_matrix(self.G, self.N, "G")
-        for name in ("D", "H"):
-            value = getattr(self, name)
-            if value is not None:
-                arr = np.asarray(value, dtype=complex)
-                if arr.shape != (self.N,) * 3:
-                    raise ValueError(f"{name} must have shape {(self.N,) * 3}")
-                setattr(self, name, arr)
-        if self.I is not None:
-            arr = np.asarray(self.I, dtype=complex)
-            if arr.shape != (self.N,) * 4:
-                raise ValueError(f"I must have shape {(self.N,) * 4}")
-            self.I = arr
+        for name in RANKS:
+            setattr(self, name, _table(getattr(self, name), self.N, name))
 
     @property
     def box_halfwidth(self) -> float:
@@ -104,66 +89,55 @@ class CoefficientSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CoefficientSet":
-        def decode(value):
-            if value is None:
-                return None
-            return np.asarray(_decode_complex(value))
-
-        kwargs = {}
-        for name in ("J", "a", "B", "E", "C", "F", "G", "D", "H", "I"):
-            if name in doc and doc[name] is not None:
-                kwargs[name] = decode(doc[name])
-        return cls(N=int(doc["N"]), A=float(doc["A"]),
-                   eps_hat=float(doc.get("epsHat", 0.9)), **kwargs)
+        """A table is all numbers, or all [re, im] pairs (a last axis of length 2)."""
+        N = int(doc["N"])
+        tables = {}
+        for name, rank in RANKS.items():
+            if doc.get(name) is None:
+                continue
+            arr = np.asarray(doc[name])
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must hold only numbers or only [re, im] pairs")
+            if arr.shape == (N,) * rank + (2,):
+                arr = arr.astype(float).view(complex)[..., 0]
+            tables[name] = arr
+        return cls(N=N, A=float(doc["A"]), eps_hat=float(doc.get("epsHat", 0.9)), **tables)
 
     def to_dict(self) -> dict:
         doc = {"N": self.N, "A": self.A, "epsHat": self.eps_hat}
-        for name in ("J", "a", "B", "E", "C", "F", "G"):
-            arr = getattr(self, name)
-            if np.any(arr):
-                doc[name] = _encode_complex(arr)
-        for name in ("D", "H", "I"):
+        for name in RANKS:
             arr = getattr(self, name)
             if arr is not None and np.any(arr):
-                doc[name] = _encode_complex(arr)
+                doc[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
         return doc
 
 
-def _decode_complex(value):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list):
-        if len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-            return complex(value[0], value[1])
-        return [_decode_complex(v) for v in value]
-    raise ValueError(f"cannot decode complex entry {value!r}")
-
-
-def _encode_complex(arr: np.ndarray):
-    if arr.ndim == 0:
-        z = complex(arr)
-        return [z.real, z.imag]
-    return [_encode_complex(sub) for sub in arr]
+def _quadratic_terms(A: float, N: int, a, B, C, J) -> dict:
+    """The terms of the correction exponent that are quadratic in the tables."""
+    c_row = C.sum(axis=1)
+    c_col = C.sum(axis=0)
+    return {
+        "a_square": (a * a).sum() / (4.0 * A * A * N),
+        "B_square": 15.0 * (B * B).sum() / (16.0 * A ** 3 * N),
+        "B_C": 3.0 * (B * c_row).sum() / (8.0 * A ** 3 * N * N),
+        "C_C": ((c_row * c_row).sum() - (C * C).sum()) / (16.0 * A ** 3 * N ** 3),
+        "J_square": (J * J).sum() / (4.0 * A * N),
+        "B_J": 3.0 * (B * J).sum() / (4.0 * A * A * N),
+        "C_J": (c_col * J).sum() / (4.0 * A * A * N * N),
+    }
 
 
 def theta1_terms(c: CoefficientSet) -> dict[str, complex]:
     """Named terms of the correction exponent; theta1 is their sum."""
     A, N = c.A, c.N
-    sqN = math.sqrt(N)
-    a, B, C, E, F, J = c.a, c.B, c.C, c.E, c.F, c.J
-    c_row = C.sum(axis=1)
-    c_col = C.sum(axis=0)
+    quad = _quadratic_terms(A, N, c.a, c.B, c.C, c.J)
+    # theta1 sums the terms in this order, which fixes its last bit
     terms = {
-        "a_linear": a.sum() / (2.0 * A * sqN),
-        "a_square": (a * a).sum() / (4.0 * A * A * N),
-        "B_square": 15.0 * (B * B).sum() / (16.0 * A ** 3 * N),
-        "B_C": 3.0 * (B * c_row).sum() / (8.0 * A ** 3 * N * N),
-        "C_C": ((c_row * c_row).sum() - (C * C).sum()) / (16.0 * A ** 3 * N ** 3),
-        "E_quartic": 3.0 * E.sum() / (4.0 * A * A * N),
-        "F_cross": F.sum() / (4.0 * A * A * N * N),
-        "J_square": (J * J).sum() / (4.0 * A * N),
-        "B_J": 3.0 * (B * J).sum() / (4.0 * A * A * N),
-        "C_J": (c_col * J).sum() / (4.0 * A * A * N * N),
+        "a_linear": c.a.sum() / (2.0 * A * math.sqrt(N)),
+        **{name: quad.pop(name) for name in ("a_square", "B_square", "B_C", "C_C")},
+        "E_quartic": 3.0 * c.E.sum() / (4.0 * A * A * N),
+        "F_cross": c.F.sum() / (4.0 * A * A * N * N),
+        **quad,
     }
     return {k: complex(v) for k, v in terms.items()}
 
@@ -174,19 +148,9 @@ def theta1(c: CoefficientSet) -> complex:
 
 
 def z_factor_terms(c: CoefficientSet) -> dict[str, float]:
-    A, N = c.A, c.N
-    ia, iB, iC, iJ = c.a.imag, c.B.imag, c.C.imag, c.J.imag
-    row = iC.sum(axis=1)
-    col = iC.sum(axis=0)
-    return {
-        "a": float((ia * ia).sum() / (4.0 * A * A * N)),
-        "B": float(15.0 * (iB * iB).sum() / (16.0 * A ** 3 * N)),
-        "B_C": float(3.0 * (iB * row).sum() / (8.0 * A ** 3 * N * N)),
-        "C_C": float(((row * row).sum() - (iC * iC).sum()) / (16.0 * A ** 3 * N ** 3)),
-        "J": float((iJ * iJ).sum() / (4.0 * A * N)),
-        "B_J": float(3.0 * (iB * iJ).sum() / (4.0 * A * A * N)),
-        "C_J": float((col * iJ).sum() / (4.0 * A * A * N * N)),
-    }
+    """The quadratic terms of theta1, evaluated on the imaginary parts."""
+    quad = _quadratic_terms(c.A, c.N, c.a.imag, c.B.imag, c.C.imag, c.J.imag)
+    return {k: float(v) for k, v in quad.items()}
 
 
 def z_factor(c: CoefficientSet) -> float:
@@ -194,20 +158,14 @@ def z_factor(c: CoefficientSet) -> float:
     return math.exp(math.fsum(z_factor_terms(c).values()))
 
 
-def _strict_triple(T: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum over distinct (j,k,l) of T[j,k,l] u_j v_k w_l, per sample row."""
-    out = np.zeros(u.shape[0], dtype=complex)
-    for j, k, l in np.argwhere(T != 0):
-        if j != k and j != l and k != l:
-            out += T[j, k, l] * u[:, j] * v[:, k] * w[:, l]
-    return out
-
-
-def _strict_quad(T: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape[0], dtype=complex)
-    for j, k, l, m in np.argwhere(T != 0):
-        if len({int(j), int(k), int(l), int(m)}) == 4:
-            out += T[j, k, l, m] * z[:, j] * z[:, k] * z[:, l] * z[:, m]
+def _strict(T: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """sum of T[j,k,...] u_j v_k ... per sample row; T is masked by _table."""
+    out = np.zeros(factors[0].shape[0], dtype=complex)
+    for index in np.argwhere(T):
+        term = T[tuple(index)]
+        for u, j in zip(factors, index):
+            term = term * u[:, j]
+        out += term
     return out
 
 
@@ -225,11 +183,11 @@ def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
     w = w + np.einsum("jk,sj,sk->s", c.F, z2.astype(complex), z2.astype(complex))
     w = w + sqN * np.einsum("jk,sj,sk->s", c.G, z.astype(complex), z3.astype(complex))
     if c.D is not None:
-        w = w + _strict_triple(c.D, z, z, z) / N
+        w = w + _strict(c.D, z, z, z) / N
     if c.H is not None:
-        w = w + _strict_triple(c.H, z, z, z2) / sqN
+        w = w + _strict(c.H, z, z, z2) / sqN
     if c.I is not None:
-        w = w + _strict_quad(c.I, z) / N ** 1.5
+        w = w + _strict(c.I, z, z, z, z) / N ** 1.5
     return w
 
 
@@ -243,8 +201,7 @@ class MCBoxResult:
     box_mass: float
 
 
-def mc_box_integral(c: CoefficientSet, samples: int, seed: int, *,
-                    batch_size: int = 1 << 16, mass_floor: float = 0.99) -> MCBoxResult:
+def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     """Importance-sampled Monte-Carlo estimate of the box integral.
 
     Proposal: the dominant Gaussian restricted to the box by rejection.  The
@@ -261,7 +218,7 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int, *,
     # per-axis retained mass: erf(sqrt(A) * N^eps_hat)
     axis_mass = math.erf(math.sqrt(A) * c.N ** c.eps_hat)
     box_mass = axis_mass ** N
-    if box_mass < mass_floor:
+    if box_mass < MASS_FLOOR:
         raise DegenerateProposalError(
             f"box retains only {box_mass:.3g} of the Gaussian mass "
             f"(A*N^(2 eps_hat) too small); increase eps_hat or A")
@@ -276,9 +233,9 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int, *,
     while collected < samples:
         child = master.spawn(1)[0]
         rng = np.random.default_rng(child)
-        zb = rng.normal(0.0, sigma, size=(batch_size, N))
+        zb = rng.normal(0.0, sigma, size=(BATCH_SIZE, N))
         inside = (np.abs(zb) <= bound).all(axis=1)
-        proposed += batch_size
+        proposed += BATCH_SIZE
         accepted += int(inside.sum())
         zin = zb[inside]
         if zin.shape[0] == 0:

@@ -76,14 +76,18 @@ def _classes(d: DegreeSequence, X: ForbiddenGraph):
     """Vertex classes of the radius equations.
 
     Each vertex touching X is a class of its own; the other vertices are
-    grouped by degree, since their equations depend on nothing else.  Returns
-    (cls, first, m, F): cls[j] is the class of vertex j (0-indexed), first[c]
-    the first vertex of class c, m[c] its size, and F[c, c'] = 1 where an
-    X-edge joins c and c' (both ends of an X-edge are one-vertex classes).
+    grouped by degree, since their equations depend on nothing else.  Classes
+    are sorted by a label-free key, (d_j, x_j) and the sorted (d, x) of the
+    X-neighbours, so a relabelled instance is solved in the same order.
+    Returns (cls, first, m, F): cls[j] is the class of vertex j (0-indexed),
+    first[c] the first vertex of class c, m[c] its size, and F[c, c'] = 1
+    where an X-edge joins c and c' (both ends are one-vertex classes).
     """
-    index: dict[tuple[int, int], int] = {}
-    cls = np.array([index.setdefault((dj, j + 1 if xj else 0), len(index))
-                    for j, (dj, xj) in enumerate(zip(d.degrees, X.row_sums))], dtype=np.intp)
+    dx = list(zip(d.degrees, X.row_sums))
+    keys = [key + (tuple(sorted(dx[k - 1] for k in X.neighbors(j + 1))), j) if key[1] else key
+            for j, key in enumerate(dx)]
+    index = {key: c for c, key in enumerate(sorted(set(keys)))}
+    cls = np.array([index[key] for key in keys], dtype=np.intp)
     first, m = np.unique(cls, return_index=True, return_counts=True)[1:]
     F = np.zeros((len(m), len(m)))
     for j, k in X.edges:
@@ -301,17 +305,19 @@ def integrand_modulus(sp: SaddlePoint, theta, X: ForbiddenGraph | None = None) -
 
 
 QUADRATURE_LIMIT = 5
+QUADRATURE_REL_TOL = 1e-8
+QUADRATURE_MAX_GRID = 512
 
 
-def integral_quadrature(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None = None,
-                        grid_size: int | None = None, rel_tol: float = 1e-8,
-                        max_grid: int = 512) -> complex:
+def integral_quadrature(sp: SaddlePoint, d: DegreeSequence,
+                        X: ForbiddenGraph | None = None) -> complex:
     """Tensor-product trapezoidal quadrature of the full angular integral, n <= 5.
 
     The integrand is a trigonometric polynomial, so the periodic trapezoid rule
-    is exact once the per-axis grid exceeds the polynomial degree; the grid is
-    doubled until the value stabilizes to rel_tol.  The imaginary part of the
-    returned value must vanish up to quadrature tolerance.
+    is exact once the per-axis grid exceeds the polynomial degree; the grid
+    starts at n points per axis and is doubled until the value stabilizes to
+    QUADRATURE_REL_TOL.  The imaginary part of the returned value must vanish
+    up to quadrature tolerance.
     """
     n = d.n
     if n > QUADRATURE_LIMIT:
@@ -320,17 +326,17 @@ def integral_quadrature(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | 
         X = ForbiddenGraph.empty(n)
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)
              if not X.has_edge(j + 1, k + 1)]
-    m = grid_size if grid_size else n
-    m = max(m, 2)
+    m = max(n, 2)
     scale = (2.0 * math.pi) ** n
     prev = None
-    while m <= max_grid:
+    while m <= QUADRATURE_MAX_GRID:
         val = _tensor_value(sp.lambda_jk, d.degrees, pairs, m)
-        if prev is not None and abs(val - prev) <= max(rel_tol * abs(val), 1e-12 * scale):
+        if prev is not None and abs(val - prev) <= max(QUADRATURE_REL_TOL * abs(val),
+                                                       1e-12 * scale):
             return val
         prev = val
         m *= 2
-    raise QuadratureError(f"no convergence up to grid {max_grid}")
+    raise QuadratureError(f"no convergence up to grid {QUADRATURE_MAX_GRID}")
 
 
 def _tensor_value(lam_jk: np.ndarray, degrees, pairs, m: int) -> complex:

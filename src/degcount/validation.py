@@ -1,10 +1,11 @@
 """Cross-module validation harness: one callable per acceptance check,
 shared by the CLI `validate` subcommand and the acceptance test module.
 
-Every check is deterministic (fixed internal seeds), returns a CheckResult
-with measured magnitudes, and never mutates global state.  Trend thresholds
-marked "oracle-confirmed" were fixed by running the exact-count oracle, not
-taken from any asymptotic statement.
+Every check is deterministic, returns a CheckResult with measured
+magnitudes, and never mutates global state.  Seeds, sizes and bounds are
+module constants, so no caller can loosen a bound.  Trend thresholds marked
+"oracle-confirmed" were fixed by running the exact-count oracle, not taken
+from any asymptotic statement.
 """
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ from .asymptotics import (
 )
 from .mvintegral import CoefficientSet, gaussian_reference, mc_box_integral, theta1
 from .mcsampler import SampleConfig, estimate_probability, is_graphical
+
+ORACLE_SEED = 101
+COMPLEMENT_SEED = 202
+CONTOUR_REL_TOL = 1e-6
+CONTOUR_IMAG_TOL = 1e-8
+SADDLE_INSTANCES = 100
+SADDLE_SEED = 303
+SADDLE_N_MAX = 200
+DENSE_FINAL_BOUND = 0.05
+SUBGRAPH_CASE_BOUND = 0.1
+BOX_SAMPLES = 10 ** 6
+BOX_SEED = 707
+SAMPLER_SEED = 808
 
 
 @dataclass
@@ -72,9 +86,9 @@ def _random_degrees(rng: random.Random, n: int, caps=None) -> DegreeSequence:
             return DegreeSequence(tuple(deg))
 
 
-def check_oracle_consistency(instances: int = 200, seed: int = 101) -> CheckResult:
+def check_oracle_consistency(instances: int = 200) -> CheckResult:
     """Backtracking exact_count equals full 2^C(n,2) enumeration, n <= 6."""
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
     mismatches = 0
     positive = 0
     for _ in range(instances):
@@ -104,9 +118,9 @@ def check_oracle_consistency(instances: int = 200, seed: int = 101) -> CheckResu
         f"{mismatches} mismatches vs full enumeration")
 
 
-def check_complementation(instances: int = 100, seed: int = 202) -> CheckResult:
+def check_complementation(instances: int = 100) -> CheckResult:
     """exact_count(d, X) = exact_count(d', X) with d'_j = n-1-d_j-x_j, n <= 8."""
-    rng = random.Random(seed)
+    rng = random.Random(COMPLEMENT_SEED)
     mismatches = 0
     positive = 0
     for _ in range(instances):
@@ -133,8 +147,7 @@ def _graphical_sorted_sequences(n: int):
             yield combo
 
 
-def check_contour_factorization(ns=(3, 4, 5), rel_tol: float = 1e-6,
-                                imag_tol: float = 1e-8) -> CheckResult:
+def check_contour_factorization(ns=(3, 4, 5)) -> CheckResult:
     """P * I equals the exact count for all graphical d, X empty or one edge.
 
     Degenerate densities (lambda in {0,1}) use a fixed-radii contour, which
@@ -163,11 +176,11 @@ def check_contour_factorization(ns=(3, 4, 5), rel_tol: float = 1e-6,
                     worst_rel = max(worst_rel, rel)
                     imag_ratio = abs(I.imag) / abs(I)
                     worst_imag = max(worst_imag, imag_ratio)
-                    if rel >= rel_tol or imag_ratio >= imag_tol:
+                    if rel >= CONTOUR_REL_TOL or imag_ratio >= CONTOUR_IMAG_TOL:
                         failures += 1
                 else:
                     worst_abs = max(worst_abs, abs(value))
-                    if abs(value) >= rel_tol:
+                    if abs(value) >= CONTOUR_REL_TOL:
                         failures += 1
     return CheckResult(
         "contour-factorization", failures == 0,
@@ -196,15 +209,14 @@ def _near_regular_instance(rng: random.Random, n: int):
     return DegreeSequence(tuple(deg)), X
 
 
-def check_saddle_residual(instances: int = 100, seed: int = 303,
-                          n_max: int = 200) -> CheckResult:
+def check_saddle_residual() -> CheckResult:
     """Convergence mode reaches 1e-10; four fixed sweeps stay under 10 n^(-3/2)."""
-    rng = random.Random(seed)
+    rng = random.Random(SADDLE_SEED)
     worst_conv = 0.0
     worst_fixed_ratio = 0.0
     failures = 0
-    for _ in range(instances):
-        n = rng.randint(20, n_max)
+    for _ in range(SADDLE_INSTANCES):
+        n = rng.randint(20, SADDLE_N_MAX)
         d, X = _near_regular_instance(rng, n)
         sp = solve_saddle(d, X, tol=1e-12)
         worst_conv = max(worst_conv, sp.max_residual)
@@ -217,14 +229,14 @@ def check_saddle_residual(instances: int = 100, seed: int = 303,
             failures += 1
     return CheckResult(
         "saddle-residual", failures == 0,
-        {"instances": instances, "worst_converged_residual": worst_conv,
+        {"instances": SADDLE_INSTANCES, "worst_converged_residual": worst_conv,
          "worst_fixed_over_bound": worst_fixed_ratio},
-        f"{instances} near-regular instances n<=200; worst converged residual "
-        f"{worst_conv:.2e} (tol 1e-10), worst 4-sweep residual/bound "
+        f"{SADDLE_INSTANCES} near-regular instances n<={SADDLE_N_MAX}; worst converged "
+        f"residual {worst_conv:.2e} (tol 1e-10), worst 4-sweep residual/bound "
         f"{worst_fixed_ratio:.3f}")
 
 
-def check_dense_count_trend(ns=(8, 10, 12), final_bound: float = 0.05) -> CheckResult:
+def check_dense_count_trend(ns=(8, 10, 12)) -> CheckResult:
     """|ln G_exact - estimate| non-increasing on regular d = n/2, final < 0.05."""
     errors = []
     for n in ns:
@@ -233,12 +245,12 @@ def check_dense_count_trend(ns=(8, 10, 12), final_bound: float = 0.05) -> CheckR
         est, _ = dense_count_estimate(d)
         errors.append(abs(math.log(G) - est.log_value))
     monotone = all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
-    passed = monotone and errors[-1] < final_bound
+    passed = monotone and errors[-1] < DENSE_FINAL_BOUND
     return CheckResult(
         "dense-count-trend", passed,
         {"ns": list(ns), "errors": errors},
         "log-errors " + ", ".join(f"n={n}: {e:.4f}" for n, e in zip(ns, errors))
-        + f"; monotone={monotone}, final<{final_bound}")
+        + f"; monotone={monotone}, final<{DENSE_FINAL_BOUND}")
 
 
 SUBGRAPH_SHAPES = {
@@ -248,7 +260,7 @@ SUBGRAPH_SHAPES = {
 }
 
 
-def check_subgraph_probability(case_bound: float = 0.1) -> CheckResult:
+def check_subgraph_probability() -> CheckResult:
     """miss/hit expansions vs exact probabilities at (n=8, d=3) and (n=10, d=5).
 
     Every individual |delta ln| must stay under 0.1, and both the mean and the
@@ -278,24 +290,24 @@ def check_subgraph_probability(case_bound: float = 0.1) -> CheckResult:
         worst = max(worst, max(flat))
         tables[n] = {k: list(v) for k, v in errs.items()}
     shrinking = aggregates[1][0] < aggregates[0][0] and aggregates[1][1] < aggregates[0][1]
-    passed = worst < case_bound and shrinking
+    passed = worst < SUBGRAPH_CASE_BOUND and shrinking
     return CheckResult(
         "subgraph-probability", passed,
         {"errors": tables, "mean_errors": [a[0] for a in aggregates],
          "max_errors": [a[1] for a in aggregates]},
-        f"worst |dln| {worst:.4f} (<{case_bound}); mean err "
+        f"worst |dln| {worst:.4f} (<{SUBGRAPH_CASE_BOUND}); mean err "
         f"{aggregates[0][0]:.4f} -> {aggregates[1][0]:.4f}, max "
         f"{aggregates[0][1]:.4f} -> {aggregates[1][1]:.4f} (shrinking={shrinking})")
 
 
-def check_box_integral(samples: int = 10 ** 6, seed: int = 707) -> CheckResult:
+def check_box_integral() -> CheckResult:
     """Gaussian box-integral cases: zero coefficients, a-only, and the
     linear-term coefficient decision at N=4."""
     details = []
     ok = True
 
     c0 = CoefficientSet(N=6, A=1.0)
-    res0 = mc_box_integral(c0, samples=samples, seed=seed)
+    res0 = mc_box_integral(c0, samples=BOX_SAMPLES, seed=BOX_SEED)
     ref0 = gaussian_reference(c0)
     # zero perturbation has zero variance; the 1e-9 slack covers the box-mass
     # deficit at the default box exponent
@@ -305,7 +317,7 @@ def check_box_integral(samples: int = 10 ** 6, seed: int = 707) -> CheckResult:
     details.append(f"zero-coef |err|={e0:.3e} (3se={3 * res0.stderr:.3e})")
 
     ca = CoefficientSet(N=8, A=1.0, a=np.full(8, 0.05))
-    resa = mc_box_integral(ca, samples=samples, seed=seed + 1)
+    resa = mc_box_integral(ca, samples=BOX_SAMPLES, seed=BOX_SEED + 1)
     refa = gaussian_reference(ca)
     log_ratio = math.log(resa.mean.real / refa)
     t1 = theta1(ca).real
@@ -315,7 +327,7 @@ def check_box_integral(samples: int = 10 ** 6, seed: int = 707) -> CheckResult:
     details.append(f"a-only |dln|={abs(log_ratio - t1):.4f} (3se+0.02={3 * rel_se + 0.02:.4f})")
 
     cj = CoefficientSet(N=4, A=1.0, J=np.ones(4))
-    resj = mc_box_integral(cj, samples=samples, seed=seed + 2)
+    resj = mc_box_integral(cj, samples=BOX_SAMPLES, seed=BOX_SEED + 2)
     refj = gaussian_reference(cj)
     ratio = resj.mean.real / refj
     se = resj.stderr / refj
@@ -332,12 +344,12 @@ def check_box_integral(samples: int = 10 ** 6, seed: int = 707) -> CheckResult:
         "; ".join(details))
 
 
-def check_sampler(seed: int = 808) -> CheckResult:
+def check_sampler() -> CheckResult:
     """Switch-chain estimates vs exact (n=8) and the flat containment value (n=60)."""
     d8 = DegreeSequence((3,) * 8)
     X8 = ForbiddenGraph.from_pairs(8, [(1, 2)])
     est8 = estimate_probability(d8, X8, "miss",
-                                SampleConfig(samples=20_000, thinning=12, seed=seed))
+                                SampleConfig(samples=20_000, thinning=12, seed=SAMPLER_SEED))
     exact8 = float(exact_probability(d8, X8, "miss"))
     err8 = abs(est8.mean - exact8)
     ok8 = err8 <= 3 * est8.stderr
@@ -346,7 +358,7 @@ def check_sampler(seed: int = 808) -> CheckResult:
     d60 = DegreeSequence((30,) * n)
     X60 = ForbiddenGraph.from_pairs(n, [(1, 2), (2, 3), (1, 3)])
     est60 = estimate_probability(d60, X60, "hit",
-                                 SampleConfig(samples=100_000, thinning=60, seed=seed + 1))
+                                 SampleConfig(samples=100_000, thinning=60, seed=SAMPLER_SEED + 1))
     lam = 30 / 59
     flat = specialized_estimates(d60, X60, "flat")
     target = math.exp(3 * math.log(lam) + flat["hit"].log_value)
@@ -415,6 +427,7 @@ def check_determinism() -> CheckResult:
         with open(cpath, "w") as fh:
             json.dump({"N": 4, "A": 1.0, "J": [[1.0, 0.0]] * 4}, fh)
         commands = [
+            ["count", "--degrees", dpath, "--forbidden", xpath],
             ["estimate", "--formula", "miss", "--degrees", dpath, "--forbidden", xpath],
             ["mw3", "--coefficients", cpath, "--samples", "5000", "--seed", "99"],
             ["sample", "--degrees", dpath, "--forbidden", xpath, "--mode", "miss",
@@ -434,7 +447,7 @@ def check_determinism() -> CheckResult:
     return CheckResult(
         "determinism", not mismatched,
         {"mismatched": mismatched},
-        "estimate/mw3/sample/saddle (both modes) reports byte-identical across two runs"
+        "count/estimate/mw3/sample/saddle (both modes) reports byte-identical across two runs"
         if not mismatched else f"non-deterministic: {mismatched}")
 
 

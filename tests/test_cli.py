@@ -37,7 +37,7 @@ def test_count_text_and_json(files):
     code, out = run(["count", "--degrees", files["d4"], "--forbidden", files["x"]])
     doc = json.loads(out)
     assert doc["count"] == 1 and doc["schema"] == "degcount-report/1"
-    assert "elapsed" in doc
+    assert "elapsed" not in doc
 
 
 def test_count_json_degree_array(tmp_path):
@@ -70,6 +70,9 @@ def test_estimate_regular_formula_flags():
     code, out = run(["estimate", "--formula", "matchings", "--n", "6", "--d", "3"])
     assert code == 0
     assert json.loads(out)["logValue"] > 0
+    code, out = run(["estimate", "--formula", "sptrees", "--n", "6", "--d", "3",
+                     "--b", "0.3"])
+    assert code == 0 and json.loads(out)["errorOrder"] == "O(n^-0.3)"
     code, _ = run(["estimate", "--formula", "cycles", "--n", "10", "--d", "5",
                    "--q", "3"])
     assert code == 0
@@ -151,6 +154,10 @@ def test_input_errors_exit_two(files, tmp_path):
                    "--samples", "10", "--dump-graph", str(tmp_path)])
     assert code == 2
     code, _ = run(["mw3", "--coefficients", str(tmp_path)])
+    assert code == 2
+    listdoc = tmp_path / "list.json"
+    listdoc.write_text("[4, 1.0]")
+    code, _ = run(["mw3", "--coefficients", str(listdoc)])
     assert code == 2
     # chain lengths that give no honest error bar
     for flag, value in (("--thinning", "0"), ("--burn-in", "-5")):
@@ -243,7 +250,11 @@ def test_validate_json_report():
 
 def test_verify_start_sweep():
     code, out = run(["verify-start", "--n-max", "3"])
-    assert code == 0 and "PASS" in out
+    doc = strict_json(out)
+    assert code == 0 and doc["passed"] is True and doc["subcommand"] == "verify-start"
+    assert [r["name"] for r in doc["results"]] == ["contour-factorization"]
+    code, out = run(["--format", "text", "verify-start", "--n-max", "3"])
+    assert code == 0 and out.endswith("suite result: PASS\n")
 
 
 def test_csv_format(files):

@@ -212,6 +212,7 @@ def test_overlap_sums_to_one_exactly(seed):
 
 
 def test_overlap_edge_limit():
-    d = DegreeSequence((2, 2, 2, 2))
+    # a 10-edge Y is past the 8-edge limit
+    d = DegreeSequence((2, 2, 2, 2, 2))
     with pytest.raises(CountLimitError):
-        exact_overlap_distribution(d, ForbiddenGraph.clique(4, 4), limit_edges=3)
+        exact_overlap_distribution(d, ForbiddenGraph.clique(5, 5))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from degcount.mvintegral import (
     theta1,
     theta1_terms,
     z_factor,
+    z_factor_terms,
 )
 
 
@@ -85,6 +87,19 @@ def test_z_factor_imaginary_b():
     t = 0.3
     c = CoefficientSet(N=5, A=1.0, B=np.full(5, t * 1j))
     assert z_factor(c) == pytest.approx(math.exp(15 * 5 * t * t / (16 * 5)), rel=1e-14)
+
+
+def test_z_factor_terms_are_quadratic_theta1_terms_of_imaginary_parts():
+    N, A = 5, 0.7
+    rng = np.random.default_rng(31)
+    tables = {name: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+              for name, shape in (("a", N), ("B", N), ("J", N), ("E", N),
+                                  ("C", (N, N)), ("F", (N, N)))}
+    z = z_factor_terms(CoefficientSet(N=N, A=A, **tables))
+    t = theta1_terms(CoefficientSet(N=N, A=A, **{k: v.imag for k, v in tables.items()}))
+    assert set(z) == {"a_square", "B_square", "B_C", "C_C", "J_square", "B_J", "C_J"}
+    for name, value in z.items():
+        assert value == pytest.approx(t[name].real, rel=1e-14) and t[name].imag == 0
 
 
 def test_z_factor_mixed_b_c_against_term_arithmetic():
@@ -197,16 +212,32 @@ def test_perturbation_strict_triples_against_brute_force():
 # -------------------------------------------------------------- serialization
 
 def test_coefficient_set_dict_round_trip():
-    N = 3
+    N = 4
+    rng = np.random.default_rng(23)
     c = CoefficientSet(N=N, A=2.0, eps_hat=0.8,
-                       J=np.array([1 + 2j, 0, -1j]),
-                       C=np.array([[0, 1, 2], [3, 0, 4], [5, 6, 0]], dtype=complex))
+                       J=np.array([1 + 2j, 0, -1j, 3]),
+                       C=rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)),
+                       D=rng.normal(size=(N,) * 3) + 1j * rng.normal(size=(N,) * 3),
+                       H=rng.normal(size=(N,) * 3), I=rng.normal(size=(N,) * 4))
     doc = c.to_dict()
-    back = CoefficientSet.from_dict(doc)
+    back = CoefficientSet.from_dict(json.loads(json.dumps(doc)))
     assert back.N == c.N and back.A == c.A and back.eps_hat == c.eps_hat
-    assert np.array_equal(back.J, c.J)
-    assert np.array_equal(back.C, c.C)
+    for name in ("J", "C", "D", "H", "I"):
+        assert np.array_equal(getattr(back, name), getattr(c, name))
     assert np.all(back.B == 0)
+    assert "B" not in doc
+
+
+def test_two_by_two_tables_decode_by_shape():
+    # with N = 2 a row of two numbers is a real table, not one [re, im] pair
+    doc = {"N": 2, "A": 1.0, "a": [0.1, 0.2], "C": [[0.0, 0.3], [0.4, 0.0]]}
+    c = CoefficientSet.from_dict(doc)
+    assert np.array_equal(c.a, [0.1, 0.2]) and np.array_equal(c.C, [[0, 0.3], [0.4, 0]])
+    c = CoefficientSet.from_dict({"N": 2, "A": 1.0, "a": [[0.1, 0.5], [0.2, -0.5]]})
+    assert np.array_equal(c.a, [0.1 + 0.5j, 0.2 - 0.5j])
+    for mixed in ([0.1, [0.2, 0.5]], [[0.1, 0.5], 0.2], ["0.1", "0.2"]):
+        with pytest.raises(ValueError):
+            CoefficientSet.from_dict({"N": 2, "A": 1.0, "a": mixed})
 
 
 def test_coefficient_set_validation():
@@ -214,6 +245,13 @@ def test_coefficient_set_validation():
         CoefficientSet(N=3, A=0.0)
     with pytest.raises(ValueError):
         CoefficientSet(N=3, A=1.0, J=np.zeros(4))
-    # diagonals of two-index tables are zeroed on construction
-    c = CoefficientSet(N=3, A=1.0, C=np.ones((3, 3)))
-    assert np.all(np.diag(c.C) == 0)
+    with pytest.raises(ValueError):
+        CoefficientSet(N=3, A=1.0, I=np.zeros((3, 3, 3)))
+    # coincident-index entries of the many-index tables are zeroed on construction
+    N = 4
+    c = CoefficientSet(N=N, A=1.0, C=np.ones((N,) * 2), D=np.ones((N,) * 3),
+                       H=np.ones((N,) * 3), I=np.ones((N,) * 4))
+    for T in (c.C, c.D, c.H, c.I):
+        for index in np.ndindex(T.shape):
+            assert T[index] == (len(set(index)) == len(index))
+    assert CoefficientSet(N=N, A=1.0).D is None

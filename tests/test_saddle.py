@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -155,11 +157,15 @@ def test_fixed_mode_runs_exactly_four_sweeps():
     assert sp.iterations == 4 and sp.mode == "fixed"
 
 
-def test_no_finite_saddle_instance_converges_in_22_steps():
-    # every accepted step cuts the residual by a factor of at most 0.774
-    d = DegreeSequence((1, 3, 1, 2, 1))
-    sp = solve_saddle(d, fg(5, [(1, 5), (4, 5)]))
-    assert sp.converged and sp.iterations == 22
+def test_no_finite_saddle_instance_is_solved_alike_in_every_labelling():
+    # Newton crawls here, so any change of summation order shows in the
+    # step count; classes are ordered without reference to vertex labels
+    d, X = DegreeSequence((1, 3, 1, 2, 1)), fg(5, [(1, 5), (4, 5)])
+    outcomes = set()
+    for perm in itertools.permutations(range(1, 6)):
+        sp = solve_saddle(*relabel(d, X, list(perm)))
+        outcomes.add((sp.converged, sp.iterations, sp.max_residual))
+    assert len(outcomes) == 1
 
 
 @pytest.mark.parametrize("degrees,pairs", [
@@ -244,7 +250,14 @@ def test_relabelling_permutes_radii_and_keeps_log_prefactor():
         d, X = (near_regular if seed % 2 else spread_degrees)(rng, n, 2)
         perm = data.draw(st.permutations(range(1, n + 1)))
         d2, X2 = relabel(d, X, perm)
-        sp, sp2 = solve_saddle(d, X), solve_saddle(d2, X2)
+        try:
+            sp = solve_saddle(d, X)
+        except ValueError as exc:
+            # the parity fix-up can push the last degree past n-1-x_j
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                solve_saddle(d2, X2)
+            return
+        sp2 = solve_saddle(d2, X2)
         assert sp.converged == sp2.converged
         idx = np.asarray(perm) - 1
         assert np.allclose(sp2.radii[idx], sp.radii, rtol=1e-12, atol=0.0)
