@@ -25,15 +25,12 @@ from .exactcount import (
     exact_probability,
 )
 from .saddle import (
-    AbgCoefficients,
     QuadratureError,
     SaddlePoint,
     SaddlePoleError,
-    abg_coefficients,
     contour_point,
     fixed_radii_point,
     integral_quadrature,
-    integrand_modulus,
     log_prefactor,
     solve_saddle,
 )

@@ -4,8 +4,9 @@ validation harness.
 
 Reports are JSON by default (sorted keys, stable schema "degcount-report/1"),
 so an identical run configuration, seed included, reproduces byte-identical
-output.  JSON is strict: non-finite values are written as null.  CSV is a
-flattened terms-only view.  Vertices are 1-indexed in all files.
+output.  JSON is strict: non-finite values are written as null.  CSV is the
+same report flattened into key,value rows, quoted where needed.  Vertices are
+1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
 and non-integer DEGCOUNT_* variables (with line-numbered diagnostics where
@@ -16,6 +17,7 @@ applicable).  A saddle solve that finds no saddle exits 0 and reports
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -58,8 +60,8 @@ def _emit(out, payload: dict, fmt: str) -> None:
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     elif fmt == "csv":
-        for key, value in _flatten(payload):
-            out.write(f"{key},{value}\n")
+        csv.writer(out, lineterminator="\n").writerows(
+            (key, str(value)) for key, value in _flatten(payload))
     else:
         for key, value in _flatten(payload):
             out.write(f"{key} = {value}\n")
@@ -100,11 +102,11 @@ def _load_instance(args) -> tuple[DegreeSequence, ForbiddenGraph]:
 def _cmd_count(args, out) -> int:
     d, X = _load_instance(args)
     count = exactcount.exact_count(d, X, limit=args.limit)
-    if args.format == "json":
-        _emit(out, {"schema": SCHEMA, "subcommand": "count", "n": d.n,
-                    "count": count, "scale": "linear"}, "json")
-    else:
+    if args.format == "text":
         out.write(f"{count}\n")
+    else:
+        _emit(out, {"schema": SCHEMA, "subcommand": "count", "n": d.n,
+                    "count": count, "scale": "linear"}, args.format)
     return 0
 
 
@@ -250,19 +252,19 @@ def _cmd_sample(args, out) -> int:
 
 
 def _emit_results(out, fmt: str, subcommand: str, results, **fields) -> int:
-    """Report validation check results: JSON, or one text line per check."""
+    """Report validation check results: JSON or CSV, or one text line per check."""
     passed = all(r.passed for r in results)
-    if fmt == "json":
-        _emit(out, {"schema": SCHEMA, "subcommand": subcommand, **fields,
-                    "results": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                                 "measured": r.measured} for r in results],
-                    "passed": passed}, "json")
-    else:
+    if fmt == "text":
         width = max(len(r.name) for r in results)
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             out.write(f"{r.name:<{width}}  {status}  {r.detail}\n")
         out.write("suite result: " + ("PASS" if passed else "FAIL") + "\n")
+    else:
+        _emit(out, {"schema": SCHEMA, "subcommand": subcommand, **fields,
+                    "results": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                                 "measured": r.measured} for r in results],
+                    "passed": passed}, fmt)
     return 0 if passed else 1
 
 

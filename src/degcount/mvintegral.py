@@ -2,12 +2,12 @@
 control factor, and an importance-sampled Monte-Carlo evaluator.
 
 The integrand is exp of a dominant Gaussian -A N sum z_j^2 plus perturbation
-monomials up to quartic order with coefficient tables of rank 1 to 4 (RANKS;
-3- and 4-index tables are optional; sums run over distinct indices), integrated
-over the box |z_j| <= N^(-1/2+eps).  theta1 gives the closed-form correction
-exponent relative to the pure Gaussian value (pi/(A N))^(N/2); the MC path
-uses the Gaussian restricted to the box as the proposal, so the weight is
-exactly exp of the perturbation.
+monomials up to quartic order with optional coefficient tables of rank 1 to 4
+(MONOMIALS; sums run over distinct indices), integrated over the box
+|z_j| <= N^(-1/2+eps).  theta1 gives the closed-form correction exponent
+relative to the pure Gaussian value (pi/(A N))^(N/2); the MC path uses the
+Gaussian restricted to the box as the proposal, so the weight is exactly exp
+of the perturbation.
 
 Two coefficient conventions are pinned here by independent checks: the
 quadratic-in-J exponent coefficient is 1/(4 A N), forced by Gaussian
@@ -29,17 +29,21 @@ class DegenerateProposalError(ValueError):
     """The box captures too little Gaussian mass for importance sampling."""
 
 
-RANKS = {"J": 1, "a": 1, "B": 1, "E": 1, "C": 2, "F": 2, "G": 2, "D": 3, "H": 3, "I": 4}
+# table: (power of N scaling its monomial, power of z at each index), so
+# "H": (-0.5, (1, 1, 2)) is the sum' of N^(-1/2) H_jkl z_j z_k z_l^2
+MONOMIALS = {"J": (0.0, (1,)), "a": (0.5, (2,)), "B": (1.0, (3,)), "E": (1.0, (4,)),
+             "C": (0.0, (1, 2)), "F": (0.0, (2, 2)), "G": (0.5, (1, 3)), "D": (-1.0, (1, 1, 1)),
+             "H": (-0.5, (1, 1, 2)), "I": (-1.5, (1, 1, 1, 1))}
 BATCH_SIZE = 1 << 16   # Monte-Carlo proposals per batch
 MASS_FLOOR = 0.99      # least Gaussian mass the box must keep for the proposal
 
 
 def _table(value, N: int, name: str) -> np.ndarray | None:
-    """Complex table of shape (N,)*rank with every coincident-index entry zeroed;
-    absent tables are zero, except absent 3- and 4-index tables stay None."""
-    rank = RANKS[name]
+    """Complex table of shape (N,)*rank with every coincident-index entry
+    zeroed; an absent table stays None."""
     if value is None:
-        return np.zeros((N,) * rank, dtype=complex) if rank < 3 else None
+        return None
+    rank = len(MONOMIALS[name][1])
     arr = np.array(value, dtype=complex)
     if arr.shape != (N,) * rank:
         raise ValueError(f"{name} must have shape {(N,) * rank}")
@@ -53,12 +57,11 @@ def _table(value, N: int, name: str) -> np.ndarray | None:
 class CoefficientSet:
     """Coefficient tables of the perturbed Gaussian integrand.
 
-    J: linear; a: quadratic (scaled N^(1/2)); B: cubic diagonal (scaled N);
-    C: cubic cross z_j z_k^2; D: cubic triple (scaled 1/N); E: quartic
-    diagonal (scaled N); F: quartic cross z_j^2 z_k^2; G: quartic z_j z_k^3
-    (scaled N^(1/2)); H: quartic z_j z_k z_l^2 (scaled N^(-1/2)); I: quartic
-    four-index (scaled N^(-3/2)).  eps_hat sets the box half-width
-    N^(-1/2+eps_hat).
+    J: linear; a: quadratic; B: cubic diagonal; C: cubic cross z_j z_k^2;
+    D: cubic triple; E: quartic diagonal; F: quartic cross z_j^2 z_k^2;
+    G: quartic z_j z_k^3; H: quartic z_j z_k z_l^2; I: quartic four-index.
+    MONOMIALS gives each table's scale and powers.  An absent table is None.
+    eps_hat sets the box half-width N^(-1/2+eps_hat).
     """
 
     N: int
@@ -80,7 +83,7 @@ class CoefficientSet:
             raise ValueError("N must be positive")
         if not self.A > 0:
             raise ValueError("A must be positive")
-        for name in RANKS:
+        for name in MONOMIALS:
             setattr(self, name, _table(getattr(self, name), self.N, name))
 
     @property
@@ -92,24 +95,30 @@ class CoefficientSet:
         """A table is all numbers, or all [re, im] pairs (a last axis of length 2)."""
         N = int(doc["N"])
         tables = {}
-        for name, rank in RANKS.items():
+        for name in MONOMIALS:
             if doc.get(name) is None:
                 continue
             arr = np.asarray(doc[name])
             if arr.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must hold only numbers or only [re, im] pairs")
-            if arr.shape == (N,) * rank + (2,):
+            if arr.shape == (N,) * len(MONOMIALS[name][1]) + (2,):
                 arr = arr.astype(float).view(complex)[..., 0]
             tables[name] = arr
         return cls(N=N, A=float(doc["A"]), eps_hat=float(doc.get("epsHat", 0.9)), **tables)
 
     def to_dict(self) -> dict:
         doc = {"N": self.N, "A": self.A, "epsHat": self.eps_hat}
-        for name in RANKS:
+        for name in MONOMIALS:
             arr = getattr(self, name)
-            if arr is not None and np.any(arr):
+            if arr is not None:
                 doc[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
         return doc
+
+
+def _dense(c: CoefficientSet, name: str) -> np.ndarray:
+    """The named table, with an absent one read as zeros."""
+    arr = getattr(c, name)
+    return np.zeros((c.N,) * len(MONOMIALS[name][1]), dtype=complex) if arr is None else arr
 
 
 def _quadratic_terms(A: float, N: int, a, B, C, J) -> dict:
@@ -130,13 +139,14 @@ def _quadratic_terms(A: float, N: int, a, B, C, J) -> dict:
 def theta1_terms(c: CoefficientSet) -> dict[str, complex]:
     """Named terms of the correction exponent; theta1 is their sum."""
     A, N = c.A, c.N
-    quad = _quadratic_terms(A, N, c.a, c.B, c.C, c.J)
+    a, B, C, E, F, J = (_dense(c, name) for name in "aBCEFJ")
+    quad = _quadratic_terms(A, N, a, B, C, J)
     # theta1 sums the terms in this order, which fixes its last bit
     terms = {
-        "a_linear": c.a.sum() / (2.0 * A * math.sqrt(N)),
+        "a_linear": a.sum() / (2.0 * A * math.sqrt(N)),
         **{name: quad.pop(name) for name in ("a_square", "B_square", "B_C", "C_C")},
-        "E_quartic": 3.0 * c.E.sum() / (4.0 * A * A * N),
-        "F_cross": c.F.sum() / (4.0 * A * A * N * N),
+        "E_quartic": 3.0 * E.sum() / (4.0 * A * A * N),
+        "F_cross": F.sum() / (4.0 * A * A * N * N),
         **quad,
     }
     return {k: complex(v) for k, v in terms.items()}
@@ -149,7 +159,7 @@ def theta1(c: CoefficientSet) -> complex:
 
 def z_factor_terms(c: CoefficientSet) -> dict[str, float]:
     """The quadratic terms of theta1, evaluated on the imaginary parts."""
-    quad = _quadratic_terms(c.A, c.N, c.a.imag, c.B.imag, c.C.imag, c.J.imag)
+    quad = _quadratic_terms(c.A, c.N, *(_dense(c, name).imag for name in "aBCJ"))
     return {k: float(v) for k, v in quad.items()}
 
 
@@ -158,36 +168,24 @@ def z_factor(c: CoefficientSet) -> float:
     return math.exp(math.fsum(z_factor_terms(c).values()))
 
 
-def _strict(T: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """sum of T[j,k,...] u_j v_k ... per sample row; T is masked by _table."""
-    out = np.zeros(factors[0].shape[0], dtype=complex)
-    for index in np.argwhere(T):
-        term = T[tuple(index)]
-        for u, j in zip(factors, index):
-            term = term * u[:, j]
-        out += term
-    return out
-
-
 def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
-    """Non-Gaussian part of the log integrand, vectorized over sample rows z (S, N)."""
-    N = c.N
-    sqN = math.sqrt(N)
-    z2 = z * z
-    z3 = z2 * z
-    w = z @ c.J
-    w = w + sqN * (z2 @ c.a)
-    w = w + N * (z3 @ c.B)
-    w = w + np.einsum("jk,sj,sk->s", c.C, z.astype(complex), z2.astype(complex))
-    w = w + N * (z2 * z2) @ c.E
-    w = w + np.einsum("jk,sj,sk->s", c.F, z2.astype(complex), z2.astype(complex))
-    w = w + sqN * np.einsum("jk,sj,sk->s", c.G, z.astype(complex), z3.astype(complex))
-    if c.D is not None:
-        w = w + _strict(c.D, z, z, z) / N
-    if c.H is not None:
-        w = w + _strict(c.H, z, z, z2) / sqN
-    if c.I is not None:
-        w = w + _strict(c.I, z, z, z, z) / N ** 1.5
+    """Non-Gaussian part of the log integrand, vectorized over sample rows z (S, N):
+    N^scale times one product of z powers per non-zero entry of each present table."""
+    zt = np.ascontiguousarray(z.T)
+    z2 = zt * zt
+    powers = (None, zt, z2, z2 * zt, z2 * z2)
+    w = np.zeros(z.shape[0], dtype=complex)
+    for name, (scale, exponents) in MONOMIALS.items():
+        T = getattr(c, name)
+        if T is None:
+            continue
+        out = np.zeros(z.shape[0], dtype=complex)
+        for index in np.argwhere(T):
+            term = T[tuple(index)]
+            for p, j in zip(exponents, index):
+                term = term * powers[p][j]
+            out += term
+        w += out / c.N ** -scale   # divide, not multiply: seeded mw3 reports pin this rounding
     return w
 
 
@@ -225,24 +223,18 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     prefactor = (math.pi / (A * N)) ** (N / 2.0) * box_mass
 
     master = np.random.SeedSequence(seed)
-    collected = 0
-    proposed = 0
-    accepted = 0
+    collected = proposed = accepted = 0
     s1 = 0.0 + 0.0j
     s2 = 0.0
     while collected < samples:
         child = master.spawn(1)[0]
         rng = np.random.default_rng(child)
         zb = rng.normal(0.0, sigma, size=(BATCH_SIZE, N))
-        inside = (np.abs(zb) <= bound).all(axis=1)
+        zin = zb[(np.abs(zb) <= bound).all(axis=1)]
         proposed += BATCH_SIZE
-        accepted += int(inside.sum())
-        zin = zb[inside]
-        if zin.shape[0] == 0:
-            continue
+        accepted += zin.shape[0]
         take = min(zin.shape[0], samples - collected)
-        zin = zin[:take]
-        w = np.exp(perturbation_exponent(c, zin))
+        w = np.exp(perturbation_exponent(c, zin[:take]))
         s1 += w.sum()
         s2 += float((w.real * w.real + w.imag * w.imag).sum())
         collected += take

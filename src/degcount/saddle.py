@@ -63,15 +63,6 @@ class SaddlePoint:
         return lam_jk
 
 
-@dataclass(frozen=True)
-class AbgCoefficients:
-    """Pairwise quadratic/cubic/quartic weight deviations from their density values."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-
-
 def _classes(d: DegreeSequence, X: ForbiddenGraph):
     """Vertex classes of the radius equations.
 
@@ -246,21 +237,6 @@ def contour_point(d: DegreeSequence, X: ForbiddenGraph | None = None) -> SaddleP
         return fixed_radii_point(d, X)
 
 
-def abg_coefficients(sp: SaddlePoint) -> AbgCoefficients:
-    """Deviation matrices of the pairwise weight polynomials from their density values."""
-    L = sp.lambda_jk
-    lam = sp.lam
-    A = lam * (1 - lam) / 2.0
-    A3 = lam * (1 - lam) * (1 - 2 * lam) / 6.0
-    A4 = lam * (1 - lam) * (1 - 6 * lam + 6 * lam * lam) / 24.0
-    alpha = 0.5 * L * (1 - L) - A
-    beta = L * (1 - L) * (1 - 2 * L) / 6.0 - A3
-    gamma = L * (1 - L) * (1 - 6 * L + 6 * L * L) / 24.0 - A4
-    for mat in (alpha, beta, gamma):
-        np.fill_diagonal(mat, 0.0)
-    return AbgCoefficients(alpha=alpha, beta=beta, gamma=gamma)
-
-
 def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None = None) -> float:
     """ln P = sum over non-forbidden pairs of ln(1 + r_j r_k) - n ln 2pi - sum d_j ln r_j.
 
@@ -279,29 +255,6 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
     acc -= n * math.log(2.0 * math.pi)
     acc -= math.fsum(dj * math.log(rj) for dj, rj in zip(d.degrees, sp.radii))
     return acc
-
-
-def integrand_modulus(sp: SaddlePoint, theta, X: ForbiddenGraph | None = None) -> tuple[float, float]:
-    """Modulus of the angular integrand at theta, and its pairwise exponential bound.
-
-    Returns (value, bound) with value = prod over non-forbidden pairs of
-    sqrt(1 - 4 q_jk (1 - cos(theta_j + theta_k))), q_jk = lambda_jk(1-lambda_jk)/2,
-    and bound = exp(sum of -q z^2 + q z^4 / 12) over the same pairs.
-    """
-    th = np.asarray(theta, dtype=float)
-    n = th.size
-    if X is None:
-        X = ForbiddenGraph.empty(n)
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    for j, k in X.edges:
-        mask[j - 1, k - 1] = False
-    L = sp.lambda_jk
-    q = 0.5 * L * (1 - L)
-    z = th[:, None] + th[None, :]
-    inside = 1.0 - 4.0 * q * (1.0 - np.cos(z))
-    value = float(np.sqrt(np.clip(inside[mask], 0.0, None)).prod())
-    bound = float(np.exp(np.sum(-q[mask] * z[mask] ** 2 + q[mask] * z[mask] ** 4 / 12.0)))
-    return value, bound
 
 
 QUADRATURE_LIMIT = 5

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -263,3 +264,12 @@ def test_csv_format(files):
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert "logValue" in rows and "terms.0.name" in rows
+    # every subcommand writes key,value rows that a csv reader splits in two
+    inst = ["--degrees", files["d8"], "--forbidden", files["x"]]
+    for argv in (["count"] + inst, ["estimate", "--formula", "dense"] + inst,
+                 ["verify-start", "--n-max", "3"], ["validate", "--suite", "small"]):
+        code, out = run(["--format", "csv"] + argv)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows and all(len(row) == 2 for row in rows), argv
+        assert dict(rows)["subcommand"] == argv[0]
+

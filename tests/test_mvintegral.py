@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from degcount.mvintegral import (
+    MONOMIALS,
     CoefficientSet,
     DegenerateProposalError,
     gaussian_reference,
@@ -185,28 +187,30 @@ def test_mc_degenerate_proposal_rejected():
                         samples=1000, seed=1)
 
 
-def test_perturbation_strict_triples_against_brute_force():
+def test_perturbation_exponent_against_brute_force():
+    # all ten tables at once, random complex entries, summed over distinct
+    # indices; scales and powers are written out here, apart from MONOMIALS
     N = 4
+    rt = math.sqrt(N)
+    monomials = {"J": (1.0, (1,)), "a": (rt, (2,)), "B": (N, (3,)), "E": (N, (4,)),
+                 "C": (1.0, (1, 2)), "F": (1.0, (2, 2)), "G": (rt, (1, 3)),
+                 "D": (1 / N, (1, 1, 1)), "H": (1 / rt, (1, 1, 2)),
+                 "I": (1 / N / rt, (1, 1, 1, 1))}
     rng = np.random.default_rng(17)
-    D = rng.normal(size=(N, N, N))
-    H = rng.normal(size=(N, N, N))
-    I = rng.normal(size=(N, N, N, N))
-    c = CoefficientSet(N=N, A=1.0, D=D, H=H, I=I)
+    tables = {name: rng.normal(size=(N,) * len(powers)) + 1j * rng.normal(size=(N,) * len(powers))
+              for name, (_, powers) in monomials.items()}
     z = rng.normal(scale=0.1, size=(3, N))
-    got = perturbation_exponent(c, z)
+    got = perturbation_exponent(CoefficientSet(N=N, A=1.0, **tables), z)
     for s in range(3):
-        want = 0.0
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    if j != k and j != l and k != l:
-                        want += D[j, k, l] * z[s, j] * z[s, k] * z[s, l] / N
-                        want += H[j, k, l] * z[s, j] * z[s, k] * z[s, l] ** 2 / math.sqrt(N)
-                        for m in range(N):
-                            if m not in (j, k, l):
-                                want += (I[j, k, l, m] * z[s, j] * z[s, k]
-                                         * z[s, l] * z[s, m] / N ** 1.5)
-        assert got[s].real == pytest.approx(want, rel=1e-10)
+        want = 0j
+        for name, (scale, powers) in monomials.items():
+            for index in itertools.product(range(N), repeat=len(powers)):
+                if len(set(index)) == len(index):
+                    term = scale * tables[name][index]
+                    for j, p in zip(index, powers):
+                        term *= z[s, j] ** p
+                    want += term
+        assert got[s] == pytest.approx(want, rel=1e-10)
 
 
 # -------------------------------------------------------------- serialization
@@ -224,8 +228,37 @@ def test_coefficient_set_dict_round_trip():
     assert back.N == c.N and back.A == c.A and back.eps_hat == c.eps_hat
     for name in ("J", "C", "D", "H", "I"):
         assert np.array_equal(getattr(back, name), getattr(c, name))
-    assert np.all(back.B == 0)
+    assert back.B is None
     assert "B" not in doc
+
+
+def test_coefficient_set_json_round_trip_property():
+    # a random subset of present tables, real or complex, at N in {2, 3, 4}
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(data=st.data(), N=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2 ** 32 - 1),
+               present=st.sets(st.sampled_from(sorted(MONOMIALS))))
+    def check(data, N, seed, present):
+        rng = np.random.default_rng(seed)
+        tables = {}
+        for name in present:
+            shape = (N,) * len(MONOMIALS[name][1])
+            tables[name] = rng.normal(size=shape)
+            if data.draw(st.booleans()):
+                tables[name] = tables[name] + 1j * rng.normal(size=shape)
+        c = CoefficientSet(N=N, A=data.draw(st.floats(0.1, 10.0)),
+                           eps_hat=data.draw(st.floats(0.1, 0.9)), **tables)
+        back = CoefficientSet.from_dict(json.loads(json.dumps(c.to_dict())))
+        assert (back.N, back.A, back.eps_hat) == (c.N, c.A, c.eps_hat)
+        for name in MONOMIALS:
+            if name in present:
+                assert np.array_equal(getattr(back, name), getattr(c, name))
+            else:
+                assert getattr(back, name) is None
+
+    check()
 
 
 def test_two_by_two_tables_decode_by_shape():

@@ -2,19 +2,19 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, relabel
 from degcount.exactcount import exact_count
+from degcount.mcsampler import is_graphical
 from degcount.saddle import (
     QuadratureError,
-    abg_coefficients,
     contour_point,
     fixed_radii_point,
     integral_quadrature,
-    integrand_modulus,
     log_prefactor,
     solve_saddle,
 )
@@ -322,6 +322,30 @@ def test_four_sweep_point_tracks_leading_term():
 
 # ------------------------------------------------------------- coefficients
 
+@dataclass(frozen=True)
+class AbgCoefficients:
+    """Pairwise quadratic/cubic/quartic weight deviations from their density values."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+
+def abg_coefficients(sp) -> AbgCoefficients:
+    """Deviation matrices of the pairwise weight polynomials from their density values."""
+    L = sp.lambda_jk
+    lam = sp.lam
+    A = lam * (1 - lam) / 2.0
+    A3 = lam * (1 - lam) * (1 - 2 * lam) / 6.0
+    A4 = lam * (1 - lam) * (1 - 6 * lam + 6 * lam * lam) / 24.0
+    alpha = 0.5 * L * (1 - L) - A
+    beta = L * (1 - L) * (1 - 2 * L) / 6.0 - A3
+    gamma = L * (1 - L) * (1 - 6 * L + 6 * L * L) / 24.0 - A4
+    for mat in (alpha, beta, gamma):
+        np.fill_diagonal(mat, 0.0)
+    return AbgCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+
+
 def test_abg_zero_for_regular_empty():
     sp = solve_saddle(DegreeSequence((3,) * 6))
     ab = abg_coefficients(sp)
@@ -372,6 +396,29 @@ def test_log_prefactor_extended_precision():
 
 
 # --------------------------------------------------------- integrand modulus
+
+def integrand_modulus(sp, theta, X=None) -> tuple[float, float]:
+    """Modulus of the angular integrand at theta, and its pairwise exponential bound.
+
+    Returns (value, bound) with value = prod over non-forbidden pairs of
+    sqrt(1 - 4 q_jk (1 - cos(theta_j + theta_k))), q_jk = lambda_jk(1-lambda_jk)/2,
+    and bound = exp(sum of -q z^2 + q z^4 / 12) over the same pairs.
+    """
+    th = np.asarray(theta, dtype=float)
+    n = th.size
+    if X is None:
+        X = ForbiddenGraph.empty(n)
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    for j, k in X.edges:
+        mask[j - 1, k - 1] = False
+    L = sp.lambda_jk
+    q = 0.5 * L * (1 - L)
+    z = th[:, None] + th[None, :]
+    inside = 1.0 - 4.0 * q * (1.0 - np.cos(z))
+    value = float(np.sqrt(np.clip(inside[mask], 0.0, None)).prod())
+    bound = float(np.exp(np.sum(-q[mask] * z[mask] ** 2 + q[mask] * z[mask] ** 4 / 12.0)))
+    return value, bound
+
 
 def test_modulus_at_origin_and_pi_shift():
     sp = solve_saddle(DegreeSequence((2, 2, 1, 1)), tol=1e-12)
@@ -467,6 +514,29 @@ def test_factorization_for_any_radii():
     I = integral_quadrature(sp, d)
     P = math.exp(log_prefactor(sp, d))
     assert P * I.real == pytest.approx(3.0, rel=1e-9)
+
+
+def test_factorization_at_random_radii_property():
+    # count = P * I at any radius, on graphical d with n <= 4 and X empty or one edge
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(data=st.data(), radius=st.floats(0.3, 3.0))
+    def check(data, radius):
+        n = data.draw(st.integers(1, 4))
+        degrees = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+                            .filter(is_graphical))
+        edges = list(itertools.combinations(range(1, n + 1), 2))
+        edge = data.draw(st.sampled_from([None] + edges))
+        d, X = DegreeSequence(tuple(degrees)), fg(n, [edge] if edge else [])
+        sp = fixed_radii_point(d, X, radius)
+        P = math.exp(log_prefactor(sp, d, X))
+        I = integral_quadrature(sp, d, X)
+        G = exact_count(d, X)
+        assert P * I.real == pytest.approx(G, rel=1e-9, abs=1e-9)
+
+    check()
 
 
 def test_quadrature_size_limit():
