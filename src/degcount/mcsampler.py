@@ -4,8 +4,10 @@ formulas beyond exact-count reach.
 
 A switch picks two edges uniformly, proposes rewiring them across, and
 rejects proposals that would create a loop or multi-edge; degrees are
-invariant along the chain.  Estimates pool thinned samples and report a
-batch-means standard error so autocorrelation is priced in honestly.
+invariant along the chain.  The graph is one flat (n+1)^2 byte array, so
+every adjacency test and edit in the chain is a single index.  Estimates
+pool thinned samples and report a batch-means standard error so
+autocorrelation is priced in honestly.
 """
 
 from __future__ import annotations
@@ -44,28 +46,37 @@ def is_graphical(degrees) -> bool:
 
 
 class LabeledGraph:
-    """Simple labeled graph on vertices 1..n with set-based adjacency."""
+    """Simple labeled graph on vertices 1..n as one flat adjacency array.
+
+    `adj[j * (n + 1) + k]` is 1 when {j, k} is an edge and 0 otherwise.
+    Row and column 0 stay 0, so vertex labels index the array directly.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n + 1)]
+        self.adj = bytearray((n + 1) * (n + 1))
 
     def has_edge(self, j: int, k: int) -> bool:
-        return k in self.adj[j]
+        n = self.n
+        return 1 <= j <= n and 1 <= k <= n and self.adj[j * (n + 1) + k] == 1
 
     def add_edge(self, j: int, k: int) -> None:
+        n = self.n
+        if not (1 <= j <= n and 1 <= k <= n):
+            raise ValueError(f"edge ({j},{k}) outside vertices 1..{n}")
         if j == k:
             raise ValueError("no self-loops")
-        if k in self.adj[j]:
+        if self.adj[j * (n + 1) + k]:
             raise ValueError(f"duplicate edge ({j},{k})")
-        self.adj[j].add(k)
-        self.adj[k].add(j)
+        self.adj[j * (n + 1) + k] = self.adj[k * (n + 1) + j] = 1
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(self.adj[v]) for v in range(1, self.n + 1))
+        row, adj = self.n + 1, self.adj
+        return tuple(adj.count(1, v * row, v * row + row) for v in range(1, row))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted((v, u) for v in range(1, self.n + 1) for u in self.adj[v] if v < u)
+        row, adj = self.n + 1, self.adj
+        return [(v, u) for v in range(1, row) for u in range(v + 1, row) if adj[v * row + u]]
 
 
 def realize(d: DegreeSequence) -> LabeledGraph:
@@ -105,16 +116,31 @@ def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]
     pairing with probability 1/2, and is rejected (a chain self-loop) whenever
     the rewiring would create a loop or multi-edge.  `edges` is the current
     edge list of g, updated in place on acceptance, so each proposal is O(1).
+
+    Each proposal draws edge i, then edge j (shifted past i), then the
+    pairing flip; the endpoint and adjacency tests that follow draw nothing.
+    The edge draws are `rng.randrange(m)` and `rng.randrange(m - 1)` written
+    out as the `getrandbits` rejection loop `random.Random` runs for them, so
+    a seed gives the same chain as calling `randrange`.  Tests and edits are
+    single indexes into the flat adjacency `g.adj`.
     """
     m = len(edges)
     if m < 2:
         return g
     adj = g.adj
+    row = g.n + 1
     uniform = rng.random
-    randrange = rng.randrange
+    bits = rng.getrandbits
+    m1 = m - 1
+    ki = m.bit_length()
+    kj = m1.bit_length()
     for _ in range(steps):
-        i = randrange(m)
-        j = randrange(m - 1)
+        i = bits(ki)
+        while i >= m:
+            i = bits(ki)
+        j = bits(kj)
+        while j >= m1:
+            j = bits(kj)
         if j >= i:
             j += 1
         a, b = edges[i]
@@ -123,18 +149,14 @@ def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]
             c, d_ = d_, c
         if a == c or a == d_ or b == c or b == d_:
             continue
-        adj_a = adj[a]
-        adj_b = adj[b]
-        if c in adj_a or d_ in adj_b:
+        ra = a * row
+        rb = b * row
+        if adj[ra + c] or adj[rb + d_]:
             continue
-        adj_a.remove(b)
-        adj_b.remove(a)
-        adj[c].remove(d_)
-        adj[d_].remove(c)
-        adj_a.add(c)
-        adj[c].add(a)
-        adj_b.add(d_)
-        adj[d_].add(b)
+        rc = c * row
+        rd = d_ * row
+        adj[ra + b] = adj[rb + a] = adj[rc + d_] = adj[rd + c] = 0
+        adj[ra + c] = adj[rc + a] = adj[rb + d_] = adj[rd + b] = 1
         edges[i] = (a, c) if a < c else (c, a)
         edges[j] = (b, d_) if b < d_ else (d_, b)
     return g
@@ -160,25 +182,24 @@ class MCEstimate:
 
 
 def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
-    edges = X.sorted_edges()
+    row = X.n + 1
+    cells = [j * row + k for j, k in X.sorted_edges()]
     if mode == "miss":
         def check(g: LabeledGraph) -> bool:
-            return all(k not in g.adj[j] for j, k in edges)
+            return not any(g.adj[c] for c in cells)
     elif mode == "hit":
         def check(g: LabeledGraph) -> bool:
-            return all(k in g.adj[j] for j, k in edges)
+            return all(g.adj[c] for c in cells)
     elif mode == "induced":
         if m is None:
             raise ValueError("induced mode requires m")
         check_support(X, m)
-        wanted = set(edges)
+        wanted = set(cells)
+        pattern = [(c, int(c in wanted)) for j in range(1, m + 1)
+                   for c in range(j * row + j + 1, j * row + m + 1)]
 
         def check(g: LabeledGraph) -> bool:
-            for j in range(1, m + 1):
-                for k in range(j + 1, m + 1):
-                    if ((j, k) in wanted) != (k in g.adj[j]):
-                        return False
-            return True
+            return all(g.adj[c] == w for c, w in pattern)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return check

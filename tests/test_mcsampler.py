@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -82,7 +83,7 @@ def test_four_cycle_swaps_between_cycle_structures():
         switch_step(g, rng, edges)
         degs = g.degrees()
         assert degs == (2, 2, 2, 2)
-        opposite = next(v for v in (2, 3, 4) if v not in g.adj[1])
+        opposite = next(v for v in (2, 3, 4) if not g.has_edge(1, v))
         seen.add(opposite)
     assert seen == {2, 3, 4}
 
@@ -96,6 +97,82 @@ def test_degrees_invariant_along_long_run():
         switch_step(g, rng, edges)
     assert g.degrees() == ref
     assert sorted(g.edge_list()) == sorted(edges)
+
+
+@pytest.mark.parametrize("j, k", [(1, 5), (5, 1), (0, 1), (1, 0), (-1, 2), (1, 8), (4, 6)])
+def test_vertices_outside_range_are_no_edge_and_not_added(j, k):
+    # rows hold 5 cells, so an unchecked (1, 5) lands in row 2 and (1, 8) is
+    # the cell of edge (2, 3)
+    g = LabeledGraph(4)
+    g.add_edge(2, 3)
+    before = bytes(g.adj)
+    assert not g.has_edge(j, k)
+    with pytest.raises(ValueError, match=r"outside vertices 1\.\.4"):
+        g.add_edge(j, k)
+    assert bytes(g.adj) == before
+    assert g.degrees() == (0, 1, 1, 0)
+    assert g.edge_list() == [(2, 3)]
+
+
+def _set_kernel_steps(adj, rng, edges, steps):
+    # the set-adjacency kernel with rng.randrange that the flat kernel
+    # replaced, kept as the reference for its draw order and edge updates
+    m = len(edges)
+    if m < 2:
+        return
+    uniform = rng.random
+    randrange = rng.randrange
+    for _ in range(steps):
+        i = randrange(m)
+        j = randrange(m - 1)
+        if j >= i:
+            j += 1
+        a, b = edges[i]
+        c, d_ = edges[j]
+        if uniform() < 0.5:
+            c, d_ = d_, c
+        if a == c or a == d_ or b == c or b == d_:
+            continue
+        adj_a = adj[a]
+        adj_b = adj[b]
+        if c in adj_a or d_ in adj_b:
+            continue
+        adj_a.remove(b)
+        adj_b.remove(a)
+        adj[c].remove(d_)
+        adj[d_].remove(c)
+        adj_a.add(c)
+        adj[c].add(a)
+        adj_b.add(d_)
+        adj[d_].add(b)
+        edges[i] = (a, c) if a < c else (c, a)
+        edges[j] = (b, d_) if b < d_ else (d_, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("degrees", [(3,) * 8, (30,) * 60, (4, 3, 3, 2, 2, 2, 2, 2)],
+                         ids=["3-regular-8", "30-regular-60", "irregular-8"])
+def test_kernel_draws_the_set_kernel_stream(degrees, seed):
+    g = realize(DegreeSequence(degrees))
+    edges = g.edge_list()
+    ref_edges = list(edges)
+    ref_adj = [set() for _ in range(len(degrees) + 1)]
+    for j, k in ref_edges:
+        ref_adj[j].add(k)
+        ref_adj[k].add(j)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    done, total = 0, 10 ** 5
+    for steps in itertools.cycle((1, 7, 60)):
+        steps = min(steps, total - done)
+        switch_step(g, rng, edges, steps)
+        _set_kernel_steps(ref_adj, ref_rng, ref_edges, steps)
+        done += steps
+        if done == total:
+            break
+    assert edges == ref_edges
+    assert g.edge_list() == sorted((j, k) for j in range(1, len(degrees) + 1)
+                                   for k in ref_adj[j] if j < k)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 # ---------------------------------------------------------------- estimates
@@ -160,6 +237,17 @@ def test_pinned_seeded_estimate():
                              burn_in=298, thinning=3, seed=99)
     checked = SampleConfig(samples=500, thinning=3, seed=99, check_invariants=True)
     assert estimate_probability(d, X, "miss", checked) == est
+
+
+def test_pinned_seeded_estimate_dense_triangle():
+    # hit of a triangle in 30-regular graphs on 60 vertices; the values were
+    # recorded with the set-adjacency kernel and must not move
+    d = DegreeSequence((30,) * 60)
+    X = fg(60, [(1, 2), (2, 3), (1, 3)])
+    cfg = SampleConfig(samples=300, burn_in=6000, thinning=60, seed=6)
+    assert estimate_probability(d, X, "hit", cfg) == MCEstimate(
+        mean=0.25666666666666665, stderr=0.08380916780512221, samples=300,
+        burn_in=6000, thinning=60, seed=6)
 
 
 def test_invariant_checking_mode():
