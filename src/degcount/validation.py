@@ -236,12 +236,12 @@ def check_saddle_residual() -> CheckResult:
         f"{worst_fixed_ratio:.3f}")
 
 
-def check_dense_count_trend(ns=(8, 10, 12)) -> CheckResult:
+def check_dense_count_trend(ns=(8, 10, 12, 14, 16, 18)) -> CheckResult:
     """|ln G_exact - estimate| non-increasing on regular d = n/2, final < 0.05."""
     errors = []
     for n in ns:
         d = DegreeSequence((n // 2,) * n)
-        G = exact_count(d)
+        G = exact_count(d, limit=n)
         est, _ = dense_count_estimate(d)
         errors.append(abs(math.log(G) - est.log_value))
     monotone = all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
@@ -380,14 +380,12 @@ def check_regular_expectations() -> CheckResult:
     O(q/n^2) terms contribute |dln| ~ 0.19, so a tighter bound is
     unattainable there; the decreasing trend is what the oracle confirms.
     """
-    errors = {}
-
     def matching_error(n: int) -> float:
         dv = n // 2
         d = DegreeSequence((dv,) * n)
         M = ForbiddenGraph.from_pairs(n, [(2 * i + 1, 2 * i + 2) for i in range(n // 2)])
         count = math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2))
-        exact = count * float(exact_probability(d, M, "hit", limit=12))
+        exact = count * float(exact_probability(d, M, "hit", limit=n))
         est = regular_graph_expectations(n, dv, "matchings")
         return abs(est.log_value - math.log(exact))
 
@@ -395,20 +393,18 @@ def check_regular_expectations() -> CheckResult:
         dv = n // 2
         d = DegreeSequence((dv,) * n)
         T = ForbiddenGraph.from_pairs(n, [(1, 2), (2, 3), (1, 3)])
-        exact = math.comb(n, 3) * float(exact_probability(d, T, "hit", limit=12))
+        exact = math.comb(n, 3) * float(exact_probability(d, T, "hit", limit=n))
         est = regular_graph_expectations(n, dv, "cycles", q=3)
         return abs(est.log_value - math.log(exact))
 
-    errors["matchings"] = (matching_error(6), matching_error(8))
-    errors["triangles"] = (triangle_error(10), triangle_error(12))
+    errors = {"matchings": [matching_error(n) for n in (6, 8, 10)],
+              "triangles": [triangle_error(n) for n in (10, 12, 14, 16)]}
     ok = (errors["matchings"][0] < 0.15 and errors["triangles"][0] < 0.25
-          and errors["matchings"][1] < errors["matchings"][0]
-          and errors["triangles"][1] < errors["triangles"][0])
+          and all(b < a for e in errors.values() for a, b in zip(e, e[1:])))
     return CheckResult(
-        "regular-expectations", ok,
-        {"matchings": list(errors["matchings"]), "triangles": list(errors["triangles"])},
-        f"matchings |dln| {errors['matchings'][0]:.4f} -> {errors['matchings'][1]:.4f} "
-        f"(<0.15); triangles {errors['triangles'][0]:.4f} -> {errors['triangles'][1]:.4f} "
+        "regular-expectations", ok, errors,
+        f"matchings |dln| {' -> '.join(f'{e:.4f}' for e in errors['matchings'])} "
+        f"(<0.15); triangles {' -> '.join(f'{e:.4f}' for e in errors['triangles'])} "
         f"(<0.25, oracle-confirmed)")
 
 

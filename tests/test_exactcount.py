@@ -8,6 +8,8 @@ from degcount.graphcore import DegreeSequence, ForbiddenGraph
 from degcount.exactcount import (
     CountLimitError,
     UndefinedProbabilityError,
+    _collapse,
+    _count_free,
     complement_degrees,
     enumerate_count,
     exact_count,
@@ -18,6 +20,62 @@ from degcount.exactcount import (
 
 def fg(n, pairs):
     return ForbiddenGraph.from_pairs(n, pairs)
+
+
+def pivot_count(d, X):
+    """Reference: assign the pivot's neighbourhood one vertex subset at a time.
+
+    This is the vertex-by-vertex recursion exact_count ran before it grouped
+    the vertices free of live forbidden edges into residual-degree classes.
+    """
+    n = d.n
+    if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums)):
+        return 0
+    res = list(d.degrees)
+    xadj = [frozenset(v - 1 for v in X.neighbors(j)) for j in range(1, n + 1)]
+
+    def rec(active):
+        live = [v for v in active if res[v] > 0]
+        live_set = set(live)
+        pivots = [v for v in live if xadj[v] & live_set]
+        if not pivots:
+            return _count_free(_collapse(res[v] for v in live))
+        pivot = max(pivots, key=lambda v: (res[v], -v))
+        need = res[pivot]
+        eligible = [u for u in live if u != pivot and u not in xadj[pivot]]
+        if need > len(eligible):
+            return 0
+        remaining = tuple(v for v in live if v != pivot)
+        res[pivot] = 0
+        total = 0
+        for chosen in combinations(eligible, need):
+            for u in chosen:
+                res[u] -= 1
+            total += rec(remaining)
+            for u in chosen:
+                res[u] += 1
+        res[pivot] = need
+        return total
+
+    return rec(tuple(range(n)))
+
+
+def draw_instance(st, data, n_max, x_max):
+    """(d, X): X has at most x_max edges on n <= n_max vertices, and d is the
+    degree sequence of a random graph of random density.  Half the draws
+    make that graph avoid X; the others may give a count of 0."""
+    n = data.draw(st.integers(1, n_max))
+    pairs = list(combinations(range(1, n + 1), 2))
+    xs = data.draw(st.lists(st.sampled_from(pairs), max_size=x_max, unique=True)) if pairs else []
+    avoid_x = data.draw(st.booleans())
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.random()
+    deg = [0] * n
+    for j, k in pairs:
+        if not (avoid_x and (j, k) in xs) and rng.random() < p:
+            deg[j - 1] += 1
+            deg[k - 1] += 1
+    return DegreeSequence(tuple(deg)), fg(n, xs)
 
 
 # ----------------------------------------------------------- frozen examples
@@ -64,7 +122,65 @@ def test_limits():
         enumerate_count(DegreeSequence((0,) * 7))
 
 
+def test_free_memo_is_bounded():
+    assert 0 < _count_free.cache_info().maxsize < float("inf")
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (12, [(1, 2), (2, 3), (1, 3)]),
+    (10, [(1, 2), (3, 4), (5, 6)]),
+    (10, [(1, 2), (1, 3), (1, 4), (1, 5)]),
+    (9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]),
+])
+def test_class_oracle_matches_pivot_reference_on_regular(n, pairs):
+    for dv in range(n):
+        if n * dv % 2 == 0:
+            d, X = DegreeSequence((dv,) * n), fg(n, pairs)
+            assert exact_count(d, X, limit=n) == pivot_count(d, X)
+
+
 # ------------------------------------------------------- randomized oracles
+
+def test_class_oracle_matches_enumeration_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(st, data, 6, 15)
+        assert exact_count(d, X) == enumerate_count(d, X)
+
+    check()
+
+
+def test_class_oracle_matches_pivot_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(st, data, 10, 6)
+        assert exact_count(d, X, limit=10) == pivot_count(d, X)
+
+    check()
+
+
+def test_complementation_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(st, data, 10, 6)
+        hyp.assume(all(dj <= d.n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums)))
+        dc = DegreeSequence(complement_degrees(d, X))
+        assert exact_count(d, X, limit=10) == exact_count(dc, X, limit=10)
+
+    check()
+
 
 def random_instance(rng, n, edge_p=0.25):
     pairs = [e for e in combinations(range(1, n + 1), 2) if rng.random() < edge_p]

@@ -248,6 +248,33 @@ def test_edge_file_round_trip(tmp_path):
     assert read_edges(str(path), 5) == X
 
 
+def test_file_round_trip_property(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    dpath, xpath = str(tmp_path / "d.txt"), str(tmp_path / "x.txt")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 30))
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        X = fg(n, [(k, j) if data.draw(st.booleans()) else (j, k) for j, k in edges])
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        deg = [0] * n                   # degrees of a graph are graphical
+        for j, k in pairs:
+            if rng.random() < 0.5:
+                deg[j - 1] += 1
+                deg[k - 1] += 1
+        d = DegreeSequence(tuple(deg))
+        write_degrees(dpath, d)
+        write_edges(xpath, X)
+        assert read_degrees(dpath) == d
+        assert read_edges(xpath, n) == X
+
+    check()
+
+
 @pytest.mark.parametrize("text,message", [
     ("1 1\n", "self-loop"),
     ("1 9\n", "outside"),
