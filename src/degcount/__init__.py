@@ -4,7 +4,6 @@ prescribed degree sequence avoiding (or containing) a forbidden subgraph."""
 from .graphcore import (
     DegreeSequence,
     ForbiddenGraph,
-    InducedSpec,
     InputFormatError,
     Parameters,
     compute_parameters,
@@ -37,7 +36,6 @@ from .saddle import (
 from .asymptotics import (
     HypothesisFlag,
     LogEstimate,
-    ValidityReport,
     check_hypotheses,
     dense_count_estimate,
     induced_estimate,

@@ -13,7 +13,7 @@ validity is reported, never enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log, log1p
 
@@ -27,6 +27,8 @@ from .graphcore import (
 )
 
 NEG_INF = float("-inf")
+HYPOTHESIS_A = 0.3           # the constant a of the density window n/(3a log n)
+ERROR_ORDER = "O(n^-0.1)"    # error annotation of the dense-regime expansions
 
 
 @dataclass(frozen=True)
@@ -46,29 +48,12 @@ class LogEstimate:
         return cls(log_value=base_log + correction, base_log=base_log,
                    correction=correction, error_order=error_order, terms=terms)
 
-    def term(self, name: str) -> float:
-        for key, value in self.terms:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class HypothesisFlag:
     hypothesis: str
     measured: float
     bound: float
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Violated dense-regime hypotheses with their measured magnitudes."""
-
-    flags: tuple[HypothesisFlag, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
 
 
 def _xlogx(t: float) -> float:
@@ -82,13 +67,10 @@ def _log_binom(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def _f(v) -> float:
-    return float(v)
-
-
-def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph, p: Parameters | None = None,
-                     a: float = 0.3) -> ValidityReport:
-    """Advisory check of the dense-regime hypotheses with constant a.
+def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph,
+                     p: Parameters | None = None) -> tuple[HypothesisFlag, ...]:
+    """Advisory check of the dense-regime hypotheses with a = HYPOTHESIS_A;
+    returns the violated ones, so an empty tuple means all hold.
 
     No explicit epsilon(a, b) accompanies the hypotheses, so degree
     deviations and forbidden-degree budgets are measured against n^(1/2)
@@ -98,7 +80,7 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph, p: Parameters | None 
         p = compute_parameters(d, X)
     n = d.n
     flags: list[HypothesisFlag] = []
-    dev = max(abs(dj - _f(p.d_avg)) for dj in d.degrees)
+    dev = max(abs(dj - float(p.d_avg)) for dj in d.degrees)
     if dev > math.sqrt(n):
         flags.append(HypothesisFlag("max|d_j - d| <= n^(1/2)", dev, math.sqrt(n)))
     if p.x_max > math.sqrt(n):
@@ -106,11 +88,11 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph, p: Parameters | None 
     if X.edge_count > n:
         flags.append(HypothesisFlag("X <= n", float(X.edge_count), float(n)))
     if n > 2:
-        window = n / (3.0 * a * math.log(n))
-        measured = min(_f(p.d_avg), n - _f(p.d_avg) - 1.0)
+        window = n / (3.0 * HYPOTHESIS_A * math.log(n))
+        measured = min(float(p.d_avg), n - float(p.d_avg) - 1.0)
         if measured < window:
             flags.append(HypothesisFlag("min{d, n-d-1} >= n/(3a log n)", measured, window))
-    return ValidityReport(flags=tuple(flags))
+    return tuple(flags)
 
 
 def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEstimate:
@@ -124,7 +106,7 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     x = X.row_sums
     if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, x)):
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
-    lam = _f(p.lam)
+    lam = float(p.lam)
     Xc = X.edge_count
     t_forbidden = 0.0 if Xc == 0 else -Xc * log1p(-lam)
     t_entropy = comb(n, 2) * (_xlogx(lam) + _xlogx(1.0 - lam))
@@ -136,40 +118,40 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
                               ("binomials", t_binom)))
 
 
-def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
-                         a: float = 0.3, b: float = 0.1) -> tuple[LogEstimate, ValidityReport]:
+def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None
+                         ) -> tuple[LogEstimate, tuple[HypothesisFlag, ...]]:
     """Dense-regime count estimate sqrt(2) * guess * exp(correction).
 
     correction = 1/4 - R^2/(16 A^2 n^4) + lambda X^2/((1-lambda) n^2)
-    - D/(2 A n^2).  The validity report flags violated hypotheses without
-    refusing to evaluate.
+    - D/(2 A n^2).  The violated hypotheses (check_hypotheses) come second;
+    they never stop the evaluation.
     """
     if X is None:
         X = ForbiddenGraph.empty(d.n)
     p = compute_parameters(d, X)
-    report = check_hypotheses(d, X, p, a=a)
+    flags = check_hypotheses(d, X, p)
     interior_density(p)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:
-        return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ()), report
+        return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ()), flags
     base = 0.5 * log(2.0) + ghat.log_value
-    return LogEstimate.build(base, _count_terms(p, X.edge_count), f"O(n^-{b:g})"), report
+    return LogEstimate.build(base, _count_terms(p, X.edge_count), ERROR_ORDER), flags
 
 
 def _count_terms(p: Parameters, Xc: int) -> tuple[tuple[str, float], ...]:
     """Exponential correction of the dense count estimate, shared by "num"."""
-    lam = _f(p.lam)
+    lam = float(p.lam)
     n = p.n
-    A = _f(p.A)
+    A = float(p.A)
     return (
         ("quarter", 0.25),
-        ("degree_spread", -_f(p.R) ** 2 / (16.0 * A * A * n ** 4)),
+        ("degree_spread", -float(p.R) ** 2 / (16.0 * A * A * n ** 4)),
         ("forbidden_sq", lam * Xc * Xc / ((1.0 - lam) * n * n)),
-        ("forbidden_dd", -_f(p.D) / (2.0 * A * n * n)),
+        ("forbidden_dd", -float(p.D) / (2.0 * A * n * n)),
     )
 
 
-def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -> dict[str, LogEstimate]:
+def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph) -> dict[str, LogEstimate]:
     """Normalized avoidance/containment probabilities and the count exponential.
 
     miss and hit carry the full term-by-term expansions (base_log = 0); num is
@@ -180,10 +162,9 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -
     n = d.n
     Xc = X.edge_count
     X2, X3 = float(p.X2), float(p.X3)
-    D, L = _f(p.D), _f(p.L)
-    C11, C12, C21 = _f(p.C11), _f(p.C12), _f(p.C21)
+    D, L = float(p.D), float(p.L)
+    C11, C12, C21 = float(p.C11), float(p.C12), float(p.C21)
     om = 1.0 - lam
-    order = f"O(n^-{b:g})"
 
     miss_terms = (
         ("X", lam * Xc / (om * n)),
@@ -206,23 +187,21 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph, *, b: float = 0.1) -
         ("C21", -C21 / (2.0 * lam * lam * n * n)),
     )
     return {
-        "miss": LogEstimate.build(0.0, miss_terms, order),
-        "hit": LogEstimate.build(0.0, hit_terms, order),
-        "num": LogEstimate.build(0.0, _count_terms(p, Xc), order),
+        "miss": LogEstimate.build(0.0, miss_terms, ERROR_ORDER),
+        "hit": LogEstimate.build(0.0, hit_terms, ERROR_ORDER),
+        "num": LogEstimate.build(0.0, _count_terms(p, Xc), ERROR_ORDER),
     }
 
 
-def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
-                          b: float = 0.1) -> dict[str, LogEstimate]:
+def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> dict[str, LogEstimate]:
     """Specialized displays: case "flat" for constant degrees, "reg" for
     constant forbidden degrees x_j."""
     p = compute_parameters(d, X)
     lam = interior_density(p)
     n = d.n
-    A = _f(p.A)
+    A = float(p.A)
     Xc = X.edge_count
     om = 1.0 - lam
-    order = f"O(n^-{b:g})"
 
     if case == "flat":
         if not d.is_regular():
@@ -253,8 +232,8 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
         if len(xs) != 1:
             raise ValueError("reg case requires constant x_j")
         xv = float(xs.pop())
-        R = _f(p.R)
-        K = _f(p.K)
+        R = float(p.R)
+        K = float(p.K)
         terms = {
             "num": (
                 ("quarter", 0.25),
@@ -275,7 +254,7 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str, *,
         }
     else:
         raise ValueError(f"unknown case {case!r}")
-    return {key: LogEstimate.build(0.0, t, order) for key, t in terms.items()}
+    return {key: LogEstimate.build(0.0, t, ERROR_ORDER) for key, t in terms.items()}
 
 
 def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
@@ -287,32 +266,31 @@ def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
     if j == k:
         raise ValueError("need j != k")
     n = p.n
-    lam = _f(p.lam)
-    A = _f(p.A)
-    dj = _f(p.dev[j - 1])
-    dk = _f(p.dev[k - 1])
+    lam = float(p.lam)
+    A = float(p.A)
+    dj = float(p.dev[j - 1])
+    dk = float(p.dev[k - 1])
     # grouped so the value is bit-for-bit symmetric in (j, k)
     return lam + (dj + dk) / n + (1.0 - 2.0 * lam) * (dj * dk) / (2.0 * A * n * n)
 
 
 def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
-                     model: str = "full", *, b: float = 0.1) -> LogEstimate:
+                     model: str = "full") -> LogEstimate:
     """Probability that the restriction to vertices 1..m equals X exactly.
 
     model "full" evaluates the complete omega expansion, "leading" the
-    two-term form, and "lambdaModel" the reduced expansion over the pairwise
+    two-term form, and "lambda-model" the reduced expansion over the pairwise
     edge-weight base product.
     """
     p = compute_parameters(d, X)
-    spec = induced_spec(d, X, m, p)
+    omega = induced_spec(d, X, m, p)
     if m == 0:
         return LogEstimate.build(0.0, (), "exact")
     lam = interior_density(p)
     n = d.n
-    A = _f(p.A)
+    A = float(p.A)
     Xc = X.edge_count
-    w = {key: _f(val) for key, val in spec.omega.items()}
-    order = f"O(n^-{b:g})"
+    w = {key: float(val) for key, val in omega.items()}
 
     if model in ("full", "leading"):
         base = 0.0
@@ -321,7 +299,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
         free_pairs = comb(m, 2) - Xc
         if free_pairs:
             base += free_pairs * log1p(-lam)
-    elif model in ("lambdaModel", "lambda-model"):
+    elif model == "lambda-model":
         base = 0.0
         for j in range(1, m + 1):
             for k in range(j + 1, m + 1):
@@ -357,7 +335,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
             ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] - 3.0 * w[(1, 2)])
                 / (24.0 * A * A * n * n)),
         )
-    return LogEstimate.build(base, terms, order)
+    return LogEstimate.build(base, terms, ERROR_ORDER)
 
 
 def overlap_distribution_estimate(d: DegreeSequence, Y: ForbiddenGraph, k: int) -> float:
@@ -370,7 +348,7 @@ def overlap_distribution_estimate(d: DegreeSequence, Y: ForbiddenGraph, k: int) 
     if not 0 <= k <= Yc:
         raise ValueError(f"k={k} outside 0..{Yc}")
     p = compute_parameters(d, ForbiddenGraph.empty(d.n))
-    lam = _f(p.lam)
+    lam = float(p.lam)
     return comb(Yc, k) * lam ** k * (1.0 - lam) ** (Yc - k)
 
 
@@ -408,32 +386,31 @@ def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEst
 
 
 def regular_graph_expectations(n: int, d_const: int, target: str,
-                               q: int | None = None, *, b: float = 0.1) -> LogEstimate:
+                               q: int | None = None) -> LogEstimate:
     """Expected substructure counts in a random regular graph, in log space.
 
     target "matchings" (n even), "cycles" (length q, 3 <= q <= n) or
-    "spanningTrees".  The base factor is the expectation for an ordinary
+    "sptrees" (spanning trees).  The base factor is the expectation for an ordinary
     random graph at the same density.
     """
     if not 1 <= d_const <= n - 1:
         raise ValueError("need 1 <= d <= n-1")
     lam = Fraction(d_const, n - 1)
     lamf = float(lam)
-    order = f"O(n^-{b:g})"
     if target == "matchings":
         if n % 2:
             raise ValueError("perfect matchings need even n")
         base = (n / 2.0) * log(lamf) + lgamma(n + 1) - (n / 2.0) * log(2.0) - lgamma(n / 2 + 1)
         terms = (("degree_ratio", (1.0 - lamf) / (4.0 * lamf)),)
-        return LogEstimate.build(base, terms, order)
+        return LogEstimate.build(base, terms, ERROR_ORDER)
     if target == "cycles":
         if q is None or not 3 <= q <= n:
             raise ValueError("cycles need 3 <= q <= n")
         base = q * log(lamf) + lgamma(n + 1) - log(2.0 * q) - lgamma(n - q + 1)
         terms = (("length_split", -(1.0 - lamf) * q * (n - q) / (lamf * n * n)),)
-        return LogEstimate.build(base, terms, order)
-    if target in ("spanningTrees", "sptrees"):
+        return LogEstimate.build(base, terms, ERROR_ORDER)
+    if target == "sptrees":
         base = (n - 2) * log(float(n)) + (n - 1) * log(lamf)
         terms = (("degree_ratio", 7.0 * (1.0 - lamf) / (2.0 * lamf)),)
-        return LogEstimate.build(base, terms, order)
+        return LogEstimate.build(base, terms, ERROR_ORDER)
     raise ValueError(f"unknown target {target!r}")

@@ -9,7 +9,7 @@ same report flattened into key,value rows, quoted where needed.  Vertices are
 1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
-and non-integer DEGCOUNT_* variables (with line-numbered diagnostics where
+and a non-integer DEGCOUNT_SEED (with line-numbered diagnostics where
 applicable).  A saddle solve that finds no saddle exits 0 and reports
 "converged": false.
 """
@@ -126,7 +126,7 @@ def _cmd_estimate(args, out) -> int:
             n, dv = args.n, args.d
         else:
             raise InputFormatError("provide --degrees or both --n and --d")
-        est = asymptotics.regular_graph_expectations(n, dv, formula, q=args.q, b=args.b)
+        est = asymptotics.regular_graph_expectations(n, dv, formula, q=args.q)
         payload.update(_estimate_payload(est))
         _emit(out, payload, args.format)
         return 0
@@ -141,22 +141,20 @@ def _cmd_estimate(args, out) -> int:
         est = asymptotics.naive_estimate(p, d, X)
         payload.update(_estimate_payload(est))
     elif formula == "dense":
-        est, report = asymptotics.dense_count_estimate(d, X, a=args.a, b=args.b)
+        est, flags = asymptotics.dense_count_estimate(d, X)
         payload.update(_estimate_payload(est))
         payload["validity"] = [
             {"hypothesis": f.hypothesis, "measured": f.measured, "bound": f.bound}
-            for f in report.flags]
+            for f in flags]
     elif formula in ("miss", "hit", "num"):
-        est = asymptotics.miss_hit_estimate(d, X, b=args.b)[formula]
+        est = asymptotics.miss_hit_estimate(d, X)[formula]
         payload.update(_estimate_payload(est))
     elif formula in ("flat", "reg"):
-        triple = asymptotics.specialized_estimates(d, X, formula, b=args.b)
+        triple = asymptotics.specialized_estimates(d, X, formula)
         payload.update({key: _estimate_payload(val) for key, val in triple.items()})
-    elif formula == "induced":
-        est = asymptotics.induced_estimate(d, X, args.m, model=args.model, b=args.b)
-        payload.update(_estimate_payload(est))
-    elif formula == "lambda-model":
-        est = asymptotics.induced_estimate(d, X, args.m, model="lambdaModel", b=args.b)
+    elif formula in ("induced", "lambda-model"):
+        model = args.model if formula == "induced" else formula
+        est = asymptotics.induced_estimate(d, X, args.m, model=model)
         payload.update(_estimate_payload(est))
     elif formula == "overlap":
         if args.k is None:
@@ -194,15 +192,9 @@ def _cmd_saddle(args, out) -> int:
 
 def _cmd_verify_start(args, out) -> int:
     if args.degrees:
-        d, X = _load_instance(args)
-        sp = saddle.contour_point(d, X)
-        I = saddle.integral_quadrature(sp, d, X)
-        P = math.exp(saddle.log_prefactor(sp, d, X))
-        G = exactcount.exact_count(d, X)
-        err = abs(P * I.real - G) / G if G else abs(P * I.real)
-        ok = err < 1e-6
+        G, product, I, err, ok = validation.contour_factorization(*_load_instance(args))
         _emit(out, {"schema": SCHEMA, "subcommand": "verify-start",
-                    "count": G, "product": P * I.real, "imag": I.imag,
+                    "count": G, "product": product, "imag": I.imag,
                     "relError": err, "passed": ok, "scale": "linear"}, args.format)
         return 0 if ok else 1
     result = validation.check_contour_factorization(ns=tuple(range(3, args.n_max + 1)))
@@ -269,7 +261,7 @@ def _emit_results(out, fmt: str, subcommand: str, results, **fields) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    results = validation.run_suite(args.suite, threads=args.threads)
+    results = validation.run_suite(args.suite)
     return _emit_results(out, args.format, "validate", results, suite=args.suite)
 
 
@@ -302,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="cycle length")
     p.add_argument("--n", type=int, help="vertex count for regular-graph formulas")
     p.add_argument("--d", type=int, help="degree for regular-graph formulas")
-    p.add_argument("--a", type=float, default=0.3, help="advisory validity constant a")
-    p.add_argument("--b", type=float, default=0.1, help="advisory error exponent b")
 
     p = sub.add_parser("saddle", help="solve the radius equations")
     add_instance(p)
@@ -334,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the validation suite")
     p.add_argument("--suite", choices=("small", "full"), default="small")
-    p.add_argument("--threads", type=int, default=_env_int("DEGCOUNT_THREADS", 1))
 
     return parser
 

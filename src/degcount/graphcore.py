@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class InputFormatError(ValueError):
@@ -218,21 +218,11 @@ def check_support(X: ForbiddenGraph, m: int) -> None:
             raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
 
 
-@dataclass(frozen=True)
-class InducedSpec:
-    """Mixed moments over the support vertices 1..m of the forbidden graph.
-
+def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
+                 p: Parameters | None = None) -> dict[tuple[int, int], Fraction]:
+    """Mixed moments over the support vertices 1..m of the forbidden graph:
     omega[(k, l)] = sum_{j<=m} (d_j - d_avg)^k (x_j - lambda*(m-1))^l,
     tabulated for all 0 <= k + l <= 3.
-    """
-
-    m: int
-    omega: Mapping[tuple[int, int], Fraction]
-
-
-def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
-                 p: Parameters | None = None) -> InducedSpec:
-    """Build the omega-moment table for a forbidden graph supported on 1..m.
 
     Raises if some x_j != 0 for j > m (the support condition).  Pass p to
     reuse an already computed Parameters record for (d, X).
@@ -251,7 +241,7 @@ def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
                 ((d.degrees[j] - p.d_avg) ** k * (x[j] - shift) ** l for j in range(m)),
                 start=Fraction(0),
             )
-    return InducedSpec(m=m, omega=omega)
+    return omega
 
 
 def relabel(d: DegreeSequence, X: ForbiddenGraph, perm: Sequence[int]) -> tuple[DegreeSequence, ForbiddenGraph]:
@@ -284,7 +274,8 @@ def parse_degrees(text: str, path: str | None = None) -> DegreeSequence:
             values = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"invalid JSON degree array: {exc}", path) from exc
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        if not isinstance(values, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in values):
             raise InputFormatError("JSON degree input must be an array of integers", path)
         degrees = values
     else:

@@ -83,6 +83,8 @@ class CoefficientSet:
             raise ValueError("N must be positive")
         if not self.A > 0:
             raise ValueError("A must be positive")
+        if not math.isfinite(self.eps_hat):
+            raise ValueError(f"eps_hat must be finite, got {self.eps_hat}")
         for name in MONOMIALS:
             setattr(self, name, _table(getattr(self, name), self.N, name))
 
@@ -93,7 +95,9 @@ class CoefficientSet:
     @classmethod
     def from_dict(cls, doc: dict) -> "CoefficientSet":
         """A table is all numbers, or all [re, im] pairs (a last axis of length 2)."""
-        N = int(doc["N"])
+        N = doc["N"]
+        if not isinstance(N, int) or isinstance(N, bool):
+            raise ValueError(f"N must be an integer, got {N!r}")
         tables = {}
         for name in MONOMIALS:
             if doc.get(name) is None:
@@ -212,15 +216,19 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         raise ValueError("need samples >= 1")
     A, N = c.A, c.N
     sigma = 1.0 / math.sqrt(2.0 * A * N)
-    bound = c.box_halfwidth
-    # per-axis retained mass: erf(sqrt(A) * N^eps_hat)
-    axis_mass = math.erf(math.sqrt(A) * c.N ** c.eps_hat)
-    box_mass = axis_mass ** N
-    if box_mass < MASS_FLOOR:
-        raise DegenerateProposalError(
-            f"box retains only {box_mass:.3g} of the Gaussian mass "
-            f"(A*N^(2 eps_hat) too small); increase eps_hat or A")
-    prefactor = (math.pi / (A * N)) ** (N / 2.0) * box_mass
+    try:
+        bound = c.box_halfwidth
+        # per-axis retained mass: erf(sqrt(A) * N^eps_hat)
+        axis_mass = math.erf(math.sqrt(A) * c.N ** c.eps_hat)
+        box_mass = axis_mass ** N
+        if box_mass < MASS_FLOOR:
+            raise DegenerateProposalError(
+                f"box retains only {box_mass:.3g} of the Gaussian mass "
+                f"(A*N^(2 eps_hat) too small); increase eps_hat or A")
+        prefactor = (math.pi / (A * N)) ** (N / 2.0) * box_mass
+    except OverflowError:
+        raise ValueError(f"box-integral scale overflows a double at N={N}, A={A:g}, "
+                         f"eps_hat={c.eps_hat:g}") from None
 
     master = np.random.SeedSequence(seed)
     collected = proposed = accepted = 0

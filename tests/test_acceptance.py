@@ -18,19 +18,12 @@ from degcount import validation
                               for fn in validation.FULL_SUITE])
 def test_acceptance_criterion(check):
     result = check()
-    print(result.line())
-    assert result.passed, result.line()
+    print(f"{result.name}: {result.detail}")
+    assert result.passed, result.detail
 
 
 def test_suite_runner_small():
     results = validation.run_suite("small")
     for r in results:
-        print(r.line())
+        print(f"{r.name}: {r.detail}")
     assert all(r.passed for r in results)
-
-
-def test_suite_runner_parallel_matches_serial():
-    serial = validation.run_suite("small", threads=1)
-    parallel = validation.run_suite("small", threads=4)
-    assert [(r.name, r.passed) for r in serial] == \
-        [(r.name, r.passed) for r in parallel]

@@ -71,9 +71,8 @@ def test_estimate_regular_formula_flags():
     code, out = run(["estimate", "--formula", "matchings", "--n", "6", "--d", "3"])
     assert code == 0
     assert json.loads(out)["logValue"] > 0
-    code, out = run(["estimate", "--formula", "sptrees", "--n", "6", "--d", "3",
-                     "--b", "0.3"])
-    assert code == 0 and json.loads(out)["errorOrder"] == "O(n^-0.3)"
+    code, out = run(["estimate", "--formula", "sptrees", "--n", "6", "--d", "3"])
+    assert code == 0 and json.loads(out)["errorOrder"] == "O(n^-0.1)"
     code, _ = run(["estimate", "--formula", "cycles", "--n", "10", "--d", "5",
                    "--q", "3"])
     assert code == 0
@@ -167,7 +166,7 @@ def test_input_errors_exit_two(files, tmp_path):
         assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("name", ["DEGCOUNT_SEED", "DEGCOUNT_THREADS"])
+@pytest.mark.parametrize("name", ["DEGCOUNT_SEED"])
 def test_bad_environment_variable_exits_two(files, monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")
     code, out = run(["count", "--degrees", files["d4"]])
@@ -189,6 +188,29 @@ def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     doc = strict_json(out)
     assert code == 0 and doc["zero"] is True
     assert doc["logValue"] is None and doc["baseLog"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--a", "0.3"],
+    ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--b", "0.1"],
+    ["validate", "--threads", "2"],
+])
+def test_removed_options_exit_two(argv):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    '{"N": 4, "A": 1.0, "epsHat": NaN}',   # box mass NaN passed the floor: no sample landed
+    '{"N": 4, "A": 1.0, "epsHat": 1e308}',  # N^eps_hat overflowed
+    '{"N": 1e400, "A": 1.0}',               # int(inf) overflowed
+    '{"N": 4.7, "A": 1.0}',                 # was truncated to N = 4
+])
+def test_mw3_rejects_bad_scalars(tmp_path, doc):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    code, out = run(["mw3", "--coefficients", str(path), "--samples", "100"])
+    assert code == 2 and out == ""
 
 
 def test_saddle_without_solution_reports_nonconvergence(tmp_path):

@@ -182,35 +182,35 @@ def test_integer_parameters_match_fraction_reference(seed, forbidden):
 
 def test_induced_spec_trivial():
     d = DegreeSequence((3,) * 6)
-    spec = induced_spec(d, ForbiddenGraph.empty(6), 1)
-    assert spec.omega[(0, 0)] == 1
+    omega = induced_spec(d, ForbiddenGraph.empty(6), 1)
+    assert omega[(0, 0)] == 1
     for l in range(1, 3):
-        assert spec.omega[(1, l)] == 0
+        assert omega[(1, l)] == 0
 
 
 def test_induced_spec_values():
     d = DegreeSequence((3, 2, 2, 2, 1))
-    spec = induced_spec(d, fg(5, [(1, 2)]), 2)
+    omega = induced_spec(d, fg(5, [(1, 2)]), 2)
     # lam = 1/2: omega_{1,1} = (3-2)(1 - 1/2) + (2-2)(1 - 1/2)
-    assert spec.omega[(1, 1)] == Fraction(1, 2)
-    assert spec.omega[(0, 0)] == 2
+    assert omega[(1, 1)] == Fraction(1, 2)
+    assert omega[(0, 0)] == 2
 
 
 def test_induced_spec_regular_pair():
     # regular d with one edge on {1,2}: omega_{0,1} = 2(1-lam), omega_{0,2} = 2(1-lam)^2
     d = DegreeSequence((2, 2, 2, 2))
-    spec = induced_spec(d, fg(4, [(1, 2)]), 2)
+    omega = induced_spec(d, fg(4, [(1, 2)]), 2)
     lam = Fraction(2, 3)
-    assert spec.omega[(0, 1)] == 2 * (1 - lam)
-    assert spec.omega[(0, 2)] == 2 * (1 - lam) ** 2
+    assert omega[(0, 1)] == 2 * (1 - lam)
+    assert omega[(0, 2)] == 2 * (1 - lam) ** 2
 
 
 def test_induced_spec_half_density_pair():
     # at lam = 1/2 exactly: omega_{0,1} = 1 and omega_{0,2} = 1/2
     d = DegreeSequence((2, 2, 2, 2, 2))
-    spec = induced_spec(d, fg(5, [(1, 2)]), 2)
-    assert spec.omega[(0, 1)] == 1
-    assert spec.omega[(0, 2)] == Fraction(1, 2)
+    omega = induced_spec(d, fg(5, [(1, 2)]), 2)
+    assert omega[(0, 1)] == 1
+    assert omega[(0, 2)] == Fraction(1, 2)
 
 
 def test_induced_spec_support_violation():
@@ -232,6 +232,13 @@ def test_degree_json_array():
     assert parse_degrees("[2, 2, 2, 2]") == DegreeSequence((2, 2, 2, 2))
     with pytest.raises(InputFormatError):
         parse_degrees('["a", 2]')
+
+
+def test_degree_json_array_rejects_booleans():
+    # isinstance(True, int) holds, so [true, true] once read as degrees (1, 1)
+    for text in ("[true, true]", "[1, false, 1]"):
+        with pytest.raises(InputFormatError, match="array of integers"):
+            parse_degrees(text)
 
 
 def test_degree_parse_error_carries_line():
