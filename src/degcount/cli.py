@@ -172,7 +172,7 @@ def _cmd_estimate(args, out) -> int:
 
 def _cmd_saddle(args, out) -> int:
     d, X = _load_instance(args)
-    sp = saddle.solve_saddle(d, X, mode=args.mode, tol=args.tol, max_iter=args.max_iter)
+    sp = saddle.solve_saddle(d, X, mode=args.mode)
     ln_p = saddle.log_prefactor(sp, d, X)
     payload = {
         "schema": SCHEMA, "subcommand": "saddle", "mode": sp.mode,
@@ -206,14 +206,14 @@ def _cmd_mw3(args, out) -> int:
         doc = json.load(fh)
     try:
         coeffs = mvintegral.CoefficientSet.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(str(exc), args.coefficients) from exc
     t1 = mvintegral.theta1(coeffs)
     zf = mvintegral.z_factor(coeffs)
     res = mvintegral.mc_box_integral(coeffs, samples=args.samples, seed=args.seed)
     payload = {
         "schema": SCHEMA, "subcommand": "mw3",
-        "theta1": [t1.real, t1.imag], "zFactor": zf,
+        "theta1": [t1.real, t1.imag], "zFactor": _finite(zf),
         "mc": {"mean": [res.mean.real, res.mean.imag], "stderr": res.stderr,
                "samples": res.samples, "seed": res.seed,
                "acceptanceRate": res.acceptance_rate, "boxMass": res.box_mass},
@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saddle", help="solve the radius equations")
     add_instance(p)
     p.add_argument("--mode", choices=("converge", "fixed"), default="converge")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100)
 
     p = sub.add_parser("verify-start", help="check count = P * I at tiny n")
     p.add_argument("--degrees", help="single instance degree file")
@@ -346,9 +344,9 @@ def main(argv=None, stdout=None) -> int:
         return _HANDLERS[args.subcommand](args, out)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # InputFormatError and every exactcount, mcsampler and mvintegral error
-    # subclass ValueError
-    except (OSError, ValueError, saddle.SaddlePoleError, saddle.QuadratureError) as exc:
+    # InputFormatError, QuadratureError and every exactcount, mcsampler and
+    # mvintegral error subclass ValueError
+    except (OSError, ValueError, saddle.SaddlePoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,11 +197,17 @@ def complement_degrees(d: DegreeSequence, X: ForbiddenGraph) -> tuple[int, ...]:
     return tuple(d.n - 1 - dj - xj for dj, xj in zip(d.degrees, x))
 
 
-def _shifted(d: DegreeSequence, x: tuple[int, ...]) -> DegreeSequence | None:
-    shifted = tuple(dj - xj for dj, xj in zip(d.degrees, x))
-    if any(v < 0 for v in shifted):
-        return None
-    return DegreeSequence(shifted)
+def _exactly(d: DegreeSequence, S, Y: ForbiddenGraph, gd: int,
+             limit: int | None) -> Fraction:
+    """Share of the gd graphs with degrees d whose edges inside Y are exactly S:
+    exact_count(d - x(S), Y) / gd, or 0 where d - x(S) goes negative."""
+    shifted = list(d.degrees)
+    for j, k in S:
+        shifted[j - 1] -= 1
+        shifted[k - 1] -= 1
+    if min(shifted) < 0:
+        return Fraction(0)
+    return Fraction(exact_count(DegreeSequence(tuple(shifted)), Y, limit=limit), gd)
 
 
 def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
@@ -218,21 +224,14 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
     if mode == "miss":
-        return Fraction(exact_count(d, X, limit=limit), gd)
+        return _exactly(d, (), X, gd, limit)
     if mode == "hit":
-        dm = _shifted(d, X.row_sums)
-        if dm is None:
-            return Fraction(0)
-        return Fraction(exact_count(dm, X, limit=limit), gd)
+        return _exactly(d, X.edges, X, gd, limit)
     if mode == "induced":
         if m is None:
             raise ValueError("induced mode requires m")
         check_support(X, m)
-        dm = _shifted(d, X.row_sums)
-        if dm is None:
-            return Fraction(0)
-        Y = ForbiddenGraph.clique(d.n, m)
-        return Fraction(exact_count(dm, Y, limit=limit), gd)
+        return _exactly(d, X.edges, ForbiddenGraph.clique(d.n, m), gd, limit)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -240,8 +239,8 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
                                limit: int | None = None) -> tuple[Fraction, ...]:
     """Exact distribution of the number of edges shared with Y, indexed 0..|Y|.
 
-    Sums the exact containment-style counts over all edge subsets of Y;
-    the probabilities add to 1 exactly.
+    Sums the exact shares of every edge subset of Y; the probabilities add to
+    1 exactly.
     """
     if d.n != Y.n:
         raise ValueError("dimension mismatch")
@@ -254,13 +253,6 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     edges = Y.sorted_edges()
     probs = [Fraction(0) for _ in range(Yc + 1)]
     for r in range(Yc + 1):
-        for subset in combinations(edges, r):
-            xvec = [0] * d.n
-            for j, k in subset:
-                xvec[j - 1] += 1
-                xvec[k - 1] += 1
-            dm = _shifted(d, tuple(xvec))
-            if dm is None:
-                continue
-            probs[r] += Fraction(exact_count(dm, Y, limit=limit), gd)
+        for S in combinations(edges, r):
+            probs[r] += _exactly(d, S, Y, gd, limit)
     return tuple(probs)

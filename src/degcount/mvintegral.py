@@ -34,6 +34,8 @@ class DegenerateProposalError(ValueError):
 MONOMIALS = {"J": (0.0, (1,)), "a": (0.5, (2,)), "B": (1.0, (3,)), "E": (1.0, (4,)),
              "C": (0.0, (1, 2)), "F": (0.0, (2, 2)), "G": (0.5, (1, 3)), "D": (-1.0, (1, 1, 1)),
              "H": (-0.5, (1, 1, 2)), "I": (-1.5, (1, 1, 1, 1))}
+# (k, l) of every scale A^k N^l the correction exponent divides by
+SCALES = ((1, 0.5), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
 BATCH_SIZE = 1 << 16   # Monte-Carlo proposals per batch
 MASS_FLOOR = 0.99      # least Gaussian mass the box must keep for the proposal
 
@@ -51,6 +53,14 @@ def _table(value, N: int, name: str) -> np.ndarray | None:
     for i, j in combinations(range(rank), 2):
         arr[idx[i] == idx[j]] = 0.0
     return arr
+
+
+def _number(doc: dict, key: str, default: float | None = None) -> float:
+    """doc[key] (or the default when absent) as a float; a JSON number only."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -81,8 +91,13 @@ class CoefficientSet:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be positive")
-        if not self.A > 0:
-            raise ValueError("A must be positive")
+        try:
+            in_range = all(0.0 < self.A ** k * self.N ** l < math.inf for k, l in SCALES)
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"A={self.A!r} must be positive, with every scale A^k N^l "
+                             f"of the correction exponent a finite double at N={self.N}")
         if not math.isfinite(self.eps_hat):
             raise ValueError(f"eps_hat must be finite, got {self.eps_hat}")
         for name in MONOMIALS:
@@ -108,7 +123,7 @@ class CoefficientSet:
             if arr.shape == (N,) * len(MONOMIALS[name][1]) + (2,):
                 arr = arr.astype(float).view(complex)[..., 0]
             tables[name] = arr
-        return cls(N=N, A=float(doc["A"]), eps_hat=float(doc.get("epsHat", 0.9)), **tables)
+        return cls(N=N, A=_number(doc, "A"), eps_hat=_number(doc, "epsHat", 0.9), **tables)
 
     def to_dict(self) -> dict:
         doc = {"N": self.N, "A": self.A, "epsHat": self.eps_hat}
@@ -168,8 +183,12 @@ def z_factor_terms(c: CoefficientSet) -> dict[str, float]:
 
 
 def z_factor(c: CoefficientSet) -> float:
-    """Imaginary-part control factor exp(sum of Im-part quadratics)."""
-    return math.exp(math.fsum(z_factor_terms(c).values()))
+    """Imaginary-part control factor exp(sum of Im-part quadratics); inf where
+    it overflows a double."""
+    try:
+        return math.exp(math.fsum(z_factor_terms(c).values()))
+    except OverflowError:
+        return math.inf
 
 
 def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:

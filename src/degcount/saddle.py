@@ -29,8 +29,8 @@ class SaddlePoleError(RuntimeError):
     """An iterate crossed a pole of the radius change of variables."""
 
 
-class QuadratureError(RuntimeError):
-    """Grid refinement failed to stabilize the integral."""
+class QuadratureError(ValueError):
+    """Instance exceeds the tensor-quadrature size limit."""
 
 
 @dataclass(frozen=True)
@@ -96,21 +96,22 @@ def _state_valid(a: np.ndarray, r2: float) -> bool:
 
 FIXED_SWEEPS = 4
 MIN_DECREASE = 0.01   # fraction of the max-residual a Newton step must remove
+RESIDUAL_TOL = 1e-12  # converge mode stops once the max-residual is below this
+MAX_STEPS = 100       # Newton step budget of converge mode
 
 
 def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
-                 mode: str = "converge", tol: float = 1e-12,
-                 max_iter: int = 100) -> SaddlePoint:
+                 mode: str = "converge") -> SaddlePoint:
     """Locate the saddle point of the contour factorization.
 
     mode "converge" (default) takes damped Newton steps from a = 0 until the
-    residual max |lambda-row-sum - d_j| drops below tol or max_iter steps are
-    taken.  A step is taken only if it cuts that residual by at least the
-    fraction MIN_DECREASE; when none does, or the Jacobian is singular, the
-    current iterate is returned with converged=False.  mode "fixed" runs
-    exactly FIXED_SWEEPS contraction sweeps from a = 0 with no convergence
-    requirement, and raises SaddlePoleError if an iterate crosses a pole of
-    the radius map.
+    residual max |lambda-row-sum - d_j| drops below RESIDUAL_TOL or MAX_STEPS
+    steps are taken.  A step is taken only if it cuts that residual by at
+    least the fraction MIN_DECREASE; when none does, or the Jacobian is
+    singular, the current iterate is returned with converged=False.  mode
+    "fixed" runs exactly FIXED_SWEEPS contraction sweeps from a = 0 with no
+    convergence requirement, and raises SaddlePoleError if an iterate crosses
+    a pole of the radius map.
 
     Both modes solve for one a per vertex class (see _classes), so a Newton
     step or sweep costs O(k^2) for k classes: the distinct degrees outside
@@ -180,7 +181,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
         raise ValueError(f"unknown mode {mode!r}")
     res = residual_of(a)
     m = float(np.abs(res).max())
-    while mode == "converge" and iters < max_iter and m >= tol:
+    while mode == "converge" and iters < MAX_STEPS and m >= RESIDUAL_TOL:
         try:
             step = np.linalg.solve(jacobian(a), -res)
         except np.linalg.LinAlgError:
@@ -201,7 +202,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
 
     radii = r * (1.0 + a) / (1.0 - r2 * a)
     return SaddlePoint(lam=lam, a=a[cls], radii=radii[cls], residual=res[cls],
-                       iterations=iters, mode=mode, converged=bool(m < tol))
+                       iterations=iters, mode=mode, converged=bool(m < RESIDUAL_TOL))
 
 
 def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
@@ -258,19 +259,18 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
 
 
 QUADRATURE_LIMIT = 5
-QUADRATURE_REL_TOL = 1e-8
-QUADRATURE_MAX_GRID = 512
 
 
 def integral_quadrature(sp: SaddlePoint, d: DegreeSequence,
                         X: ForbiddenGraph | None = None) -> complex:
     """Tensor-product trapezoidal quadrature of the full angular integral, n <= 5.
 
-    The integrand is a trigonometric polynomial, so the periodic trapezoid rule
-    is exact once the per-axis grid exceeds the polynomial degree; the grid
-    starts at n points per axis and is doubled until the value stabilizes to
-    QUADRATURE_REL_TOL.  The imaginary part of the returned value must vanish
-    up to quadrature tolerance.
+    The integrand prod_j z_j^(-d_j) prod_{non-forbidden jk} (1 - lambda_jk +
+    lambda_jk z_j z_k) is a trigonometric polynomial whose theta_j-frequencies
+    lie in [-d_j, n-1-x_j-d_j], strictly inside (-n, n).  The n-point periodic
+    trapezoid rule on each axis integrates every such frequency but 0 to zero,
+    so one pass over the n^n-point grid is exact up to rounding.  The imaginary
+    part of the returned value vanishes up to that rounding.
     """
     n = d.n
     if n > QUADRATURE_LIMIT:
@@ -279,32 +279,17 @@ def integral_quadrature(sp: SaddlePoint, d: DegreeSequence,
         X = ForbiddenGraph.empty(n)
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)
              if not X.has_edge(j + 1, k + 1)]
-    m = max(n, 2)
-    scale = (2.0 * math.pi) ** n
-    prev = None
-    while m <= QUADRATURE_MAX_GRID:
-        val = _tensor_value(sp.lambda_jk, d.degrees, pairs, m)
-        if prev is not None and abs(val - prev) <= max(QUADRATURE_REL_TOL * abs(val),
-                                                       1e-12 * scale):
-            return val
-        prev = val
-        m *= 2
-    raise QuadratureError(f"no convergence up to grid {QUADRATURE_MAX_GRID}")
-
-
-def _tensor_value(lam_jk: np.ndarray, degrees, pairs, m: int) -> complex:
-    n = len(degrees)
-    theta = -math.pi + 2.0 * math.pi * np.arange(m) / m
+    lam_jk = sp.lambda_jk
+    theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
     z = np.exp(1j * theta)
-    F = np.ones((m,) * n, dtype=complex)
-    for j, dj in enumerate(degrees):
-        shape = [1] * n
-        shape[j] = m
-        F = F * (z ** (-dj)).reshape(shape)
+
+    def axis(values: np.ndarray, j: int) -> np.ndarray:
+        """values laid along axis j of the n-dimensional grid."""
+        return values.reshape([n if i == j else 1 for i in range(n)])
+
+    F = np.ones((n,) * n, dtype=complex)
+    for j, dj in enumerate(d.degrees):
+        F = F * axis(z ** (-dj), j)
     for j, k in pairs:
-        sj = [1] * n
-        sj[j] = m
-        sk = [1] * n
-        sk[k] = m
-        F = F * ((1.0 - lam_jk[j, k]) + lam_jk[j, k] * z.reshape(sj) * z.reshape(sk))
+        F = F * ((1.0 - lam_jk[j, k]) + lam_jk[j, k] * axis(z, j) * axis(z, k))
     return complex(F.mean() * (2.0 * math.pi) ** n)

@@ -225,7 +225,7 @@ def check_saddle_residual() -> CheckResult:
     for _ in range(SADDLE_INSTANCES):
         n = rng.randint(20, SADDLE_N_MAX)
         d, X = _near_regular_instance(rng, n)
-        sp = solve_saddle(d, X, tol=1e-12)
+        sp = solve_saddle(d, X)
         worst_conv = max(worst_conv, sp.max_residual)
         if sp.max_residual >= 1e-10:
             failures += 1

@@ -194,9 +194,11 @@ def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--a", "0.3"],
     ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--b", "0.1"],
     ["validate", "--threads", "2"],
+    ["saddle", "--degrees", "{d8}", "--tol", "1e-12"],
+    ["saddle", "--degrees", "{d8}", "--max-iter", "100"],
 ])
-def test_removed_options_exit_two(argv):
-    code, out = run(argv)
+def test_removed_options_exit_two(files, argv):
+    code, out = run([arg.format(**files) for arg in argv])
     assert code == 2 and out == ""
 
 
@@ -205,12 +207,26 @@ def test_removed_options_exit_two(argv):
     '{"N": 4, "A": 1.0, "epsHat": 1e308}',  # N^eps_hat overflowed
     '{"N": 1e400, "A": 1.0}',               # int(inf) overflowed
     '{"N": 4.7, "A": 1.0}',                 # was truncated to N = 4
+    '{"N": 4, "A": true, "epsHat": true}',  # was read as 1.0
+    '{"N": 4, "A": "2.5"}',                 # was read as 2.5
+    '{"N": 2, "A": 1e200}',                 # A ** 3 overflowed
+    '{"N": 2, "A": 1e120, "a": [0.1, 0.2]}',
+    '{"N": 2, "A": 1e-170, "epsHat": 290}',  # A * A underflowed: theta1 was NaN
 ])
 def test_mw3_rejects_bad_scalars(tmp_path, doc):
     path = tmp_path / "c.json"
     path.write_text(doc)
     code, out = run(["mw3", "--coefficients", str(path), "--samples", "100"])
     assert code == 2 and out == ""
+
+
+def test_mw3_overflowing_z_factor_is_null(tmp_path):
+    # the Im-part quadratics sum to 2.5e5, past the exp range of a double
+    path = tmp_path / "c.json"
+    path.write_text('{"N": 2, "A": 1.0, "epsHat": 1.0, "J": [[0, 1000], [0, 1000]]}')
+    code, out = run(["mw3", "--coefficients", str(path), "--samples", "100"])
+    doc = strict_json(out)
+    assert code == 0 and doc["zFactor"] is None and doc["mc"]["samples"] == 100
 
 
 def test_saddle_without_solution_reports_nonconvergence(tmp_path):
@@ -278,6 +294,13 @@ def test_verify_start_sweep():
     assert [r["name"] for r in doc["results"]] == ["contour-factorization"]
     code, out = run(["--format", "text", "verify-start", "--n-max", "3"])
     assert code == 0 and out.endswith("suite result: PASS\n")
+
+
+def test_verify_start_beyond_quadrature_limit_exits_two(tmp_path):
+    d = tmp_path / "d.txt"
+    d.write_text("[1, 1, 1, 1, 1, 1]")
+    code, out = run(["verify-start", "--degrees", str(d)])
+    assert code == 2 and out == ""
 
 
 def test_csv_format(files):

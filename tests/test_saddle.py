@@ -82,7 +82,7 @@ def test_convergence_mode_reaches_tol_like_newton_oracle():
     # drive the row-sum residual below tolerance, which is what is asserted.
     d = DegreeSequence((2, 2, 1, 1))
     X = ForbiddenGraph.empty(4)
-    sp = solve_saddle(d, X, tol=1e-12)
+    sp = solve_saddle(d, X)
     assert sp.converged and sp.max_residual < 1e-12
     r_oracle = newton_radii_oracle(d, X)
     adj = np.zeros((4, 4))
@@ -101,7 +101,7 @@ def test_convergence_mode_reaches_tol_like_newton_oracle():
 def test_well_posed_instance_matches_newton_oracle(degrees, pairs):
     d = DegreeSequence(degrees)
     X = fg(d.n, pairs)
-    sp = solve_saddle(d, X, tol=1e-12)
+    sp = solve_saddle(d, X)
     assert sp.converged
     r_oracle = newton_radii_oracle(d, X)
     assert np.abs(sp.radii - r_oracle).max() < 1e-8
@@ -110,7 +110,7 @@ def test_well_posed_instance_matches_newton_oracle(degrees, pairs):
 def test_one_edge_symmetry_pattern():
     d = DegreeSequence((3,) * 6)
     X = fg(6, [(1, 2)])
-    sp = solve_saddle(d, X, tol=1e-12)
+    sp = solve_saddle(d, X)
     assert sp.max_residual < 1e-10
     assert sp.a[0] == pytest.approx(sp.a[1], abs=1e-13)
     assert sp.a[0] > 0
@@ -142,7 +142,7 @@ def test_infeasible_system_reports_nonconvergence_and_zero_count(degrees):
     # no saddle exists when the row-sum system is infeasible; the solver
     # returns its last iterate unconverged, and the factorization still gives G = 0
     d = DegreeSequence(degrees)
-    sp = solve_saddle(d, max_iter=150)
+    sp = solve_saddle(d)
     assert not sp.converged and sp.max_residual > 0.1
     I = integral_quadrature(sp, d)
     P = math.exp(log_prefactor(sp, d))
@@ -174,7 +174,7 @@ def test_no_finite_saddle_instance_is_solved_alike_in_every_labelling():
 ], ids=["44400", "forbidden-triangle"])
 def test_stalled_solve_ends_early(degrees, pairs):
     # no saddle: full Newton steps remove under 1% of the residual from the
-    # third (fifth) step on, so the solve stops instead of using max_iter
+    # third (fifth) step on, so the solve stops instead of using MAX_STEPS
     sp = solve_saddle(DegreeSequence(degrees), fg(len(degrees), pairs))
     assert not sp.converged and sp.iterations < 10
 
@@ -273,7 +273,7 @@ def test_lambda_reconstruction_from_a_and_z():
     # weight matrix from (a_j, a_k, Z_jk) agrees with r_j r_k/(1+r_j r_k)
     d = DegreeSequence((3, 3, 2, 2, 2, 2))
     X = fg(6, [(1, 4)])
-    sp = solve_saddle(d, X, tol=1e-12)
+    sp = solve_saddle(d, X)
     a, lam = sp.a, sp.lam
     r2 = lam / (1 - lam)
     outer = np.outer(a, a)
@@ -356,7 +356,7 @@ def test_abg_zero_for_regular_empty():
 
 
 def test_abg_defining_identity():
-    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)), tol=1e-12)
+    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)))
     ab = abg_coefficients(sp)
     L = sp.lambda_jk
     A = sp.lam * (1 - sp.lam) / 2
@@ -366,7 +366,7 @@ def test_abg_defining_identity():
 
 def test_abg_extended_precision_recompute():
     mpmath = pytest.importorskip("mpmath")
-    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)), tol=1e-12)
+    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)))
     mpmath.mp.dps = 40
     lam = mpmath.mpf(sp.lam)
     A = lam * (1 - lam) / 2
@@ -421,7 +421,7 @@ def integrand_modulus(sp, theta, X=None) -> tuple[float, float]:
 
 
 def test_modulus_at_origin_and_pi_shift():
-    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)), tol=1e-12)
+    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)))
     v0, _ = integrand_modulus(sp, np.zeros(4))
     vpi, _ = integrand_modulus(sp, np.full(4, math.pi))
     assert v0 == pytest.approx(1.0, abs=1e-14)
@@ -429,7 +429,7 @@ def test_modulus_at_origin_and_pi_shift():
 
 
 def test_modulus_bounded_by_exponential_bound():
-    sp = solve_saddle(DegreeSequence((3, 3, 2, 2, 2, 2)), tol=1e-12)
+    sp = solve_saddle(DegreeSequence((3, 3, 2, 2, 2, 2)))
     rng = np.random.default_rng(5)
     strict = 0
     for _ in range(50):
