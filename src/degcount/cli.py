@@ -17,11 +17,14 @@ applicable).  A saddle solve that finds no saddle exits 0 and reports
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .graphcore import (
     DegreeSequence,
@@ -208,13 +211,22 @@ def _cmd_mw3(args, out) -> int:
         coeffs = mvintegral.CoefficientSet.from_dict(doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(str(exc), args.coefficients) from exc
-    t1 = mvintegral.theta1(coeffs)
-    zf = mvintegral.z_factor(coeffs)
-    res = mvintegral.mc_box_integral(coeffs, samples=args.samples, seed=args.seed)
+
+    def require_finite(name: str, value: complex) -> complex:
+        if not cmath.isfinite(value):
+            raise InputFormatError(f"{name} is not finite: {value}", args.coefficients)
+        return value
+
+    # a table past the double range shows as a non-finite value, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = require_finite("theta1", mvintegral.theta1(coeffs))
+        zf = mvintegral.z_factor(coeffs)
+        res = mvintegral.mc_box_integral(coeffs, samples=args.samples, seed=args.seed)
+        require_finite("mc.mean", res.mean)
     payload = {
         "schema": SCHEMA, "subcommand": "mw3",
         "theta1": [t1.real, t1.imag], "zFactor": _finite(zf),
-        "mc": {"mean": [res.mean.real, res.mean.imag], "stderr": res.stderr,
+        "mc": {"mean": [res.mean.real, res.mean.imag], "stderr": _finite(res.stderr),
                "samples": res.samples, "seed": res.seed,
                "acceptanceRate": res.acceptance_rate, "boxMass": res.box_mass},
         "scale": {"theta1": "log-correction", "zFactor": "linear", "mc.mean": "linear"},

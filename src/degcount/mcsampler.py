@@ -210,7 +210,8 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     """Empirical frequency of the miss/hit/induced event over the switch chain.
 
     Deterministic for a fixed config (including seed).  The standard error
-    comes from batch means over the thinned sample stream.
+    comes from batch means over the thinned sample stream; it is NaN when the
+    event indicator never changed, since such a chain shows no spread at all.
     """
     if d.n != X.n:
         raise ValueError("dimension mismatch")
@@ -236,9 +237,10 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     mean = float(values.mean())
     nb = max(1, min(BATCHES, cfg.samples))
     batch_means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
-    if nb > 1:
+    if nb > 1 and values.min() < values.max():
         stderr = float(batch_means.std(ddof=1) / math.sqrt(nb))
     else:
+        # one batch, or an event indicator that never changed: no error bar
         stderr = float("nan")
     return MCEstimate(mean=mean, stderr=stderr, samples=cfg.samples,
                       burn_in=burn_in, thinning=thinning, seed=cfg.seed)

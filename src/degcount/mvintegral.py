@@ -37,6 +37,7 @@ MONOMIALS = {"J": (0.0, (1,)), "a": (0.5, (2,)), "B": (1.0, (3,)), "E": (1.0, (4
 # (k, l) of every scale A^k N^l the correction exponent divides by
 SCALES = ((1, 0.5), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
 BATCH_SIZE = 1 << 16   # Monte-Carlo proposals per batch
+CHUNK_CELLS = 1 << 16  # most doubles one intermediate of perturbation_exponent holds
 MASS_FLOOR = 0.99      # least Gaussian mass the box must keep for the proposal
 
 
@@ -191,24 +192,46 @@ def z_factor(c: CoefficientSet) -> float:
         return math.inf
 
 
+def _row_kron(powers: list, exponents: tuple) -> np.ndarray:
+    """Row-wise Kronecker product of the z powers, shape (rows, N^len(exponents))."""
+    out = powers[exponents[0]]
+    for p in exponents[1:]:
+        out = np.einsum("ij,ik->ijk", out, powers[p]).reshape(len(out), -1)
+    return out
+
+
 def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
-    """Non-Gaussian part of the log integrand, vectorized over sample rows z (S, N):
-    N^scale times one product of z powers per non-zero entry of each present table."""
-    zt = np.ascontiguousarray(z.T)
-    z2 = zt * zt
-    powers = (None, zt, z2, z2 * zt, z2 * z2)
-    w = np.zeros(z.shape[0], dtype=complex)
+    """Non-Gaussian part of the log integrand, vectorized over sample rows z (S, N).
+
+    A table of rank r is a matrix (N^h, N^(r-h)) with h = r // 2.  The z powers
+    of its last r - h axes meet the real and imaginary parts of that matrix in
+    one real matmul, and the z powers of its first h axes in a row-wise dot.
+    Rows go in chunks, so no intermediate holds more than CHUNK_CELLS doubles."""
+    tables = []
     for name, (scale, exponents) in MONOMIALS.items():
         T = getattr(c, name)
-        if T is None:
-            continue
-        out = np.zeros(z.shape[0], dtype=complex)
-        for index in np.argwhere(T):
-            term = T[tuple(index)]
-            for p, j in zip(exponents, index):
-                term = term * powers[p][j]
-            out += term
-        w += out / c.N ** -scale   # divide, not multiply: seeded mw3 reports pin this rounding
+        if T is not None:
+            h = len(exponents) // 2
+            T = T.reshape(c.N ** h, -1).T
+            tables.append((exponents[:h], exponents[h:], np.hstack([T.real, T.imag]),
+                           c.N ** -scale))
+    w = np.zeros(z.shape[0], dtype=complex)
+    if not tables:
+        return w
+    top = max(max(left + right) for left, right, _, _ in tables)
+    step = max(1, CHUNK_CELLS // max(max(T.shape) for _, _, T, _ in tables))
+    for lo in range(0, z.shape[0], step):
+        powers = [None, z[lo:lo + step]]
+        for p in range(2, top + 1):
+            powers.append(powers[p // 2] * powers[p - p // 2])
+        rows = len(powers[1])
+        for left, right, T, divisor in tables:
+            M = (_row_kron(powers, right) @ T).reshape(rows, 2, -1)
+            if left:
+                M = np.einsum("ikj,ij->ik", M, _row_kron(powers, left))
+            out = M.reshape(rows, 2).view(complex)[:, 0]
+            out /= divisor   # divide, not multiply: as the per-entry loop did
+            w[lo:lo + step] += out
     return w
 
 
@@ -266,7 +289,10 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         s2 += float((w.real * w.real + w.imag * w.imag).sum())
         collected += take
     mean_w = s1 / samples
-    var_w = max(0.0, (s2 - samples * abs(mean_w) ** 2) / max(samples - 1, 1))
+    var_w = (s2 - samples * abs(mean_w) ** 2) / max(samples - 1, 1)
+    # clip the rounding of the one-pass variance at 0, but keep a NaN (squared
+    # weights past the double range): no error bar is not a zero error bar
+    var_w = var_w if math.isnan(var_w) else max(0.0, var_w)
     return MCBoxResult(
         mean=complex(prefactor * mean_w),
         stderr=float(prefactor * math.sqrt(var_w / samples)),

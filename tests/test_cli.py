@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -227,6 +228,33 @@ def test_mw3_overflowing_z_factor_is_null(tmp_path):
     code, out = run(["mw3", "--coefficients", str(path), "--samples", "100"])
     doc = strict_json(out)
     assert code == 0 and doc["zFactor"] is None and doc["mc"]["samples"] == 100
+
+
+@pytest.mark.parametrize("doc, quantity", [
+    ('{"N": 2, "A": 1.0, "epsHat": 1.0, "a": [1e200, 1e200]}', "theta1"),   # a * a overflows
+    ('{"N": 2, "A": 1.0, "epsHat": 1.0, "E": [1e200, 1e200]}', "mc.mean"),  # exp overflows
+])
+def test_mw3_non_finite_result_is_an_input_error(tmp_path, capsys, doc, quantity):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy RuntimeWarning fails the test
+        code, out = run(["mw3", "--coefficients", str(path), "--samples", "100"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {quantity} is not finite") and err.count("\n") == 1
+
+
+def test_mw3_overflowing_stderr_is_null(tmp_path):
+    # the mean weight is finite (about 1e205) but its square is not; the
+    # one-pass variance inf - inf used to be clipped to a stderr of 0.0
+    path = tmp_path / "c.json"
+    path.write_text('{"N": 1, "A": 5.0, "a": [500.0]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(["mw3", "--coefficients", str(path), "--samples", "2000"])
+    doc = strict_json(out)
+    assert code == 0 and doc["mc"]["mean"][0] > 1e200 and doc["mc"]["stderr"] is None
 
 
 def test_saddle_without_solution_reports_nonconvergence(tmp_path):

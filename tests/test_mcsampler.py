@@ -247,6 +247,16 @@ def test_pinned_seeded_estimate_dense_triangle():
         burn_in=6000, thinning=60, seed=6)
 
 
+def test_constant_indicator_has_no_error_bar():
+    # every thinned sample of this chain misses the triangle; 0 +- 0 would
+    # claim a certainty the chain never showed
+    d = DegreeSequence((30,) * 60)
+    X = fg(60, [(1, 2), (2, 3), (1, 3)])
+    cfg = SampleConfig(samples=300, burn_in=6000, thinning=60, seed=5)
+    est = estimate_probability(d, X, "hit", cfg)
+    assert est.mean == 0.0 and math.isnan(est.stderr)
+
+
 def test_estimate_errors():
     with pytest.raises(NonGraphicalError):
         estimate_probability(DegreeSequence((3, 3, 0, 0)),
