@@ -63,7 +63,6 @@ from .mcsampler import (
     LabeledGraph,
     MCEstimate,
     NonGraphicalError,
-    SampleConfig,
     estimate_probability,
     is_graphical,
     realize,

@@ -30,6 +30,7 @@ from .graphcore import (
     DegreeSequence,
     ForbiddenGraph,
     InputFormatError,
+    MODES,
     compute_parameters,
     read_degrees,
     read_edges,
@@ -237,9 +238,9 @@ def _cmd_mw3(args, out) -> int:
 
 def _cmd_sample(args, out) -> int:
     d, X = _load_instance(args)
-    cfg = mcsampler.SampleConfig(samples=args.samples, burn_in=args.burn_in,
-                                 thinning=args.thinning, seed=args.seed)
-    est = mcsampler.estimate_probability(d, X, args.mode, cfg, m=args.m)
+    est = mcsampler.estimate_probability(d, X, args.mode, args.m, samples=args.samples,
+                                         burn_in=args.burn_in, thinning=args.thinning,
+                                         seed=args.seed)
     if args.dump_graph:
         g = mcsampler.realize(d)
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="switch-chain probability estimate")
     add_instance(p)
-    p.add_argument("--mode", choices=("miss", "hit", "induced"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--m", type=int, help="induced support order")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--burn-in", type=int)

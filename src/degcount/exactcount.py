@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, check_support
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges
 
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
@@ -212,27 +212,15 @@ def _exactly(d: DegreeSequence, S, Y: ForbiddenGraph, gd: int,
 
 def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
                       m: int | None = None, limit: int | None = None) -> Fraction:
-    """Exact probability, as a Fraction, for a uniform graph with degrees d.
-
-    mode "miss": no edge in common with X; "hit": X appears as a subgraph;
-    "induced": the restriction to vertices 1..m equals X exactly (requires
-    x_j = 0 for j > m).
-    """
+    """Exact probability, as a Fraction, that a uniform graph with degrees d
+    has the event graphcore.event_edges(X, mode, m) names."""
     if d.n != X.n:
         raise ValueError("dimension mismatch")
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
-    if mode == "miss":
-        return _exactly(d, (), X, gd, limit)
-    if mode == "hit":
-        return _exactly(d, X.edges, X, gd, limit)
-    if mode == "induced":
-        if m is None:
-            raise ValueError("induced mode requires m")
-        check_support(X, m)
-        return _exactly(d, X.edges, ForbiddenGraph.clique(d.n, m), gd, limit)
-    raise ValueError(f"unknown mode {mode!r}")
+    Y, S = event_edges(X, mode, m)
+    return _exactly(d, S, Y, gd, limit)
 
 
 def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,

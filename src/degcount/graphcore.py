@@ -218,6 +218,29 @@ def check_support(X: ForbiddenGraph, m: int) -> None:
             raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
 
 
+MODES = ("miss", "hit", "induced")
+
+
+def event_edges(X: ForbiddenGraph, mode: str,
+                m: int | None = None) -> tuple[ForbiddenGraph, frozenset[tuple[int, int]]]:
+    """(Y, S) of a probability event: the graph's edges inside Y are exactly S.
+
+    mode "miss": no edge in common with X, (X, {}); "hit": X appears as a
+    subgraph, (X, X); "induced": the restriction to vertices 1..m equals X
+    exactly, (K_m, X), which requires x_j = 0 for j > m.
+    """
+    if mode == "miss":
+        return X, frozenset()
+    if mode == "hit":
+        return X, X.edges
+    if mode == "induced":
+        if m is None:
+            raise ValueError("induced mode requires m")
+        check_support(X, m)
+        return ForbiddenGraph.clique(X.n, m), X.edges
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
                  p: Parameters | None = None) -> dict[tuple[int, int], Fraction]:
     """Mixed moments over the support vertices 1..m of the forbidden graph:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, check_support
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
@@ -163,14 +163,6 @@ def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]
 
 
 @dataclass(frozen=True)
-class SampleConfig:
-    samples: int = 10_000
-    burn_in: int | None = None     # default 10 * E * ln(E) switch steps
-    thinning: int | None = None    # default E steps between samples
-    seed: int = DEFAULT_SEED
-
-
-@dataclass(frozen=True)
 class MCEstimate:
     mean: float
     stderr: float
@@ -181,66 +173,57 @@ class MCEstimate:
 
 
 def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
+    """Test of a LabeledGraph for the event graphcore.event_edges(X, mode, m)."""
+    Y, S = event_edges(X, mode, m)
     row = X.n + 1
-    cells = [j * row + k for j, k in X.sorted_edges()]
-    if mode == "miss":
-        def check(g: LabeledGraph) -> bool:
-            return not any(g.adj[c] for c in cells)
-    elif mode == "hit":
-        def check(g: LabeledGraph) -> bool:
-            return all(g.adj[c] for c in cells)
-    elif mode == "induced":
-        if m is None:
-            raise ValueError("induced mode requires m")
-        check_support(X, m)
-        wanted = set(cells)
-        pattern = [(c, int(c in wanted)) for j in range(1, m + 1)
-                   for c in range(j * row + j + 1, j * row + m + 1)]
+    pattern = [(j * row + k, int((j, k) in S)) for j, k in Y.sorted_edges()]
 
-        def check(g: LabeledGraph) -> bool:
-            return all(g.adj[c] == w for c, w in pattern)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    def check(g: LabeledGraph) -> bool:
+        return all(g.adj[c] == w for c, w in pattern)
     return check
 
 
 def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
-                         cfg: SampleConfig = SampleConfig(),
-                         m: int | None = None) -> MCEstimate:
+                         m: int | None = None, *, samples: int = 10_000,
+                         burn_in: int | None = None, thinning: int | None = None,
+                         seed: int = DEFAULT_SEED) -> MCEstimate:
     """Empirical frequency of the miss/hit/induced event over the switch chain.
 
-    Deterministic for a fixed config (including seed).  The standard error
-    comes from batch means over the thinned sample stream; it is NaN when the
-    event indicator never changed, since such a chain shows no spread at all.
+    burn_in defaults to 10 E ln(E) switch steps and thinning to E steps
+    between samples.  Deterministic for fixed arguments (including seed).
+    The standard error comes from batch means over the thinned sample stream;
+    it is NaN when the event indicator never changed, since such a chain
+    shows no spread at all.
     """
     if d.n != X.n:
         raise ValueError("dimension mismatch")
-    if cfg.samples < 1:
+    if samples < 1:
         raise ValueError("need samples >= 1")
     check = _event_checker(X, mode, m)
     g = realize(d)
     edges = g.edge_list()
     E = len(edges)
-    burn_in = cfg.burn_in if cfg.burn_in is not None else (
-        int(10 * E * math.log(E)) if E > 1 else 0)
-    thinning = cfg.thinning if cfg.thinning is not None else max(E, 1)
+    if burn_in is None:
+        burn_in = int(10 * E * math.log(E)) if E > 1 else 0
+    if thinning is None:
+        thinning = max(E, 1)
     if burn_in < 0 or thinning < 1:
         raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
-    rng = random.Random(cfg.seed)
-    mixed = [0.0] * cfg.samples
+    rng = random.Random(seed)
+    mixed = [0.0] * samples
     switch_step(g, rng, edges, burn_in)
-    for s in range(cfg.samples):
+    for s in range(samples):
         switch_step(g, rng, edges, thinning)
         mixed[s] = 1.0 if check(g) else 0.0
 
     values = np.asarray(mixed)
     mean = float(values.mean())
-    nb = max(1, min(BATCHES, cfg.samples))
+    nb = max(1, min(BATCHES, samples))
     batch_means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
     if nb > 1 and values.min() < values.max():
         stderr = float(batch_means.std(ddof=1) / math.sqrt(nb))
     else:
         # one batch, or an event indicator that never changed: no error bar
         stderr = float("nan")
-    return MCEstimate(mean=mean, stderr=stderr, samples=cfg.samples,
-                      burn_in=burn_in, thinning=thinning, seed=cfg.seed)
+    return MCEstimate(mean=mean, stderr=stderr, samples=samples,
+                      burn_in=burn_in, thinning=thinning, seed=seed)

@@ -275,7 +275,9 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     master = np.random.SeedSequence(seed)
     collected = proposed = accepted = 0
     s1 = 0.0 + 0.0j
-    s2 = 0.0
+    # sum of |w - mean|^2, merged over batches (Chan et al.); box_mass >=
+    # MASS_FLOOR, so every batch accepts points and take > 0
+    m2 = 0.0
     while collected < samples:
         child = master.spawn(1)[0]
         rng = np.random.default_rng(child)
@@ -285,14 +287,17 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         accepted += zin.shape[0]
         take = min(zin.shape[0], samples - collected)
         w = np.exp(perturbation_exponent(c, zin[:take]))
-        s1 += w.sum()
-        s2 += float((w.real * w.real + w.imag * w.imag).sum())
+        sb = w.sum()
+        dev = w - sb / take
+        m2 += float(np.vdot(dev, dev).real)
+        if collected:
+            shift = abs(sb / take - s1 / collected)
+            m2 += shift * shift * collected * take / (collected + take)
+        s1 += sb
         collected += take
     mean_w = s1 / samples
-    var_w = (s2 - samples * abs(mean_w) ** 2) / max(samples - 1, 1)
-    # clip the rounding of the one-pass variance at 0, but keep a NaN (squared
-    # weights past the double range): no error bar is not a zero error bar
-    var_w = var_w if math.isnan(var_w) else max(0.0, var_w)
+    # a spread past the double range stays inf or NaN: no error bar is not a zero one
+    var_w = m2 / max(samples - 1, 1)
     return MCBoxResult(
         mean=complex(prefactor * mean_w),
         stderr=float(prefactor * math.sqrt(var_w / samples)),

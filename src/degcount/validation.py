@@ -36,7 +36,7 @@ from .asymptotics import (
     specialized_estimates,
 )
 from .mvintegral import CoefficientSet, gaussian_reference, mc_box_integral, theta1
-from .mcsampler import SampleConfig, estimate_probability, is_graphical
+from .mcsampler import estimate_probability, is_graphical
 
 ORACLE_SEED = 101
 COMPLEMENT_SEED = 202
@@ -356,8 +356,7 @@ def check_sampler() -> CheckResult:
     """Switch-chain estimates vs exact (n=8) and the flat containment value (n=60)."""
     d8 = DegreeSequence((3,) * 8)
     X8 = ForbiddenGraph.from_pairs(8, [(1, 2)])
-    est8 = estimate_probability(d8, X8, "miss",
-                                SampleConfig(samples=20_000, thinning=12, seed=SAMPLER_SEED))
+    est8 = estimate_probability(d8, X8, "miss", samples=20_000, thinning=12, seed=SAMPLER_SEED)
     exact8 = float(exact_probability(d8, X8, "miss"))
     err8 = abs(est8.mean - exact8)
     ok8 = err8 <= 3 * est8.stderr
@@ -365,8 +364,8 @@ def check_sampler() -> CheckResult:
     n = 60
     d60 = DegreeSequence((30,) * n)
     X60 = ForbiddenGraph.from_pairs(n, [(1, 2), (2, 3), (1, 3)])
-    est60 = estimate_probability(d60, X60, "hit",
-                                 SampleConfig(samples=100_000, thinning=60, seed=SAMPLER_SEED + 1))
+    est60 = estimate_probability(d60, X60, "hit", samples=100_000, thinning=60,
+                                 seed=SAMPLER_SEED + 1)
     lam = 30 / 59
     flat = specialized_estimates(d60, X60, "flat")
     target = math.exp(3 * math.log(lam) + flat["hit"].log_value)

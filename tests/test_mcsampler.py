@@ -1,17 +1,19 @@
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from degcount.graphcore import DegreeSequence, ForbiddenGraph
+from degcount.graphcore import MODES, DegreeSequence, ForbiddenGraph
 from degcount.asymptotics import induced_estimate
 from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
     LabeledGraph,
     MCEstimate,
     NonGraphicalError,
-    SampleConfig,
+    _event_checker,
     estimate_probability,
     is_graphical,
     realize,
@@ -180,7 +182,7 @@ def test_kernel_draws_the_set_kernel_stream(degrees, seed):
 def test_empty_forbidden_miss_is_exactly_one():
     d = DegreeSequence((3,) * 8)
     est = estimate_probability(d, ForbiddenGraph.empty(8), "miss",
-                               SampleConfig(samples=200, thinning=2, seed=1))
+                               samples=200, thinning=2, seed=1)
     assert est.mean == 1.0
 
 
@@ -189,19 +191,19 @@ def test_uniformity_over_the_three_realizations():
     # identified by the induced pattern on {1, 2}
     d = DegreeSequence((2, 2, 2, 2))
     X12 = fg(4, [(1, 2)])
-    cfg = SampleConfig(samples=10_000, burn_in=1000, thinning=5, seed=3)
-    est = estimate_probability(d, X12, "hit", cfg)
+    cfg = dict(samples=10_000, burn_in=1000, thinning=5, seed=3)
+    est = estimate_probability(d, X12, "hit", **cfg)
     # vertex 1 is adjacent to 2 in exactly 2 of the 3 cycles
-    sigma = math.sqrt((2 / 3) * (1 / 3) / cfg.samples)
+    sigma = math.sqrt((2 / 3) * (1 / 3) / cfg["samples"])
     assert abs(est.mean - 2 / 3) < 3 * sigma + 0.02
 
 
 def test_estimate_matches_exact_small_instance():
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
-    cfg = SampleConfig(samples=20_000, thinning=12, seed=5)
+    cfg = dict(samples=20_000, thinning=12, seed=5)
     for mode in ("miss", "hit"):
-        est = estimate_probability(d, X, mode, cfg)
+        est = estimate_probability(d, X, mode, **cfg)
         exact = float(exact_probability(d, X, mode))
         assert abs(est.mean - exact) <= 3 * est.stderr, (mode, est, exact)
 
@@ -209,8 +211,8 @@ def test_estimate_matches_exact_small_instance():
 def test_induced_estimate_matches_exact():
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
-    cfg = SampleConfig(samples=20_000, thinning=12, seed=6)
-    est = estimate_probability(d, X, "induced", cfg, m=2)
+    cfg = dict(samples=20_000, thinning=12, seed=6)
+    est = estimate_probability(d, X, "induced", m=2, **cfg)
     exact = float(exact_probability(d, X, "induced", m=2))
     assert abs(est.mean - exact) <= 3 * est.stderr + 0.01
 
@@ -218,20 +220,20 @@ def test_induced_estimate_matches_exact():
 def test_same_seed_same_path():
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
-    cfg = SampleConfig(samples=5000, thinning=6, seed=7)
-    assert estimate_probability(d, X, "miss", cfg) == \
-        estimate_probability(d, X, "miss", cfg)
-    other = SampleConfig(samples=5000, thinning=6, seed=8)
-    assert estimate_probability(d, X, "miss", other).mean != \
-        estimate_probability(d, X, "miss", cfg).mean
+    cfg = dict(samples=5000, thinning=6, seed=7)
+    assert estimate_probability(d, X, "miss", **cfg) == \
+        estimate_probability(d, X, "miss", **cfg)
+    other = dict(samples=5000, thinning=6, seed=8)
+    assert estimate_probability(d, X, "miss", **other).mean != \
+        estimate_probability(d, X, "miss", **cfg).mean
 
 
 def test_pinned_seeded_estimate():
     # the pinned values fix the RNG draw order of the switch kernel
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
-    cfg = SampleConfig(samples=500, thinning=3, seed=99)
-    est = estimate_probability(d, X, "miss", cfg)
+    cfg = dict(samples=500, thinning=3, seed=99)
+    est = estimate_probability(d, X, "miss", **cfg)
     assert est == MCEstimate(mean=0.64, stderr=0.05708719093125053, samples=500,
                              burn_in=298, thinning=3, seed=99)
 
@@ -241,8 +243,8 @@ def test_pinned_seeded_estimate_dense_triangle():
     # recorded with the set-adjacency kernel and must not move
     d = DegreeSequence((30,) * 60)
     X = fg(60, [(1, 2), (2, 3), (1, 3)])
-    cfg = SampleConfig(samples=300, burn_in=6000, thinning=60, seed=6)
-    assert estimate_probability(d, X, "hit", cfg) == MCEstimate(
+    cfg = dict(samples=300, burn_in=6000, thinning=60, seed=6)
+    assert estimate_probability(d, X, "hit", **cfg) == MCEstimate(
         mean=0.25666666666666665, stderr=0.08380916780512221, samples=300,
         burn_in=6000, thinning=60, seed=6)
 
@@ -252,8 +254,8 @@ def test_constant_indicator_has_no_error_bar():
     # claim a certainty the chain never showed
     d = DegreeSequence((30,) * 60)
     X = fg(60, [(1, 2), (2, 3), (1, 3)])
-    cfg = SampleConfig(samples=300, burn_in=6000, thinning=60, seed=5)
-    est = estimate_probability(d, X, "hit", cfg)
+    cfg = dict(samples=300, burn_in=6000, thinning=60, seed=5)
+    est = estimate_probability(d, X, "hit", **cfg)
     assert est.mean == 0.0 and math.isnan(est.stderr)
 
 
@@ -267,19 +269,73 @@ def test_estimate_errors():
     with pytest.raises(ValueError):
         estimate_probability(d, fg(4, [(3, 4)]), "induced", m=2)  # support
     with pytest.raises(ValueError, match="burn_in >= 0"):
-        estimate_probability(d, fg(4, [(1, 2)]), "miss", SampleConfig(burn_in=-5))
+        estimate_probability(d, fg(4, [(1, 2)]), "miss", burn_in=-5)
     with pytest.raises(ValueError, match="thinning >= 1"):
-        estimate_probability(d, fg(4, [(1, 2)]), "miss", SampleConfig(thinning=0))
+        estimate_probability(d, fg(4, [(1, 2)]), "miss", thinning=0)
 
 
-@pytest.mark.parametrize("m", [-1, 9, 100])
-def test_induced_order_out_of_range_same_message_on_every_route(m):
+@functools.cache
+def all_graphs(n):
+    """(edge set, LabeledGraph, degrees) of every labelled simple graph on 1..n."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(e for b, e in enumerate(pairs) if mask >> b & 1)
+        g = LabeledGraph(n)
+        for j, k in edges:
+            g.add_edge(j, k)
+        out.append((edges, g, g.degrees()))
+    return out
+
+
+def test_event_matches_enumeration_property():
+    # every graph on n <= 5 vertices: the sampler's event test and the exact
+    # probability against the events read straight off the edge set
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        mode = data.draw(st.sampled_from(MODES))
+        m = data.draw(st.integers(0, n)) if mode == "induced" else None
+        pairs = list(itertools.combinations(range(1, (n if m is None else m) + 1), 2))
+        mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        X = fg(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
+        graphs = all_graphs(n)
+
+        def happens(edges):
+            if mode == "miss":
+                return not edges & X.edges
+            if mode == "hit":
+                return X.edges <= edges
+            return {(j, k) for j, k in edges if k <= m} == X.edges
+
+        test = _event_checker(X, mode, m)
+        assert all(test(g) == happens(edges) for edges, g, _ in graphs)
+        d = graphs[data.draw(st.integers(0, len(graphs) - 1))][2]
+        same_d = [edges for edges, _, degrees in graphs if degrees == d]
+        share = Fraction(sum(map(happens, same_d)), len(same_d))
+        assert exact_probability(DegreeSequence(d), X, mode, m) == share
+
+    check()
+
+
+@pytest.mark.parametrize("mode, m, message", [
+    ("induced", -1, "m=-1 outside 0..8"),
+    ("induced", 9, "m=9 outside 0..8"),
+    ("induced", 100, "m=100 outside 0..8"),
+    ("induced", None, "induced mode requires m"),
+    ("inside", 2, "unknown mode 'inside'"),
+], ids=["-1", "9", "100", "missing-m", "unknown-mode"])
+def test_induced_order_out_of_range_same_message_on_every_route(mode, m, message):
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
-    message = f"m={m} outside 0..8"
     with pytest.raises(ValueError, match=message):
-        exact_probability(d, X, "induced", m=m)
+        exact_probability(d, X, mode, m=m)
+    if mode == "induced" and m is not None:
+        with pytest.raises(ValueError, match=message):
+            induced_estimate(d, X, m)
     with pytest.raises(ValueError, match=message):
-        induced_estimate(d, X, m)
-    with pytest.raises(ValueError, match=message):
-        estimate_probability(d, X, "induced", SampleConfig(samples=10), m=m)
+        estimate_probability(d, X, mode, m, samples=10)

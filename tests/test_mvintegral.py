@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from degcount.mvintegral import (
+    BATCH_SIZE,
     CHUNK_CELLS,
     MONOMIALS,
     CoefficientSet,
@@ -147,6 +148,29 @@ def test_mc_reproducible_for_fixed_seed():
     assert r1 == r2
     r3 = mc_box_integral(c, samples=30_000, seed=43)
     assert r3.mean != r1.mean
+
+
+def box_weights(c, samples, seed):
+    """The importance weights mc_box_integral averages, drawn batch by batch as it does."""
+    sigma = 1.0 / math.sqrt(2.0 * c.A * c.N)
+    master = np.random.SeedSequence(seed)
+    parts, have = [], 0
+    while have < samples:
+        zb = np.random.default_rng(master.spawn(1)[0]).normal(0.0, sigma, size=(BATCH_SIZE, c.N))
+        zin = zb[(np.abs(zb) <= c.box_halfwidth).all(axis=1)][:samples - have]
+        parts.append(np.exp(perturbation_exponent(c, zin)))
+        have += zin.shape[0]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("amplitude", [1e-8, 1e-10])
+def test_mc_stderr_matches_two_pass_variance(amplitude):
+    # nearly equal weights, where a one-pass variance cancels to 0 or to noise
+    c = CoefficientSet(N=8, A=1.0, a=np.full(8, amplitude))
+    res = mc_box_integral(c, samples=100_000, seed=3)
+    w = box_weights(c, 100_000, 3)
+    want = gaussian_reference(c) * res.box_mass * math.sqrt(np.var(w, ddof=1) / w.size)
+    assert abs(res.stderr - want) < 1e-6 * want
 
 
 def test_mc_a_only_matches_theta1():
