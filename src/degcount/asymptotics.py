@@ -22,8 +22,10 @@ from .graphcore import (
     ForbiddenGraph,
     Parameters,
     compute_parameters,
+    forbidden_for,
     induced_spec,
     interior_density,
+    over_capacity,
 )
 
 NEG_INF = float("-inf")
@@ -76,6 +78,7 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph,
     deviations and forbidden-degree budgets are measured against n^(1/2)
     and the forbidden edge total against n (the epsilon -> 0 reading).
     """
+    X = forbidden_for(d, X)
     if p is None:
         p = compute_parameters(d, X)
     n = d.n
@@ -102,15 +105,15 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     prod_j C(n-1-x_j, d_j).  Infeasible degrees signal a zero count with a
     log value of -inf.
     """
-    n = d.n
-    x = X.row_sums
-    if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, x)):
+    X = forbidden_for(d, X)
+    if over_capacity(d, X):
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
+    n = d.n
     lam = float(p.lam)
     Xc = X.edge_count
     t_forbidden = 0.0 if Xc == 0 else -Xc * log1p(-lam)
     t_entropy = comb(n, 2) * (_xlogx(lam) + _xlogx(1.0 - lam))
-    t_binom = math.fsum(_log_binom(n - 1 - xj, dj) for dj, xj in zip(d.degrees, x))
+    t_binom = math.fsum(_log_binom(n - 1 - xj, dj) for dj, xj in zip(d.degrees, X.row_sums))
     total = t_forbidden + t_entropy + t_binom
     return LogEstimate(log_value=total, base_log=total, correction=0.0,
                        error_order="heuristic (independent-degree guess)",
@@ -126,14 +129,13 @@ def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None
     - D/(2 A n^2).  The violated hypotheses (check_hypotheses) come second;
     they never stop the evaluation.
     """
-    if X is None:
-        X = ForbiddenGraph.empty(d.n)
+    X = forbidden_for(d, X)
     p = compute_parameters(d, X)
     flags = check_hypotheses(d, X, p)
     interior_density(p)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:
-        return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ()), flags
+        return ghat, flags
     base = 0.5 * log(2.0) + ghat.log_value
     return LogEstimate.build(base, _count_terms(p, X.edge_count), ERROR_ORDER), flags
 
@@ -344,18 +346,17 @@ def overlap_distribution_estimate(d: DegreeSequence, Y: ForbiddenGraph, k: int) 
     Normalization over k = 0..Y forces the exponent Y-k; no other exponent
     sums to one.
     """
-    Yc = Y.edge_count
+    Yc = forbidden_for(d, Y).edge_count
     if not 0 <= k <= Yc:
         raise ValueError(f"k={k} outside 0..{Yc}")
-    p = compute_parameters(d, ForbiddenGraph.empty(d.n))
-    lam = float(p.lam)
+    lam = float(compute_parameters(d, Y).lam)
     return comb(Yc, k) * lam ** k * (1.0 - lam) ** (Yc - k)
 
 
 def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEstimate:
     """Sparse-regime formulas: which = "perth" for the count of graphs with
     degrees d avoiding X, "mckay81" for the containment probability ratio."""
-    n = d.n
+    X = forbidden_for(d, X)
     E = d.edge_count
     x = X.row_sums
     if which == "perth":

@@ -357,9 +357,9 @@ def main(argv=None, stdout=None) -> int:
         return _HANDLERS[args.subcommand](args, out)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # InputFormatError, QuadratureError and every exactcount, mcsampler and
-    # mvintegral error subclass ValueError
-    except (OSError, ValueError, saddle.SaddlePoleError) as exc:
+    # InputFormatError and every library error an input causes (CountLimitError,
+    # QuadratureError, SaddlePoleError, ...) subclass ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

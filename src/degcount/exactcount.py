@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, over_capacity
 
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
@@ -116,17 +116,13 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
     Infeasible instances return 0; exceeding the size limit raises
     CountLimitError (default limit 12 for empty X, 10 otherwise).
     """
+    X = forbidden_for(d, X)
     n = d.n
-    if X is None:
-        X = ForbiddenGraph.empty(n)
-    if X.n != n:
-        raise ValueError("dimension mismatch")
     if limit is None:
         limit = DEFAULT_LIMIT_EMPTY if X.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
     if n > limit:
         raise CountLimitError(f"n={n} exceeds exact-count limit {limit}")
-    x = X.row_sums
-    if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, x)):
+    if over_capacity(d, X):
         return 0
 
     xadj = [frozenset(v - 1 for v in X.neighbors(j)) for j in range(1, n + 1)]
@@ -168,11 +164,10 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
 
 def enumerate_count(d: DegreeSequence, X: ForbiddenGraph | None = None) -> int:
     """Brute-force count over all 2^C(n,2) graphs; independent checker, n <= 6."""
+    X = forbidden_for(d, X)
     n = d.n
     if n > ENUMERATION_LIMIT:
         raise CountLimitError(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    if X is None:
-        X = ForbiddenGraph.empty(n)
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
     masks = np.arange(1 << m, dtype=np.int64)
@@ -193,8 +188,8 @@ def enumerate_count(d: DegreeSequence, X: ForbiddenGraph | None = None) -> int:
 
 def complement_degrees(d: DegreeSequence, X: ForbiddenGraph) -> tuple[int, ...]:
     """Degrees d' with d'_j = n-1-d_j-x_j; exact_count(d', X) = exact_count(d, X)."""
-    x = X.row_sums
-    return tuple(d.n - 1 - dj - xj for dj, xj in zip(d.degrees, x))
+    X = forbidden_for(d, X)
+    return tuple(d.n - 1 - dj - xj for dj, xj in zip(d.degrees, X.row_sums))
 
 
 def _exactly(d: DegreeSequence, S, Y: ForbiddenGraph, gd: int,
@@ -213,13 +208,12 @@ def _exactly(d: DegreeSequence, S, Y: ForbiddenGraph, gd: int,
 def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
                       m: int | None = None, limit: int | None = None) -> Fraction:
     """Exact probability, as a Fraction, that a uniform graph with degrees d
-    has the event graphcore.event_edges(X, mode, m) names."""
-    if d.n != X.n:
-        raise ValueError("dimension mismatch")
+    has the event graphcore.event_edges(X, mode, m) names.  The event is
+    decoded before G(d) is counted, so a bad mode or m fails fast."""
+    Y, S = event_edges(forbidden_for(d, X), mode, m)
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
-    Y, S = event_edges(X, mode, m)
     return _exactly(d, S, Y, gd, limit)
 
 
@@ -230,8 +224,7 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     Sums the exact shares of every edge subset of Y; the probabilities add to
     1 exactly.
     """
-    if d.n != Y.n:
-        raise ValueError("dimension mismatch")
+    Y = forbidden_for(d, Y)
     Yc = Y.edge_count
     if Yc > OVERLAP_LIMIT_EDGES:
         raise CountLimitError(f"|Y|={Yc} exceeds overlap limit {OVERLAP_LIMIT_EDGES}")

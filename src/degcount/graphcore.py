@@ -154,6 +154,20 @@ class Parameters:
     x_max: int
 
 
+def forbidden_for(d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph:
+    """X, or the empty graph on d's n vertices if X is None; raises unless X.n == d.n."""
+    if X is None:
+        return ForbiddenGraph.empty(d.n)
+    if X.n != d.n:
+        raise ValueError(f"dimension mismatch: degrees n={d.n}, forbidden n={X.n}")
+    return X
+
+
+def over_capacity(d: DegreeSequence, X: ForbiddenGraph) -> bool:
+    """Whether some d_j > n-1-x_j, so that no graph with degrees d avoids X."""
+    return any(dj > d.n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums))
+
+
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     """Populate a Parameters record from a degree sequence and forbidden graph.
 
@@ -162,8 +176,7 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     becomes one exact Fraction (the per-vertex fields one per distinct value).
     Pure and deterministic; raises on dimension mismatch or n < 2.
     """
-    if d.n != X.n:
-        raise ValueError(f"dimension mismatch: degrees n={d.n}, forbidden n={X.n}")
+    X = forbidden_for(d, X)
     n = d.n
     if n < 2:
         raise ValueError("need n >= 2")
@@ -250,8 +263,7 @@ def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
     Raises if some x_j != 0 for j > m (the support condition).  Pass p to
     reuse an already computed Parameters record for (d, X).
     """
-    if d.n != X.n:
-        raise ValueError("dimension mismatch")
+    X = forbidden_for(d, X)
     check_support(X, m)
     if p is None:
         p = compute_parameters(d, X)
@@ -272,6 +284,7 @@ def relabel(d: DegreeSequence, X: ForbiddenGraph, perm: Sequence[int]) -> tuple[
 
     perm[j-1] is the new label of vertex j (1-indexed bijection).
     """
+    X = forbidden_for(d, X)
     n = d.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("perm must be a bijection of 1..n")

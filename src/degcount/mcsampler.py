@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
@@ -195,8 +195,7 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     it is NaN when the event indicator never changed, since such a chain
     shows no spread at all.
     """
-    if d.n != X.n:
-        raise ValueError("dimension mismatch")
+    X = forbidden_for(d, X)
     if samples < 1:
         raise ValueError("need samples >= 1")
     check = _event_checker(X, mode, m)

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, interior_density
+from .graphcore import (DegreeSequence, ForbiddenGraph, compute_parameters, forbidden_for,
+                        interior_density, over_capacity)
 
 
-class SaddlePoleError(RuntimeError):
+class SaddlePoleError(ValueError):
     """An iterate crossed a pole of the radius change of variables."""
 
 
@@ -122,17 +123,13 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     are accepted (the factorization holds for any positive radii) but cannot
     converge; degenerate densities lambda in {0, 1} are rejected.
     """
+    X = forbidden_for(d, X)
     n = d.n
-    if X is None:
-        X = ForbiddenGraph.empty(n)
-    if X.n != n:
-        raise ValueError("dimension mismatch")
     if n < 3:
         raise ValueError("need n >= 3")
     p = compute_parameters(d, X)
     lam = interior_density(p)
-    x = X.row_sums
-    if any(dj > n - 1 - xj for dj, xj in zip(d.degrees, x)):
+    if over_capacity(d, X):
         raise ValueError("infeasible degrees: some d_j > n-1-x_j")
 
     r2 = lam / (1.0 - lam)
@@ -140,7 +137,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     cls, first, mult, F = _classes(d, X)
     W = mult[None, :] - np.eye(mult.size) - F   # non-forbidden partners per class
     delta = np.array([float(p.delta[j]) for j in first])
-    xs = np.asarray(x, dtype=float)[first]
+    xs = np.asarray(X.row_sums, dtype=float)[first]
     Xc = float(X.edge_count)
 
     def z_rows(a: np.ndarray) -> np.ndarray:
@@ -215,9 +212,8 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     pair weight radius^2/(1+radius^2), and the residual is its closed form
     lam * (n-1-x_j) - d_j.
     """
+    X = forbidden_for(d, X)
     n = d.n
-    if X is None:
-        X = ForbiddenGraph.empty(n)
     if radius <= 0:
         raise ValueError("radius must be positive")
     lam = radius * radius / (1.0 + radius * radius)
@@ -234,7 +230,7 @@ def contour_point(d: DegreeSequence, X: ForbiddenGraph | None = None) -> SaddleP
     an iterate that crossed a pole)."""
     try:
         return solve_saddle(d, X, mode="fixed")
-    except (SaddlePoleError, ValueError):
+    except ValueError:
         return fixed_radii_point(d, X)
 
 
@@ -245,9 +241,8 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
     r_c: 1/2 [sum m_c m_c' L_cc' - sum m_c L_cc] with L = ln(1 + r r'), minus
     one term per X-edge.  It is accumulated with compensated summation.
     """
+    X = forbidden_for(d, X)
     n = d.n
-    if X is None:
-        X = ForbiddenGraph.empty(n)
     r, m = np.unique(sp.radii, return_counts=True)
     pairs = 0.5 * (np.outer(m, m) - np.diag(m))
     edges = np.array(list(X.edges), dtype=np.intp).reshape(-1, 2) - 1
@@ -272,11 +267,10 @@ def integral_quadrature(sp: SaddlePoint, d: DegreeSequence,
     so one pass over the n^n-point grid is exact up to rounding.  The imaginary
     part of the returned value vanishes up to that rounding.
     """
+    X = forbidden_for(d, X)
     n = d.n
     if n > QUADRATURE_LIMIT:
         raise QuadratureError(f"n={n} exceeds quadrature limit {QUADRATURE_LIMIT}")
-    if X is None:
-        X = ForbiddenGraph.empty(n)
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)
              if not X.has_edge(j + 1, k + 1)]
     lam_jk = sp.lambda_jk

@@ -266,6 +266,14 @@ def test_saddle_without_solution_reports_nonconvergence(tmp_path):
     assert code == 0 and doc["converged"] is False and doc["residualMax"] > 0.1
 
 
+def test_saddle_pole_exits_two(tmp_path, capsys):
+    d = tmp_path / "d.json"
+    d.write_text("[4, 4, 4, 0, 0]")
+    code, out = run(["saddle", "--degrees", str(d), "--mode", "fixed"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: iterate crossed a pole of the radius map\n"
+
+
 def test_single_sample_stderr_is_null(files):
     code, out = run(["sample", "--degrees", files["d8"], "--forbidden", files["x"],
                      "--mode", "miss", "--samples", "1", "--seed", "3"])

@@ -122,6 +122,15 @@ def test_limits():
         enumerate_count(DegreeSequence((0,) * 7))
 
 
+@pytest.mark.parametrize("degrees", [(3,) * 14, (3, 3, 1, 1)], ids=["over-limit", "no-graph"])
+def test_bad_mode_fails_before_the_count(degrees):
+    # the event is decoded before G(d) is counted, so neither the count
+    # limit nor G(d) = 0 masks an unknown mode
+    d = DegreeSequence(degrees)
+    with pytest.raises(ValueError, match="^unknown mode 'inside'$"):
+        exact_probability(d, ForbiddenGraph.empty(d.n), "inside")
+
+
 def test_free_memo_is_bounded():
     assert 0 < _count_free.cache_info().maxsize < float("inf")
 

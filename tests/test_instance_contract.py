@@ -1,0 +1,85 @@
+"""One contract for every entry point that takes an instance (d, X) or (d, Y):
+X must have the n vertices of d, and where X is optional, None means the
+empty graph on those vertices."""
+
+import numpy as np
+import pytest
+
+from degcount.asymptotics import (
+    check_hypotheses,
+    dense_count_estimate,
+    naive_estimate,
+    overlap_distribution_estimate,
+    sparse_estimates,
+)
+from degcount.exactcount import (
+    complement_degrees,
+    enumerate_count,
+    exact_count,
+    exact_overlap_distribution,
+    exact_probability,
+)
+from degcount.graphcore import (
+    DegreeSequence,
+    ForbiddenGraph,
+    compute_parameters,
+    induced_spec,
+    over_capacity,
+    relabel,
+)
+from degcount.mcsampler import estimate_probability
+from degcount.saddle import (
+    SaddlePoint,
+    fixed_radii_point,
+    integral_quadrature,
+    log_prefactor,
+    solve_saddle,
+)
+
+ENTRY_POINTS = {
+    "compute_parameters": compute_parameters,
+    "induced_spec": lambda d, X: induced_spec(d, X, 2),
+    "relabel": lambda d, X: relabel(d, X, tuple(range(d.n, 0, -1))),
+    "exact_count": exact_count,
+    "enumerate_count": enumerate_count,
+    "complement_degrees": complement_degrees,
+    "exact_probability": lambda d, X: exact_probability(d, X, "hit"),
+    "exact_overlap_distribution": exact_overlap_distribution,
+    "solve_saddle": solve_saddle,
+    "fixed_radii_point": fixed_radii_point,
+    "log_prefactor": lambda d, X: log_prefactor(solve_saddle(d), d, X),
+    "integral_quadrature": lambda d, X: integral_quadrature(solve_saddle(d), d, X),
+    "check_hypotheses": check_hypotheses,
+    "naive_estimate": lambda d, X: naive_estimate(
+        compute_parameters(d, ForbiddenGraph.empty(d.n)), d, X),
+    "dense_count_estimate": dense_count_estimate,
+    "overlap_distribution_estimate": lambda d, X: overlap_distribution_estimate(d, X, 0),
+    "sparse_estimates-perth": lambda d, X: sparse_estimates(d, X, "perth"),
+    "sparse_estimates-mckay81": lambda d, X: sparse_estimates(d, X, "mckay81"),
+    "estimate_probability": lambda d, X: estimate_probability(d, X, "miss", samples=5),
+}
+OPTIONAL_X = ("exact_count", "enumerate_count", "solve_saddle", "fixed_radii_point",
+              "log_prefactor", "integral_quadrature", "dense_count_estimate")
+
+
+def _fields(value):
+    return vars(value) if isinstance(value, SaddlePoint) else value
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_instance_contract(name):
+    call = ENTRY_POINTS[name]
+    d = DegreeSequence((2,) * 5)
+    for n in (4, 6):
+        # an edge on the last vertex, which d does not have when n = 6
+        with pytest.raises(ValueError, match=f"^dimension mismatch: degrees n=5, forbidden n={n}$"):
+            call(d, ForbiddenGraph.from_pairs(n, [(n - 1, n)]))
+    if name in OPTIONAL_X:
+        np.testing.assert_equal(_fields(call(d, None)), _fields(call(d, ForbiddenGraph.empty(5))))
+
+
+def test_over_capacity():
+    d = DegreeSequence((3, 1, 1, 1))
+    assert not over_capacity(d, ForbiddenGraph.empty(4))
+    assert over_capacity(d, ForbiddenGraph.from_pairs(4, [(1, 2)]))      # d_1 = 3 > 4-1-1
+    assert not over_capacity(d, ForbiddenGraph.from_pairs(4, [(2, 3)]))  # 1 <= 4-1-1

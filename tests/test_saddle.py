@@ -135,6 +135,7 @@ def test_pole_error_on_extreme_spread_fixed_mode():
     d = DegreeSequence((4, 4, 4, 0, 0))
     with pytest.raises(SaddlePoleError):
         solve_saddle(d, mode="fixed")
+    assert issubclass(SaddlePoleError, ValueError)
 
 
 @pytest.mark.parametrize("degrees", [(4, 4, 4, 0, 0), (3, 3, 0, 0)], ids=["44400", "3300"])
