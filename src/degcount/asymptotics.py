@@ -69,8 +69,7 @@ def _log_binom(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph,
-                     p: Parameters | None = None) -> tuple[HypothesisFlag, ...]:
+def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph) -> tuple[HypothesisFlag, ...]:
     """Advisory check of the dense-regime hypotheses with a = HYPOTHESIS_A;
     returns the violated ones, so an empty tuple means all hold.
 
@@ -79,20 +78,20 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph,
     and the forbidden edge total against n (the epsilon -> 0 reading).
     """
     X = forbidden_for(d, X)
-    if p is None:
-        p = compute_parameters(d, X)
     n = d.n
+    d_avg = 2 * d.edge_count / n
+    x_max = max(X.row_sums)
     flags: list[HypothesisFlag] = []
-    dev = max(abs(dj - float(p.d_avg)) for dj in d.degrees)
+    dev = max(abs(dj - d_avg) for dj in d.degrees)
     if dev > math.sqrt(n):
         flags.append(HypothesisFlag("max|d_j - d| <= n^(1/2)", dev, math.sqrt(n)))
-    if p.x_max > math.sqrt(n):
-        flags.append(HypothesisFlag("max x_j <= n^(1/2)", float(p.x_max), math.sqrt(n)))
+    if x_max > math.sqrt(n):
+        flags.append(HypothesisFlag("max x_j <= n^(1/2)", float(x_max), math.sqrt(n)))
     if X.edge_count > n:
         flags.append(HypothesisFlag("X <= n", float(X.edge_count), float(n)))
     if n > 2:
         window = n / (3.0 * HYPOTHESIS_A * math.log(n))
-        measured = min(float(p.d_avg), n - float(p.d_avg) - 1.0)
+        measured = min(d_avg, n - d_avg - 1.0)
         if measured < window:
             flags.append(HypothesisFlag("min{d, n-d-1} >= n/(3a log n)", measured, window))
     return tuple(flags)
@@ -103,9 +102,11 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
 
     ln of (1-lambda)^(-X) (lambda^lambda (1-lambda)^(1-lambda))^C(n,2)
     prod_j C(n-1-x_j, d_j).  Infeasible degrees signal a zero count with a
-    log value of -inf.
+    log value of -inf.  Only p.lam is read; p must be the record of d.
     """
     X = forbidden_for(d, X)
+    if p.n != d.n or p.lam * d.n * (d.n - 1) != 2 * d.edge_count:
+        raise ValueError(f"parameters of another instance: n={p.n}, lambda={p.lam}")
     if over_capacity(d, X):
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
     n = d.n
@@ -131,7 +132,7 @@ def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None
     """
     X = forbidden_for(d, X)
     p = compute_parameters(d, X)
-    flags = check_hypotheses(d, X, p)
+    flags = check_hypotheses(d, X)
     interior_density(p)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:
@@ -285,7 +286,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     edge-weight base product.
     """
     p = compute_parameters(d, X)
-    omega = induced_spec(d, X, m, p)
+    omega = induced_spec(d, X, m)
     if m == 0:
         return LogEstimate.build(0.0, (), "exact")
     lam = interior_density(p)

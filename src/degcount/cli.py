@@ -8,10 +8,9 @@ output.  JSON is strict: non-finite values are written as null.  CSV is the
 same report flattened into key,value rows, quoted where needed.  Vertices are
 1-indexed in all files.
 
-Exit codes: 0 success, 1 failed validation, 2 input errors, unreadable paths
-and a non-integer DEGCOUNT_SEED (with line-numbered diagnostics where
-applicable).  A saddle solve that finds no saddle exits 0 and reports
-"converged": false.
+Exit codes: 0 success, 1 failed validation, 2 input errors and unreadable
+paths (with line-numbered diagnostics where applicable).  A saddle solve
+that finds no saddle exits 0 and reports "converged": false.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,16 +41,6 @@ DEFAULT_SEED = mcsampler.DEFAULT_SEED
 FORMULAS = ("naive", "dense", "miss", "hit", "num", "flat", "reg", "induced",
             "lambda-model", "overlap", "perth", "mckay81", "matchings",
             "cycles", "sptrees")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _finite(value: float) -> float | None:
@@ -321,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mw3", help="box-integral evaluation")
     p.add_argument("--coefficients", required=True, help="coefficient JSON document")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_env_int("DEGCOUNT_SEED", DEFAULT_SEED))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("sample", help="switch-chain probability estimate")
     add_instance(p)
@@ -330,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thinning", type=int)
-    p.add_argument("--seed", type=int, default=_env_int("DEGCOUNT_SEED", DEFAULT_SEED))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--dump-graph", help="write one realization as an edge list")
 
     p = sub.add_parser("validate", help="run the validation suite")

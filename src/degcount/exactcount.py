@@ -10,12 +10,15 @@ vertices it may join, times compositions of the rest of its degree across
 the classes with binomial weights.  A vertex whose forbidden neighbours are
 all spent joins the classes, and the states (constrained residuals, classes)
 are memoized per call.  Once no forbidden edge is live the count is a
-memoized recursion on the class multiset alone.  Measured on one core of a
+memoized recursion on the class multiset alone.  The overlap law with a
+graph Y is one pass of the same recursion that weights each Y-edge taken,
+so its cost follows the shape of Y, not 2^|Y|.  Measured on one core of a
 shared 2-core machine, d = n/2 regular takes 1.9 s cold at n = 20; with a
-forbidden triangle it takes 0.05 s at n = 16 and 1.7 s at n = 20, and with
-a forbidden perfect matching 0.09 s at n = 10 and 2.2 s at n = 12.  An
-independent brute-force enumeration over all 2^C(n,2) graphs is provided
-as a checker for n <= 6.
+forbidden triangle 0.05 s at n = 16 and 1.7 s at n = 20, with a forbidden
+perfect matching 0.09 s at n = 10 and 2.2 s at n = 12.  Overlap laws take
+0.5 s for a perfect matching (5-regular, n = 10), 0.15 s for two triangles
+and 15 s for an 8-cycle (6-regular, n = 12), 8 s for K10.  An independent
+brute-force enumeration over all 2^C(n,2) graphs checks n <= 6.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_fo
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
 ENUMERATION_LIMIT = 6
-OVERLAP_LIMIT_EDGES = 8   # an overlap distribution sums over all 2^|Y| edge subsets of Y
 FREE_MEMO_SIZE = 1 << 15  # holds a cold regular n = 20 count (24,216 classes)
 
 
@@ -109,23 +111,22 @@ def _collapse(residuals) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items(), reverse=True))
 
 
-def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
-                limit: int | None = None) -> int:
-    """Exact number of simple graphs with degrees d and no edge of X.
+def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
+                    limit: int | None) -> int:
+    """Sum over the graphs with degrees d of weight^(edges shared with Y).
 
-    Infeasible instances return 0; exceeding the size limit raises
-    CountLimitError (default limit 12 for empty X, 10 otherwise).
+    A pivot that takes a marked (Y) edge multiplies its branch by weight, so
+    weight 0 counts the graphs avoiding Y: marked neighbours are never
+    eligible.  A vertex is constrained while it has a live marked neighbour.
     """
-    X = forbidden_for(d, X)
     n = d.n
     if limit is None:
-        limit = DEFAULT_LIMIT_EMPTY if X.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
+        limit = DEFAULT_LIMIT_EMPTY if Y.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
     if n > limit:
         raise CountLimitError(f"n={n} exceeds exact-count limit {limit}")
-    if over_capacity(d, X):
+    if not weight and over_capacity(d, Y):
         return 0
-
-    xadj = [frozenset(v - 1 for v in X.neighbors(j)) for j in range(1, n + 1)]
+    xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
     memo: dict[tuple, int] = {}
 
     def split(res: dict[int, int]):
@@ -143,7 +144,8 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
         res = dict(cons)
         pivot = max(res, key=lambda v: (res[v], -v))
         need = res.pop(pivot)
-        eligible = [v for v in res if v not in xadj[pivot]]
+        marked = xadj[pivot]
+        eligible = [v for v in res if weight or v not in marked]
         nfree = sum(c for _, c in free)
         total = 0
         for k in range(max(0, need - nfree), min(need, len(eligible)) + 1):
@@ -151,8 +153,10 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
                 for u in chosen:
                     res[u] -= 1
                 cons2, moved = split(res)
+                branch = 0
                 for ways, free2 in _class_choices(free, need - k, moved):
-                    total += ways * rec(cons2, free2)
+                    branch += ways * rec(cons2, free2)
+                total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
                 for u in chosen:
                     res[u] += 1
         memo[key] = total
@@ -160,6 +164,16 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
 
     cons, moved = split(dict(enumerate(d.degrees)))
     return rec(cons, _collapse(moved))
+
+
+def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
+                limit: int | None = None) -> int:
+    """Exact number of simple graphs with degrees d and no edge of X.
+
+    Infeasible instances return 0; exceeding the size limit raises
+    CountLimitError (default limit 12 for empty X, 10 otherwise).
+    """
+    return _weighted_count(d, forbidden_for(d, X), 0, limit)
 
 
 def enumerate_count(d: DegreeSequence, X: ForbiddenGraph | None = None) -> int:
@@ -192,48 +206,37 @@ def complement_degrees(d: DegreeSequence, X: ForbiddenGraph) -> tuple[int, ...]:
     return tuple(d.n - 1 - dj - xj for dj, xj in zip(d.degrees, X.row_sums))
 
 
-def _exactly(d: DegreeSequence, S, Y: ForbiddenGraph, gd: int,
-             limit: int | None) -> Fraction:
-    """Share of the gd graphs with degrees d whose edges inside Y are exactly S:
-    exact_count(d - x(S), Y) / gd, or 0 where d - x(S) goes negative."""
-    shifted = list(d.degrees)
-    for j, k in S:
-        shifted[j - 1] -= 1
-        shifted[k - 1] -= 1
-    if min(shifted) < 0:
-        return Fraction(0)
-    return Fraction(exact_count(DegreeSequence(tuple(shifted)), Y, limit=limit), gd)
-
-
 def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
                       m: int | None = None, limit: int | None = None) -> Fraction:
     """Exact probability, as a Fraction, that a uniform graph with degrees d
-    has the event graphcore.event_edges(X, mode, m) names.  The event is
-    decoded before G(d) is counted, so a bad mode or m fails fast."""
+    has exactly the edges S inside Y, (Y, S) = graphcore.event_edges(X, mode,
+    m): exact_count(d - x(S), Y) / G(d).  The event is decoded before G(d) is
+    counted, so a bad mode or m fails fast."""
     Y, S = event_edges(forbidden_for(d, X), mode, m)
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
-    return _exactly(d, S, Y, gd, limit)
+    shifted = [dj - sj for dj, sj in zip(d.degrees, ForbiddenGraph(d.n, S).row_sums)]
+    if min(shifted) < 0:
+        return Fraction(0)
+    return Fraction(exact_count(DegreeSequence(tuple(shifted)), Y, limit=limit), gd)
 
 
 def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
                                limit: int | None = None) -> tuple[Fraction, ...]:
     """Exact distribution of the number of edges shared with Y, indexed 0..|Y|.
 
-    Sums the exact shares of every edge subset of Y; the probabilities add to
-    1 exactly.
+    One weighted pass with t = 2^B, B = G(d).bit_length(), under the limit of
+    exact_count(d, Y) gives sum_k N_k t^k, N_k the graphs sharing exactly k
+    edges with Y.  Each N_k <= G(d) < t, so the N_k are its B-bit fields.
     """
     Y = forbidden_for(d, Y)
-    Yc = Y.edge_count
-    if Yc > OVERLAP_LIMIT_EDGES:
-        raise CountLimitError(f"|Y|={Yc} exceeds overlap limit {OVERLAP_LIMIT_EDGES}")
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0")
-    edges = Y.sorted_edges()
-    probs = [Fraction(0) for _ in range(Yc + 1)]
-    for r in range(Yc + 1):
-        for S in combinations(edges, r):
-            probs[r] += _exactly(d, S, Y, gd, limit)
-    return tuple(probs)
+    B = gd.bit_length()
+    packed = _weighted_count(d, Y, 1 << B, limit)
+    fields = [(packed >> (k * B)) & ((1 << B) - 1) for k in range(Y.edge_count + 1)]
+    if sum(fields) != gd or packed >> (B * len(fields)):
+        raise RuntimeError("weighted overlap pass does not add up to G(d)")
+    return tuple(Fraction(c, gd) for c in fields)

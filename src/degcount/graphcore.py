@@ -254,26 +254,25 @@ def event_edges(X: ForbiddenGraph, mode: str,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int,
-                 p: Parameters | None = None) -> dict[tuple[int, int], Fraction]:
+def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int) -> dict[tuple[int, int], Fraction]:
     """Mixed moments over the support vertices 1..m of the forbidden graph:
     omega[(k, l)] = sum_{j<=m} (d_j - d_avg)^k (x_j - lambda*(m-1))^l,
-    tabulated for all 0 <= k + l <= 3.
+    tabulated for all 0 <= k + l <= 3, with d_avg = 2E/n and
+    lambda = 2E/(n(n-1)).
 
-    Raises if some x_j != 0 for j > m (the support condition).  Pass p to
-    reuse an already computed Parameters record for (d, X).
+    Raises if some x_j != 0 for j > m (the support condition).
     """
     X = forbidden_for(d, X)
     check_support(X, m)
-    if p is None:
-        p = compute_parameters(d, X)
+    n, S = d.n, 2 * d.edge_count
+    d_avg = Fraction(S, n)
+    shift = Fraction(S * (m - 1), n * (n - 1)) if m > 1 else Fraction(0)
     x = X.row_sums
-    shift = p.lam * (m - 1) if m >= 1 else Fraction(0)
     omega: dict[tuple[int, int], Fraction] = {}
     for k in range(0, 4):
         for l in range(0, 4 - k):
             omega[(k, l)] = sum(
-                ((d.degrees[j] - p.d_avg) ** k * (x[j] - shift) ** l for j in range(m)),
+                ((d.degrees[j] - d_avg) ** k * (x[j] - shift) ** l for j in range(m)),
                 start=Fraction(0),
             )
     return omega

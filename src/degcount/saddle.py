@@ -234,6 +234,13 @@ def contour_point(d: DegreeSequence, X: ForbiddenGraph | None = None) -> SaddleP
         return fixed_radii_point(d, X)
 
 
+def _contour_for(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph:
+    """forbidden_for(d, X), after checking that sp has one radius per vertex of d."""
+    if sp.radii.size != d.n:
+        raise ValueError(f"dimension mismatch: degrees n={d.n}, radii n={sp.radii.size}")
+    return forbidden_for(d, X)
+
+
 def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None = None) -> float:
     """ln P = sum over non-forbidden pairs of ln(1 + r_j r_k) - n ln 2pi - sum d_j ln r_j.
 
@@ -241,7 +248,7 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
     r_c: 1/2 [sum m_c m_c' L_cc' - sum m_c L_cc] with L = ln(1 + r r'), minus
     one term per X-edge.  It is accumulated with compensated summation.
     """
-    X = forbidden_for(d, X)
+    X = _contour_for(sp, d, X)
     n = d.n
     r, m = np.unique(sp.radii, return_counts=True)
     pairs = 0.5 * (np.outer(m, m) - np.diag(m))
@@ -267,7 +274,7 @@ def integral_quadrature(sp: SaddlePoint, d: DegreeSequence,
     so one pass over the n^n-point grid is exact up to rounding.  The imaginary
     part of the returned value vanishes up to that rounding.
     """
-    X = forbidden_for(d, X)
+    X = _contour_for(sp, d, X)
     n = d.n
     if n > QUADRATURE_LIMIT:
         raise QuadratureError(f"n={n} exceeds quadrature limit {QUADRATURE_LIMIT}")

@@ -127,13 +127,6 @@ def test_byte_identical_reports(files):
     assert run(argv2) == run(argv2)
 
 
-def test_env_seed_override(files, monkeypatch):
-    monkeypatch.setenv("DEGCOUNT_SEED", "777")
-    code, out = run(["sample", "--degrees", files["d8"], "--forbidden", files["x"],
-                     "--mode", "miss", "--samples", "100", "--thinning", "2"])
-    assert json.loads(out)["seed"] == 777
-
-
 def test_input_errors_exit_two(files, tmp_path):
     code, _ = run(["count", "--degrees", str(tmp_path / "missing.txt")])
     assert code == 2
@@ -165,14 +158,6 @@ def test_input_errors_exit_two(files, tmp_path):
         code, out = run(["sample", "--degrees", files["d8"], "--mode", "miss",
                          "--samples", "10", flag, value])
         assert code == 2 and out == ""
-
-
-@pytest.mark.parametrize("name", ["DEGCOUNT_SEED"])
-def test_bad_environment_variable_exits_two(files, monkeypatch, capsys, name):
-    monkeypatch.setenv(name, "abc")
-    code, out = run(["count", "--degrees", files["d4"]])
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("degrees,edges,argv", [

@@ -336,8 +336,45 @@ def test_overlap_sums_to_one_exactly(seed):
     assert sum(dist) == 1
 
 
-def test_overlap_edge_limit():
-    # a 10-edge Y is past the 8-edge limit
+def subset_overlap(d, Y):
+    """Reference: the overlap law summed over every edge subset S of Y, as the
+    share exact_count(d - x(S), Y) / G(d) of graphs whose edges in Y are S."""
+    gd = exact_count(d, limit=d.n)
+    probs = [Fraction(0)] * (Y.edge_count + 1)
+    for r in range(Y.edge_count + 1):
+        for S in combinations(Y.sorted_edges(), r):
+            shifted = list(d.degrees)
+            for j, k in S:
+                shifted[j - 1] -= 1
+                shifted[k - 1] -= 1
+            if min(shifted) >= 0:
+                probs[r] += Fraction(exact_count(DegreeSequence(tuple(shifted)), Y, limit=d.n), gd)
+    return tuple(probs)
+
+
+def test_overlap_matches_subset_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        # d is the degree sequence of a graph, so G(d) > 0
+        d, Y = draw_instance(st, data, 8, 6)
+        assert exact_overlap_distribution(d, Y) == subset_overlap(d, Y)
+
+    check()
+
+
+def test_overlap_limits():
+    # no cap on |Y|: K5 has 10 edges, which the subset route counts 2^10 times
     d = DegreeSequence((2, 2, 2, 2, 2))
+    Y = ForbiddenGraph.clique(5, 5)
+    assert exact_overlap_distribution(d, Y) == subset_overlap(d, Y)
+    # the pass runs under exact_count(d, Y)'s n-limit: 10 by default with Y non-empty
+    d = DegreeSequence((1,) * 12)
     with pytest.raises(CountLimitError):
-        exact_overlap_distribution(d, ForbiddenGraph.clique(5, 5))
+        exact_overlap_distribution(d, fg(12, [(1, 2)]))
+    with pytest.raises(CountLimitError):
+        exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=11)
+    assert sum(exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=12)) == 1

@@ -58,6 +58,15 @@ ENTRY_POINTS = {
     "sparse_estimates-mckay81": lambda d, X: sparse_estimates(d, X, "mckay81"),
     "estimate_probability": lambda d, X: estimate_probability(d, X, "miss", samples=5),
 }
+# entry points that also take a record derived from an instance: one built
+# for another instance is refused
+OTHER_RECORD = {
+    "log_prefactor": lambda d: log_prefactor(solve_saddle(DegreeSequence((2,) * 6)), d),
+    "integral_quadrature": lambda d: integral_quadrature(solve_saddle(DegreeSequence((2,) * 6)), d),
+    "naive_estimate": lambda d: naive_estimate(
+        compute_parameters(DegreeSequence((1,) * 4 + (0,)), ForbiddenGraph.empty(5)), d,
+        ForbiddenGraph.empty(5)),
+}
 OPTIONAL_X = ("exact_count", "enumerate_count", "solve_saddle", "fixed_radii_point",
               "log_prefactor", "integral_quadrature", "dense_count_estimate")
 
@@ -74,6 +83,10 @@ def test_instance_contract(name):
         # an edge on the last vertex, which d does not have when n = 6
         with pytest.raises(ValueError, match=f"^dimension mismatch: degrees n=5, forbidden n={n}$"):
             call(d, ForbiddenGraph.from_pairs(n, [(n - 1, n)]))
+    if name in OTHER_RECORD:
+        with pytest.raises(ValueError, match="^dimension mismatch: degrees n=5, radii n=6$"
+                           if name != "naive_estimate" else "^parameters of another instance"):
+            OTHER_RECORD[name](d)
     if name in OPTIONAL_X:
         np.testing.assert_equal(_fields(call(d, None)), _fields(call(d, ForbiddenGraph.empty(5))))
 
