@@ -4,7 +4,9 @@ and regular-graph expectations.
 
 Every estimate is returned in log space as a LogEstimate carrying the factor
 outside the exponential (base_log), the exponent (correction) broken into
-named terms, and an error-order annotation.  Exponentiation is caller-side:
+named terms, and an error-order annotation.  Each containment (hit)
+expansion is its avoidance (miss) expansion evaluated at the complement
+degrees n-1-d (complement_fields).  Exponentiation is caller-side:
 the linear values overflow doubles around n = 40.  Hypothesis checking is
 advisory only; desk-scale instances always violate asymptotic hypotheses, so
 validity is reported, never enforced.
@@ -154,110 +156,108 @@ def _count_terms(p: Parameters, Xc: int) -> tuple[tuple[str, float], ...]:
     )
 
 
+def complement_fields(p: Parameters) -> dict[str, Fraction]:
+    """The scalar fields of compute_parameters(n-1-d, X), derived exactly from p.
+
+    A graph contains X exactly when its complement, whose degrees are n-1-d,
+    avoids X.  Complementing the degrees sends delta_j to x_j - delta_j and
+    dev_j to -dev_j, so lambda' = 1 - lambda, D' = L, L' = D,
+    C11' = X2 - C11, C12' = X3 - C12 and C21' = X3 - 2 C12 + C21, while R, K,
+    A, X2, X3 and H are unchanged.  Hence P_d(X in G)/lambda^X equals
+    P_{n-1-d}(X misses G)/(1-lambda')^X, and each hit expansion is its miss
+    expansion evaluated at these fields.
+    """
+    return {"lam": 1 - p.lam, "D": p.L, "L": p.D, "C11": p.X2 - p.C11,
+            "C12": p.X3 - p.C12, "C21": p.X3 - 2 * p.C12 + p.C21}
+
+
+def _miss_and_hit(p: Parameters, miss_terms) -> dict[str, LogEstimate]:
+    """miss_terms(fields) at p's own fields (miss) and at the complement's (hit)."""
+    fields = vars(p)
+    return {side: LogEstimate.build(0.0, miss_terms(f), ERROR_ORDER)
+            for side, f in (("miss", fields), ("hit", {**fields, **complement_fields(p)}))}
+
+
 def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph) -> dict[str, LogEstimate]:
     """Normalized avoidance/containment probabilities and the count exponential.
 
-    miss and hit carry the full term-by-term expansions (base_log = 0); num is
-    the exponential factor of the dense count estimate.
+    miss and hit carry the full term-by-term expansions (base_log = 0), hit
+    being miss at the complement degrees; num is the exponential factor of
+    the dense count estimate.
     """
     p = compute_parameters(d, X)
-    lam = interior_density(p)
-    n = d.n
-    Xc = X.edge_count
-    X2, X3 = float(p.X2), float(p.X3)
-    D, L = float(p.D), float(p.L)
-    C11, C12, C21 = float(p.C11), float(p.C12), float(p.C21)
-    om = 1.0 - lam
+    interior_density(p)
+    n, Xc = d.n, X.edge_count
 
-    miss_terms = (
-        ("X", lam * Xc / (om * n)),
-        ("X2", lam * X2 / (2.0 * om * n)),
-        ("X3", lam * (1.0 - 2.0 * lam) * X3 / (6.0 * om * om * n * n)),
-        ("Xsq", lam * Xc * Xc / (om * n * n)),
-        ("D", -D / (lam * om * n * n)),
-        ("C11", -C11 / (om * n)),
-        ("C12", -(1.0 - 2.0 * lam) * C12 / (2.0 * om * om * n * n)),
-        ("C21", -C21 / (2.0 * om * om * n * n)),
-    )
-    hit_terms = (
-        ("X", om * Xc / (lam * n)),
-        ("X2", -(1.0 + lam) * X2 / (2.0 * lam * n)),
-        ("X3", -(1.0 + lam) * (1.0 + 2.0 * lam) * X3 / (6.0 * lam * lam * n * n)),
-        ("Xsq", om * Xc * Xc / (lam * n * n)),
-        ("L", -L / (lam * om * n * n)),
-        ("C11", C11 / (lam * n)),
-        ("C12", (1.0 + 2.0 * lam) * C12 / (2.0 * lam * lam * n * n)),
-        ("C21", -C21 / (2.0 * lam * lam * n * n)),
-    )
-    return {
-        "miss": LogEstimate.build(0.0, miss_terms, ERROR_ORDER),
-        "hit": LogEstimate.build(0.0, hit_terms, ERROR_ORDER),
-        "num": LogEstimate.build(0.0, _count_terms(p, Xc), ERROR_ORDER),
-    }
+    def miss_terms(f):
+        lam = float(f["lam"])
+        om = 1.0 - lam
+        X2, X3, D, C11, C12, C21 = (float(f[k]) for k in ("X2", "X3", "D", "C11", "C12", "C21"))
+        return (
+            ("X", lam * Xc / (om * n)),
+            ("X2", lam * X2 / (2.0 * om * n)),
+            ("X3", lam * (1.0 - 2.0 * lam) * X3 / (6.0 * om * om * n * n)),
+            ("Xsq", lam * Xc * Xc / (om * n * n)),
+            ("D", -D / (lam * om * n * n)),
+            ("C11", -C11 / (om * n)),
+            ("C12", -(1.0 - 2.0 * lam) * C12 / (2.0 * om * om * n * n)),
+            ("C21", -C21 / (2.0 * om * om * n * n)),
+        )
+
+    return {**_miss_and_hit(p, miss_terms),
+            "num": LogEstimate.build(0.0, _count_terms(p, Xc), ERROR_ORDER)}
 
 
 def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> dict[str, LogEstimate]:
     """Specialized displays: case "flat" for constant degrees, "reg" for
-    constant forbidden degrees x_j."""
+    constant forbidden degrees x_j.  As in miss_hit_estimate, hit is miss at
+    the complement degrees; of the fields these displays read, that moves
+    only lambda, to 1 - lambda."""
     p = compute_parameters(d, X)
     lam = interior_density(p)
-    n = d.n
-    A = float(p.A)
-    Xc = X.edge_count
+    n, Xc = d.n, X.edge_count
     om = 1.0 - lam
 
     if case == "flat":
         if not d.is_regular():
             raise ValueError("flat case requires constant degrees")
         X2, X3, H = float(p.X2), float(p.X3), float(p.H)
-        terms = {
-            "num": (
-                ("quarter", 0.25),
-                ("Xsq_H", lam * (Xc * Xc - H) / (om * n * n)),
-            ),
-            "miss": (
+        num = (("quarter", 0.25), ("Xsq_H", lam * (Xc * Xc - H) / (om * n * n)))
+
+        def miss_terms(f):
+            lam = float(f["lam"])
+            om = 1.0 - lam
+            return (
                 ("X", lam * Xc / (om * n)),
                 ("X2", -lam * X2 / (2.0 * om * n)),
                 ("X3", -lam * (2.0 - lam) * X3 / (6.0 * om * om * n * n)),
                 ("Xsq", lam * Xc * Xc / (om * n * n)),
                 ("H", -lam * H / (om * n * n)),
-            ),
-            "hit": (
-                ("X", om * Xc / (lam * n)),
-                ("X2", -om * X2 / (2.0 * lam * n)),
-                ("X3", -(1.0 - lam * lam) * X3 / (6.0 * lam * lam * n * n)),
-                ("Xsq", om * Xc * Xc / (lam * n * n)),
-                ("H", -om * H / (lam * n * n)),
-            ),
-        }
+            )
     elif case == "reg":
         xs = set(X.row_sums)
         if len(xs) != 1:
             raise ValueError("reg case requires constant x_j")
         xv = float(xs.pop())
-        R = float(p.R)
-        K = float(p.K)
-        terms = {
-            "num": (
-                ("quarter", 0.25),
-                ("xsq", lam * xv * xv / (4.0 * om)),
-                ("K", -K / (2.0 * A * n * n)),
-                ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
-            ),
-            "miss": (
+        A, K, R = float(p.A), float(p.K), float(p.R)
+        num = (
+            ("quarter", 0.25),
+            ("xsq", lam * xv * xv / (4.0 * om)),
+            ("K", -K / (2.0 * A * n * n)),
+            ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
+        )
+
+        def miss_terms(f):
+            lam = float(f["lam"])
+            om = 1.0 - lam
+            return (
                 ("x(x-2)", -lam * xv * (xv - 2.0) / (4.0 * om)),
                 ("xR", -xv * R / (2.0 * om * om * n * n)),
                 ("K", -K / (2.0 * A * n * n)),
-            ),
-            "hit": (
-                ("x(x-2)", -om * xv * (xv - 2.0) / (4.0 * lam)),
-                ("xR", -xv * R / (2.0 * lam * lam * n * n)),
-                ("K", -K / (2.0 * A * n * n)),
-            ),
-        }
+            )
     else:
         raise ValueError(f"unknown case {case!r}")
-    return {key: LogEstimate.build(0.0, t, ERROR_ORDER) for key, t in terms.items()}
+    return {"num": LogEstimate.build(0.0, num, ERROR_ORDER), **_miss_and_hit(p, miss_terms)}
 
 
 def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
@@ -393,10 +393,13 @@ def regular_graph_expectations(n: int, d_const: int, target: str,
 
     target "matchings" (n even), "cycles" (length q, 3 <= q <= n) or
     "sptrees" (spanning trees).  The base factor is the expectation for an ordinary
-    random graph at the same density.
+    random graph at the same density.  Raises when no d-regular graph on n
+    vertices exists.
     """
     if not 1 <= d_const <= n - 1:
         raise ValueError("need 1 <= d <= n-1")
+    if n * d_const % 2:
+        raise ValueError(f"no {d_const}-regular graph on {n} vertices: n*d is odd")
     lam = Fraction(d_const, n - 1)
     lamf = float(lam)
     if target == "matchings":

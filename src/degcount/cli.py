@@ -194,10 +194,9 @@ def _cmd_verify_start(args, out) -> int:
 
 
 def _cmd_mw3(args, out) -> int:
-    with open(args.coefficients, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        coeffs = mvintegral.CoefficientSet.from_dict(doc)
+        with open(args.coefficients, "r", encoding="utf-8") as fh:
+            coeffs = mvintegral.CoefficientSet.from_dict(json.load(fh))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(str(exc), args.coefficients) from exc
 

@@ -136,7 +136,6 @@ class Parameters:
     """
 
     n: int
-    d_avg: Fraction
     lam: Fraction
     A: Fraction
     delta: tuple[Fraction, ...]
@@ -151,7 +150,6 @@ class Parameters:
     C11: Fraction
     C12: Fraction
     C21: Fraction
-    x_max: int
 
 
 def forbidden_for(d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph:
@@ -200,7 +198,7 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
         K += dv[j - 1] * dv[k - 1]
 
     return Parameters(
-        n=n, d_avg=Fraction(S, n), lam=lam, A=lam * (1 - lam) / 2,
+        n=n, lam=lam, A=lam * (1 - lam) / 2,
         delta=tuple(fr_dl[v] for v in dl), dev=tuple(fr_dv[v] for v in dv),
         R=Fraction(sum(v * v for v in dv), n * n),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
@@ -208,7 +206,6 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
         C11=Fraction(sum(v * xj for v, xj in zip(dl, x)), N),
         C12=Fraction(sum(v * xj * xj for v, xj in zip(dl, x)), N),
         C21=Fraction(sum(v * v * xj for v, xj in zip(dl, x)), N * N),
-        x_max=max(x) if x else 0,
     )
 
 

@@ -43,7 +43,6 @@ class SaddlePoint:
     lambda_jk is not stored: the property builds it from the radii.
     """
 
-    lam: float
     a: np.ndarray
     radii: np.ndarray
     residual: np.ndarray
@@ -198,7 +197,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
         iters += 1
 
     radii = r * (1.0 + a) / (1.0 - r2 * a)
-    return SaddlePoint(lam=lam, a=a[cls], radii=radii[cls], residual=res[cls],
+    return SaddlePoint(a=a[cls], radii=radii[cls], residual=res[cls],
                        iterations=iters, mode=mode, converged=bool(m < RESIDUAL_TOL))
 
 
@@ -208,9 +207,8 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
 
     Not a saddle: the factorization count = P * I holds for any positive
     radii, so this serves degenerate densities (lambda in {0, 1}) where the
-    saddle change of variables is undefined.  The recorded lam is the uniform
-    pair weight radius^2/(1+radius^2), and the residual is its closed form
-    lam * (n-1-x_j) - d_j.
+    saddle change of variables is undefined.  The residual is the closed form
+    lam * (n-1-x_j) - d_j with the uniform pair weight lam = radius^2/(1+radius^2).
     """
     X = forbidden_for(d, X)
     n = d.n
@@ -219,7 +217,7 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     lam = radius * radius / (1.0 + radius * radius)
     residual = (lam * (n - 1.0 - np.asarray(X.row_sums, dtype=float))
                 - np.asarray(d.degrees, dtype=float))
-    return SaddlePoint(lam=lam, a=np.zeros(n), radii=np.full(n, float(radius)),
+    return SaddlePoint(a=np.zeros(n), radii=np.full(n, float(radius)),
                        residual=residual, iterations=0,
                        mode="fixed-radii", converged=False)
 

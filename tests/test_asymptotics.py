@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from degcount.exactcount import exact_count, exact_probability
 from degcount.asymptotics import (
     NEG_INF,
     check_hypotheses,
+    complement_fields,
     dense_count_estimate,
     induced_estimate,
     lambda_jk_expansion,
@@ -136,19 +139,44 @@ def test_num_terms_are_the_dense_count_terms():
     assert miss_hit_estimate(d, X)["num"].terms == dense_count_estimate(d, X)[0].terms
 
 
-def test_complement_duality_shrinks_with_n():
-    # (1-lam)^X miss(d,X) and lam'^X hit(d',X) agree up to the error order;
-    # the base factors cancel exactly, so compare the corrections on a sweep
-    gaps = []
-    for n in (50, 100, 200):
-        dv = n // 2
-        d = DegreeSequence((dv,) * n)
-        dc = DegreeSequence((n - 1 - dv,) * n)
-        X = fg(n, [(1, 2), (3, 4)])
-        miss_corr = miss_hit_estimate(d, X)["miss"].correction
-        hit_corr = miss_hit_estimate(dc, X)["hit"].correction
-        gaps.append(abs(miss_corr - hit_corr))
-    assert gaps[0] > gaps[1] > gaps[2]
+def test_hit_is_miss_at_the_complement_degrees():
+    # G contains X exactly when its complement, with degrees n-1-d, avoids X:
+    # hit(n-1-d, X) == miss(d, X) bit for bit in every display, and the
+    # exact substitution equals the complement's own parameter record
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(4, 24))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        case = data.draw(st.sampled_from(["general", "flat", "reg"]))
+        if case == "flat":
+            dv = rng.choice([v for v in range(1, n - 1) if n * v % 2 == 0])
+            degrees = [dv] * n
+        else:
+            degrees = [rng.randint(1, n - 2) for _ in range(n)]
+            degrees[0] += sum(degrees) % 2
+        if case == "reg":   # a Hamilton cycle: x_j = 2 for every j
+            order = rng.sample(range(1, n + 1), n)
+            pairs = list(zip(order, order[1:] + order[:1]))
+        else:
+            pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.2]
+        d, X = DegreeSequence(degrees), fg(n, pairs)
+        dc = DegreeSequence([n - 1 - v for v in degrees])
+        if case == "general":
+            a, b = miss_hit_estimate(d, X), miss_hit_estimate(dc, X)
+        else:
+            a, b = specialized_estimates(d, X, case), specialized_estimates(dc, X, case)
+        assert b["hit"] == a["miss"] and b["miss"] == a["hit"]
+
+        p, pc = compute_parameters(d, X), compute_parameters(dc, X)
+        assert complement_fields(p) == {k: getattr(pc, k) for k in complement_fields(p)}
+        for name in ("R", "K", "A", "X2", "X3", "H"):
+            assert getattr(pc, name) == getattr(p, name), name
+
+    check()
 
 
 def test_degenerate_density_rejected():
@@ -386,6 +414,10 @@ def test_triangles_against_exact_expectation():
 
 
 def test_expectation_preconditions():
+    # no 3-regular graph has an odd number of vertices
+    for n in (5, 7):
+        with pytest.raises(ValueError, match="odd"):
+            regular_graph_expectations(n, 3, "cycles", q=3)
     with pytest.raises(ValueError):
         regular_graph_expectations(7, 3, "matchings")
     with pytest.raises(ValueError):

@@ -79,6 +79,14 @@ def test_estimate_regular_formula_flags():
     assert code == 0
 
 
+@pytest.mark.parametrize("n", ["5", "7"])
+def test_regular_formula_with_odd_degree_sum_exits_two(n, capsys):
+    # no 3-regular graph on an odd number of vertices, so no expectation
+    code, out = run(["estimate", "--formula", "cycles", "--n", n, "--d", "3", "--q", "3"])
+    assert code == 2 and out == ""
+    assert "n*d is odd" in capsys.readouterr().err
+
+
 def test_estimate_overlap(files):
     code, out = run(["estimate", "--formula", "overlap", "--degrees", files["d4"],
                      "--forbidden", files["x"], "--k", "1"])
@@ -127,7 +135,7 @@ def test_byte_identical_reports(files):
     assert run(argv2) == run(argv2)
 
 
-def test_input_errors_exit_two(files, tmp_path):
+def test_input_errors_exit_two(files, tmp_path, capsys):
     code, _ = run(["count", "--degrees", str(tmp_path / "missing.txt")])
     assert code == 2
     bad = tmp_path / "bad.txt"
@@ -153,6 +161,13 @@ def test_input_errors_exit_two(files, tmp_path):
     listdoc.write_text("[4, 1.0]")
     code, _ = run(["mw3", "--coefficients", str(listdoc)])
     assert code == 2
+    # a coefficient file that is not JSON is named, as a bad degree file is
+    notjson = tmp_path / "notjson.json"
+    notjson.write_text("")
+    capsys.readouterr()
+    code, out = run(["mw3", "--coefficients", str(notjson)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: {notjson}: Expecting value")
     # chain lengths that give no honest error bar
     for flag, value in (("--thinning", "0"), ("--burn-in", "-5")):
         code, out = run(["sample", "--degrees", files["d8"], "--mode", "miss",

@@ -82,7 +82,7 @@ def test_parameters_one_edge():
 def test_parameters_irregular():
     d = DegreeSequence((3, 2, 2, 2, 1))
     p = compute_parameters(d, fg(5, [(1, 5)]))
-    assert p.d_avg == 2 and p.lam == Fraction(1, 2)
+    assert p.lam == Fraction(1, 2)
     assert p.delta == (Fraction(3, 2), 0, 0, 0, Fraction(-1, 2))
     assert p.R == 2
     assert p.K == -1
@@ -124,7 +124,7 @@ def test_permutation_invariance(seed):
     rng.shuffle(perm)
     d2, X2 = relabel(d, X, perm)
     p, p2 = compute_parameters(d, X), compute_parameters(d2, X2)
-    for name in ("d_avg", "lam", "R", "X2", "X3",
+    for name in ("lam", "R", "X2", "X3",
                  "D", "H", "L", "K", "C11", "C12", "C21"):
         assert getattr(p, name) == getattr(p2, name), name
 
@@ -155,14 +155,13 @@ def fraction_parameters(d, X):
         L += (dj - x[j - 1]) * (dk - x[k - 1])
         K += dev[j - 1] * dev[k - 1]
     return Parameters(
-        n=n, d_avg=d_avg, lam=lam, A=lam * (1 - lam) / 2, delta=delta, dev=dev,
+        n=n, lam=lam, A=lam * (1 - lam) / 2, delta=delta, dev=dev,
         R=sum((t * t for t in dev), start=Fraction(0)),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
         D=D, H=H, L=L, K=K,
         C11=sum((delta[j] * x[j] for j in range(n)), start=Fraction(0)),
         C12=sum((delta[j] * x[j] ** 2 for j in range(n)), start=Fraction(0)),
         C21=sum((delta[j] ** 2 * x[j] for j in range(n)), start=Fraction(0)),
-        x_max=max(x),
     )
 
 

@@ -275,7 +275,7 @@ def test_lambda_reconstruction_from_a_and_z():
     d = DegreeSequence((3, 3, 2, 2, 2, 2))
     X = fg(6, [(1, 4)])
     sp = solve_saddle(d, X)
-    a, lam = sp.a, sp.lam
+    a, lam = sp.a, density(d)
     r2 = lam / (1 - lam)
     outer = np.outer(a, a)
     Z = outer * (1 - r2 - r2 * a[:, None] - r2 * a[None, :]) / (1 + r2 * outer)
@@ -292,7 +292,7 @@ def test_summed_saddle_identity(mode):
     X = fg(8, [(1, 2), (3, 7)])
     sp = solve_saddle(d, X, mode=mode)
     n = d.n
-    a, lam = sp.a, sp.lam
+    a, lam = sp.a, density(d)
     r2 = lam / (1 - lam)
     x = np.asarray(X.row_sums, float)
     adj = np.zeros((n, n))
@@ -332,10 +332,15 @@ class AbgCoefficients:
     gamma: np.ndarray
 
 
-def abg_coefficients(sp) -> AbgCoefficients:
+def density(d) -> float:
+    """lambda = 2E/(n(n-1)) of the degree sequence d, as a float."""
+    return 2 * d.edge_count / (d.n * (d.n - 1))
+
+
+def abg_coefficients(sp, d) -> AbgCoefficients:
     """Deviation matrices of the pairwise weight polynomials from their density values."""
     L = sp.lambda_jk
-    lam = sp.lam
+    lam = density(d)
     A = lam * (1 - lam) / 2.0
     A3 = lam * (1 - lam) * (1 - 2 * lam) / 6.0
     A4 = lam * (1 - lam) * (1 - 6 * lam + 6 * lam * lam) / 24.0
@@ -348,8 +353,9 @@ def abg_coefficients(sp) -> AbgCoefficients:
 
 
 def test_abg_zero_for_regular_empty():
-    sp = solve_saddle(DegreeSequence((3,) * 6))
-    ab = abg_coefficients(sp)
+    d = DegreeSequence((3,) * 6)
+    sp = solve_saddle(d)
+    ab = abg_coefficients(sp, d)
     off = ~np.eye(6, dtype=bool)
     assert np.abs(ab.alpha[off]).max() < 1e-15
     assert np.abs(ab.beta[off]).max() < 1e-15
@@ -357,19 +363,21 @@ def test_abg_zero_for_regular_empty():
 
 
 def test_abg_defining_identity():
-    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)))
-    ab = abg_coefficients(sp)
+    d = DegreeSequence((2, 2, 1, 1))
+    sp = solve_saddle(d)
+    ab = abg_coefficients(sp, d)
     L = sp.lambda_jk
-    A = sp.lam * (1 - sp.lam) / 2
+    A = density(d) * (1 - density(d)) / 2
     off = ~np.eye(4, dtype=bool)
     assert np.allclose(ab.alpha[off], (0.5 * L * (1 - L) - A)[off], atol=1e-16)
 
 
 def test_abg_extended_precision_recompute():
     mpmath = pytest.importorskip("mpmath")
-    sp = solve_saddle(DegreeSequence((2, 2, 1, 1)))
+    d = DegreeSequence((2, 2, 1, 1))
+    sp = solve_saddle(d)
     mpmath.mp.dps = 40
-    lam = mpmath.mpf(sp.lam)
+    lam = mpmath.mpf(density(d))
     A = lam * (1 - lam) / 2
     for j in range(4):
         for k in range(4):
@@ -377,7 +385,7 @@ def test_abg_extended_precision_recompute():
                 continue
             ljk = mpmath.mpf(sp.lambda_jk[j, k])
             want = ljk * (1 - ljk) / 2 - A
-            got = abg_coefficients(sp).alpha[j, k]
+            got = abg_coefficients(sp, d).alpha[j, k]
             assert abs(got - float(want)) < 1e-12
 
 
