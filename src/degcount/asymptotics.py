@@ -4,12 +4,13 @@ and regular-graph expectations.
 
 Every estimate is returned in log space as a LogEstimate carrying the factor
 outside the exponential (base_log), the exponent (correction) broken into
-named terms, and an error-order annotation.  Each containment (hit)
-expansion is its avoidance (miss) expansion evaluated at the complement
-degrees n-1-d (complement_fields).  Exponentiation is caller-side:
-the linear values overflow doubles around n = 40.  Hypothesis checking is
-advisory only; desk-scale instances always violate asymptotic hypotheses, so
-validity is reported, never enforced.
+named terms, and an error-order annotation.  Each hit expansion is its miss
+expansion at the complement degrees n-1-d (complement_fields), "flat" is
+the general tables at constant degrees, the leading induced form is the
+full one's first term, and a side no graph realizes is -inf.
+Exponentiation is caller-side: the linear values overflow doubles around
+n = 40.  Hypothesis checking is advisory only; desk-scale instances always
+violate asymptotic hypotheses, so validity is reported, never enforced.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def complement_fields(p: Parameters) -> dict[str, Fraction]:
     avoids X.  Complementing the degrees sends delta_j to x_j - delta_j and
     dev_j to -dev_j, so lambda' = 1 - lambda, D' = L, L' = D,
     C11' = X2 - C11, C12' = X3 - C12 and C21' = X3 - 2 C12 + C21, while R, K,
-    A, X2, X3 and H are unchanged.  Hence P_d(X in G)/lambda^X equals
+    A, X2 and X3 are unchanged.  Hence P_d(X in G)/lambda^X equals
     P_{n-1-d}(X misses G)/(1-lambda')^X, and each hit expansion is its miss
     expansion evaluated at these fields.
     """
@@ -171,10 +172,15 @@ def complement_fields(p: Parameters) -> dict[str, Fraction]:
             "C12": p.X3 - p.C12, "C21": p.X3 - 2 * p.C12 + p.C21}
 
 
-def _miss_and_hit(p: Parameters, miss_terms) -> dict[str, LogEstimate]:
-    """miss_terms(fields) at p's own fields (miss) and at the complement's (hit)."""
+def _miss_and_hit(p: Parameters, d: DegreeSequence, X: ForbiddenGraph,
+                  miss_terms) -> dict[str, LogEstimate]:
+    """miss_terms(fields) at p's own fields (miss) and at the complement's (hit);
+    a side is zero if over capacity at d (miss) or n-1-d (some d_j < x_j, hit)."""
     fields = vars(p)
-    return {side: LogEstimate.build(0.0, miss_terms(f), ERROR_ORDER)
+    zero = {"miss": over_capacity(d, X),
+            "hit": any(dj < xj for dj, xj in zip(d.degrees, X.row_sums))}
+    return {side: LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ()) if zero[side]
+            else LogEstimate.build(0.0, miss_terms(f), ERROR_ORDER)
             for side, f in (("miss", fields), ("hit", {**fields, **complement_fields(p)}))}
 
 
@@ -204,60 +210,47 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph) -> dict[str, LogEsti
             ("C21", -C21 / (2.0 * om * om * n * n)),
         )
 
-    return {**_miss_and_hit(p, miss_terms),
+    return {**_miss_and_hit(p, d, X, miss_terms),
             "num": LogEstimate.build(0.0, _count_terms(p, Xc), ERROR_ORDER)}
 
 
 def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> dict[str, LogEstimate]:
     """Specialized displays: case "flat" for constant degrees, "reg" for
-    constant forbidden degrees x_j.  As in miss_hit_estimate, hit is miss at
-    the complement degrees; of the fields these displays read, that moves
-    only lambda, to 1 - lambda."""
-    p = compute_parameters(d, X)
-    lam = interior_density(p)
-    n, Xc = d.n, X.edge_count
-    om = 1.0 - lam
-
+    constant forbidden degrees x_j.  At constant degrees delta_j = lambda x_j,
+    so the general tables are the paper's constant-degree display term for
+    term, and "flat" is miss_hit_estimate.  "reg" drops O(x^3/n) terms; its hit
+    is its miss at 1 - lambda, the one field it reads that complementing moves."""
+    X = forbidden_for(d, X)
     if case == "flat":
         if not d.is_regular():
             raise ValueError("flat case requires constant degrees")
-        X2, X3, H = float(p.X2), float(p.X3), float(p.H)
-        num = (("quarter", 0.25), ("Xsq_H", lam * (Xc * Xc - H) / (om * n * n)))
+        return miss_hit_estimate(d, X)
+    p = compute_parameters(d, X)
+    lam = interior_density(p)
+    if case != "reg":
+        raise ValueError(f"unknown case {case!r}")
+    xs = set(X.row_sums)
+    if len(xs) != 1:
+        raise ValueError("reg case requires constant x_j")
+    n, om, xv = d.n, 1.0 - lam, float(xs.pop())
+    A, K, R = float(p.A), float(p.K), float(p.R)
+    num = (
+        ("quarter", 0.25),
+        ("xsq", lam * xv * xv / (4.0 * om)),
+        ("K", -K / (2.0 * A * n * n)),
+        ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
+    )
 
-        def miss_terms(f):
-            lam = float(f["lam"])
-            om = 1.0 - lam
-            return (
-                ("X", lam * Xc / (om * n)),
-                ("X2", -lam * X2 / (2.0 * om * n)),
-                ("X3", -lam * (2.0 - lam) * X3 / (6.0 * om * om * n * n)),
-                ("Xsq", lam * Xc * Xc / (om * n * n)),
-                ("H", -lam * H / (om * n * n)),
-            )
-    elif case == "reg":
-        xs = set(X.row_sums)
-        if len(xs) != 1:
-            raise ValueError("reg case requires constant x_j")
-        xv = float(xs.pop())
-        A, K, R = float(p.A), float(p.K), float(p.R)
-        num = (
-            ("quarter", 0.25),
-            ("xsq", lam * xv * xv / (4.0 * om)),
+    def miss_terms(f):
+        lam = float(f["lam"])
+        om = 1.0 - lam
+        return (
+            ("x(x-2)", -lam * xv * (xv - 2.0) / (4.0 * om)),
+            ("xR", -xv * R / (2.0 * om * om * n * n)),
             ("K", -K / (2.0 * A * n * n)),
-            ("degree_spread", -R * R / (16.0 * A * A * n ** 4)),
         )
 
-        def miss_terms(f):
-            lam = float(f["lam"])
-            om = 1.0 - lam
-            return (
-                ("x(x-2)", -lam * xv * (xv - 2.0) / (4.0 * om)),
-                ("xR", -xv * R / (2.0 * om * om * n * n)),
-                ("K", -K / (2.0 * A * n * n)),
-            )
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return {"num": LogEstimate.build(0.0, num, ERROR_ORDER), **_miss_and_hit(p, miss_terms)}
+    return {"num": LogEstimate.build(0.0, num, ERROR_ORDER), **_miss_and_hit(p, d, X, miss_terms)}
 
 
 def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
@@ -266,9 +259,9 @@ def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
     lambda + (d_j-d)/n + (d_k-d)/n + (1-2 lambda)(d_j-d)(d_k-d)/(2 A n^2),
     vertices 1-indexed.
     """
-    if j == k:
-        raise ValueError("need j != k")
     n = p.n
+    if j == k or not (1 <= j <= n and 1 <= k <= n):
+        raise ValueError(f"need distinct vertices in 1..{n}, got ({j}, {k})")
     lam = float(p.lam)
     A = float(p.A)
     dj = float(p.dev[j - 1])
@@ -281,9 +274,9 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
                      model: str = "full") -> LogEstimate:
     """Probability that the restriction to vertices 1..m equals X exactly.
 
-    model "full" evaluates the complete omega expansion, "leading" the
-    two-term form, and "lambda-model" the reduced expansion over the pairwise
-    edge-weight base product.
+    model "full" evaluates the complete omega expansion, "leading" its first
+    term only (error o(1)), and "lambda-model" the reduced expansion over the
+    pairwise edge-weight base product.
     """
     p = compute_parameters(d, X)
     omega = induced_spec(d, X, m)
@@ -311,13 +304,17 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    if model == "leading":
+    if model == "lambda-model":
         terms = (
-            ("w11", w[(1, 1)] / (2.0 * A * n)),
             ("w02", -w[(0, 2)] / (4.0 * A * n)),
+            ("m2", m * m / (2.0 * n)),
+            ("w01", (1.0 - 2.0 * lam) * w[(0, 1)] / (4.0 * A * n)),
+            ("w10_w01", (4.0 * w[(1, 0)] * w[(0, 1)] - w[(0, 1)] ** 2) / (8.0 * A * n * n)),
+            ("mixed_m", (2.0 * w[(1, 1)] - w[(0, 2)]) * m / (4.0 * A * n * n)),
+            ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] - 3.0 * w[(1, 2)])
+                / (24.0 * A * A * n * n)),
         )
-        return LogEstimate.build(base, terms, "o(1)")
-    if model == "full":
+    else:
         terms = (
             ("w11_w02", (2.0 * w[(1, 1)] - w[(0, 2)]) / (4.0 * A * n)),
             ("m2", m * m / (2.0 * n)),
@@ -328,16 +325,8 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
             ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] + 3.0 * w[(2, 1)] - 3.0 * w[(1, 2)])
                 / (24.0 * A * A * n * n)),
         )
-    else:
-        terms = (
-            ("w02", -w[(0, 2)] / (4.0 * A * n)),
-            ("m2", m * m / (2.0 * n)),
-            ("w01", (1.0 - 2.0 * lam) * w[(0, 1)] / (4.0 * A * n)),
-            ("w10_w01", (4.0 * w[(1, 0)] * w[(0, 1)] - w[(0, 1)] ** 2) / (8.0 * A * n * n)),
-            ("mixed_m", (2.0 * w[(1, 1)] - w[(0, 2)]) * m / (4.0 * A * n * n)),
-            ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] - 3.0 * w[(1, 2)])
-                / (24.0 * A * A * n * n)),
-        )
+        if model == "leading":
+            return LogEstimate.build(base, terms[:1], "o(1)")
     return LogEstimate.build(base, terms, ERROR_ORDER)
 
 

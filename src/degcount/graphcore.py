@@ -144,7 +144,6 @@ class Parameters:
     X2: int
     X3: int
     D: Fraction
-    H: int
     L: Fraction
     K: Fraction
     C11: Fraction
@@ -189,11 +188,10 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     fr_dl = {v: Fraction(v, N) for v in set(dl)}
     fr_dv = {v: Fraction(v, n) for v in set(dv)}
 
-    D = H = L = K = 0
+    D = L = K = 0
     for j, k in X.edges:
         dj, dk, xj, xk = dl[j - 1], dl[k - 1], x[j - 1], x[k - 1]
         D += dj * dk
-        H += xj * xk
         L += (dj - xj * N) * (dk - xk * N)
         K += dv[j - 1] * dv[k - 1]
 
@@ -202,7 +200,7 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
         delta=tuple(fr_dl[v] for v in dl), dev=tuple(fr_dv[v] for v in dv),
         R=Fraction(sum(v * v for v in dv), n * n),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
-        D=Fraction(D, N * N), H=H, L=Fraction(L, N * N), K=Fraction(K, n * n),
+        D=Fraction(D, N * N), L=Fraction(L, N * N), K=Fraction(K, n * n),
         C11=Fraction(sum(v * xj for v, xj in zip(dl, x)), N),
         C12=Fraction(sum(v * xj * xj for v, xj in zip(dl, x)), N),
         C21=Fraction(sum(v * v * xj for v, xj in zip(dl, x)), N * N),

@@ -9,6 +9,7 @@ from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameter
 from degcount.exactcount import exact_count, exact_probability
 from degcount.asymptotics import (
     NEG_INF,
+    LogEstimate,
     check_hypotheses,
     complement_fields,
     dense_count_estimate,
@@ -173,10 +174,30 @@ def test_hit_is_miss_at_the_complement_degrees():
 
         p, pc = compute_parameters(d, X), compute_parameters(dc, X)
         assert complement_fields(p) == {k: getattr(pc, k) for k in complement_fields(p)}
-        for name in ("R", "K", "A", "X2", "X3", "H"):
+        for name in ("R", "K", "A", "X2", "X3"):
             assert getattr(pc, name) == getattr(p, name), name
 
     check()
+
+
+TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+CYCLE6 = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+
+
+@pytest.mark.parametrize("degrees,pairs,case,side", [
+    ((3, 1, 1, 1), [(1, 2)], "general", "miss"),           # d_1 = 3 > n-1-x_1 = 2
+    ((1, 1, 0, 0), [(1, 2), (2, 3)], "general", "hit"),    # d_2 = 1 < x_2 = 2
+    ((4,) * 6, TRIANGLE, "flat", "miss"),
+    ((1,) * 6, TRIANGLE, "flat", "hit"),
+    ((4,) * 6, CYCLE6, "reg", "miss"),
+    ((1,) * 6, CYCLE6, "reg", "hit"),
+])
+def test_over_capacity_side_is_zero(degrees, pairs, case, side):
+    d, X = DegreeSequence(degrees), fg(len(degrees), pairs)
+    est = miss_hit_estimate(d, X) if case == "general" else specialized_estimates(d, X, case)
+    assert exact_probability(d, X, side) == 0
+    assert est[side] == LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ())
+    assert est["hit" if side == "miss" else "miss"].log_value > NEG_INF
 
 
 def test_degenerate_density_rejected():
@@ -187,14 +208,49 @@ def test_degenerate_density_rejected():
 
 # ------------------------------------------------------ specialized evaluators
 
-def test_flat_equals_general_for_constant_degrees():
-    # the constant-degree display is an exact specialization: no discarded terms
-    d = DegreeSequence((3,) * 8)
-    X = fg(8, [(1, 2), (2, 3)])
-    gen = miss_hit_estimate(d, X)
-    flat = specialized_estimates(d, X, "flat")
-    for key in ("miss", "hit", "num"):
-        assert flat[key].correction == pytest.approx(gen[key].correction, abs=1e-14)
+def test_flat_is_the_paper_constant_degree_display():
+    # at d_j = d, delta_j = lambda x_j: the general tables are the paper's
+    # five-term display, written out here in exact arithmetic as the reference.
+    # Each logValue is compared relative to the size of its terms, since the
+    # display can cancel to 0 exactly where the float tables leave ~1e-16.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(4, 40))
+        dv = data.draw(st.sampled_from([v for v in range(1, n - 1) if n * v % 2 == 0]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        room = [min(dv, n - 1 - dv)] * (n + 1)         # so that neither side is zero
+        pairs = []
+        for j, k in rng.sample(list(itertools.combinations(range(1, n + 1), 2)),
+                               data.draw(st.integers(0, min(8, n * (n - 1) // 2)))):
+            if room[j] and room[k]:
+                room[j] -= 1
+                room[k] -= 1
+                pairs.append((j, k))
+        d, X = DegreeSequence((dv,) * n), fg(n, pairs)
+        x = X.row_sums
+        Xc, X2, X3 = X.edge_count, sum(v ** 2 for v in x), sum(v ** 3 for v in x)
+        H = sum(x[j - 1] * x[k - 1] for j, k in X.edges)
+
+        def miss(lam):
+            om = 1 - lam
+            return (lam * Xc / (om * n), -lam * X2 / (2 * om * n),
+                    -lam * (2 - lam) * X3 / (6 * om * om * n * n),
+                    lam * Xc * Xc / (om * n * n), -lam * H / (om * n * n))
+
+        lam = Fraction(dv, n - 1)
+        display = {"miss": miss(lam), "hit": miss(1 - lam),
+                   "num": (Fraction(1, 4), lam * (Xc * Xc - H) / ((1 - lam) * n * n))}
+        flat = specialized_estimates(d, X, "flat")
+        assert flat == miss_hit_estimate(d, X)
+        for key, terms in display.items():
+            err = abs(Fraction(flat[key].log_value) - sum(terms))
+            assert err <= Fraction(1, 10 ** 13) * sum(abs(t) for t in terms), key
+
+    check()
 
 
 def test_flat_empty_num_is_quarter():
@@ -283,6 +339,15 @@ def test_induced_vs_exact_oracle():
     assert abs(est.log_value - math.log(exact)) < 0.2   # measured 0.09 at n=10
 
 
+def test_induced_leading_is_the_first_full_term():
+    d = DegreeSequence((6, 5, 5, 4, 5, 5, 5, 5, 5, 5))
+    X = fg(10, [(1, 2), (2, 3)])
+    full = induced_estimate(d, X, 3, model="full")
+    lead = induced_estimate(d, X, 3, model="leading")
+    assert lead == LogEstimate.build(full.base_log, full.terms[:1], "o(1)")
+    assert [name for name, _ in lead.terms] == ["w11_w02"]
+
+
 def test_induced_full_vs_leading_sweep():
     diffs = []
     for n in (100, 200, 400):
@@ -331,6 +396,14 @@ def test_lambda_jk_symmetry():
             assert lambda_jk_expansion(p, j, k) == lambda_jk_expansion(p, k, j)
     with pytest.raises(ValueError):
         lambda_jk_expansion(p, 2, 2)
+
+
+@pytest.mark.parametrize("j,k", [(0, 1), (1, 0), (7, 2), (2, 7)])
+def test_lambda_jk_vertex_outside_range(j, k):
+    # without the check, j = 0 would wrap round to vertex n's weight
+    _, _, p = params((4, 3, 3, 2, 2, 2))
+    with pytest.raises(ValueError, match=r"^need distinct vertices in 1\.\.6"):
+        lambda_jk_expansion(p, j, k)
 
 
 # ------------------------------------------------------ overlap distribution

@@ -66,6 +66,11 @@ def test_estimate_triple_for_flat(files):
                      "--degrees", files["d8"], "--forbidden", files["x"]])
     doc = json.loads(out)
     assert {"num", "miss", "hit"} <= set(doc)
+    # flat is the general tables at constant degrees: the same reports
+    for key in ("num", "miss", "hit"):
+        _, single = run(["estimate", "--formula", key,
+                         "--degrees", files["d8"], "--forbidden", files["x"]])
+        assert doc[key] == {k: v for k, v in json.loads(single).items() if k in doc[key]}
 
 
 def test_estimate_regular_formula_flags():
@@ -179,6 +184,8 @@ def test_input_errors_exit_two(files, tmp_path, capsys):
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "naive"]),
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "dense"]),
     ("1\n1\n2\n2\n", "1 2\n1 3\n", ["estimate", "--formula", "mckay81"]),
+    ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "miss"]),
+    ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "hit"]),
 ])
 def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     d = tmp_path / "d.txt"

@@ -75,7 +75,6 @@ def test_parameters_one_edge():
     assert p.delta[0] == p.delta[1] == Fraction(2, 3)
     assert p.delta[2] == p.delta[3] == 0
     assert p.D == Fraction(4, 9)
-    assert p.H == 1
     assert p.K == 0
 
 
@@ -125,17 +124,20 @@ def test_permutation_invariance(seed):
     d2, X2 = relabel(d, X, perm)
     p, p2 = compute_parameters(d, X), compute_parameters(d2, X2)
     for name in ("lam", "R", "X2", "X3",
-                 "D", "H", "L", "K", "C11", "C12", "C21"):
+                 "D", "L", "K", "C11", "C12", "C21"):
         assert getattr(p, name) == getattr(p2, name), name
 
 
 def test_regular_degenerations():
-    # regular d: D = lam^2 H, L = (1-lam)^2 H, K = 0, exactly
+    # regular d: D = lam^2 H, L = (1-lam)^2 H with H = sum_{jk in X} x_j x_k, K = 0, exactly
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2), (2, 3), (4, 5)])
     p = compute_parameters(d, X)
-    assert p.D == p.lam ** 2 * p.H
-    assert p.L == (1 - p.lam) ** 2 * p.H
+    x = X.row_sums
+    H = sum(x[j - 1] * x[k - 1] for j, k in X.edges)
+    assert H == 5
+    assert p.D == p.lam ** 2 * H
+    assert p.L == (1 - p.lam) ** 2 * H
     assert p.K == 0
 
 
@@ -147,18 +149,17 @@ def fraction_parameters(d, X):
     x = X.row_sums
     delta = tuple(dj - d_avg + lam * xj for dj, xj in zip(d.degrees, x))
     dev = tuple(dj - d_avg for dj in d.degrees)
-    D, H, L, K = Fraction(0), 0, Fraction(0), Fraction(0)
+    D, L, K = Fraction(0), Fraction(0), Fraction(0)
     for j, k in X.edges:
         dj, dk = delta[j - 1], delta[k - 1]
         D += dj * dk
-        H += x[j - 1] * x[k - 1]
         L += (dj - x[j - 1]) * (dk - x[k - 1])
         K += dev[j - 1] * dev[k - 1]
     return Parameters(
         n=n, lam=lam, A=lam * (1 - lam) / 2, delta=delta, dev=dev,
         R=sum((t * t for t in dev), start=Fraction(0)),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
-        D=D, H=H, L=L, K=K,
+        D=D, L=L, K=K,
         C11=sum((delta[j] * x[j] for j in range(n)), start=Fraction(0)),
         C12=sum((delta[j] * x[j] ** 2 for j in range(n)), start=Fraction(0)),
         C21=sum((delta[j] ** 2 * x[j] for j in range(n)), start=Fraction(0)),

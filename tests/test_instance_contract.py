@@ -8,9 +8,12 @@ import pytest
 from degcount.asymptotics import (
     check_hypotheses,
     dense_count_estimate,
+    induced_estimate,
+    miss_hit_estimate,
     naive_estimate,
     overlap_distribution_estimate,
     sparse_estimates,
+    specialized_estimates,
 )
 from degcount.exactcount import (
     complement_degrees,
@@ -53,6 +56,10 @@ ENTRY_POINTS = {
     "naive_estimate": lambda d, X: naive_estimate(
         compute_parameters(d, ForbiddenGraph.empty(d.n)), d, X),
     "dense_count_estimate": dense_count_estimate,
+    "miss_hit_estimate": miss_hit_estimate,
+    "specialized_estimates-flat": lambda d, X: specialized_estimates(d, X, "flat"),
+    "specialized_estimates-reg": lambda d, X: specialized_estimates(d, X, "reg"),
+    "induced_estimate": lambda d, X: induced_estimate(d, X, 2),
     "overlap_distribution_estimate": lambda d, X: overlap_distribution_estimate(d, X, 0),
     "sparse_estimates-perth": lambda d, X: sparse_estimates(d, X, "perth"),
     "sparse_estimates-mckay81": lambda d, X: sparse_estimates(d, X, "mckay81"),
