@@ -54,6 +54,9 @@ class LogEstimate:
                    correction=correction, error_order=error_order, terms=terms)
 
 
+ZERO_PROBABILITY = LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ())
+
+
 @dataclass(frozen=True)
 class HypothesisFlag:
     hypothesis: str
@@ -179,7 +182,7 @@ def _miss_and_hit(p: Parameters, d: DegreeSequence, X: ForbiddenGraph,
     fields = vars(p)
     zero = {"miss": over_capacity(d, X),
             "hit": any(dj < xj for dj, xj in zip(d.degrees, X.row_sums))}
-    return {side: LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ()) if zero[side]
+    return {side: ZERO_PROBABILITY if zero[side]
             else LogEstimate.build(0.0, miss_terms(f), ERROR_ORDER)
             for side, f in (("miss", fields), ("hit", {**fields, **complement_fields(p)}))}
 
@@ -276,14 +279,20 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
 
     model "full" evaluates the complete omega expansion, "leading" its first
     term only (error o(1)), and "lambda-model" the reduced expansion over the
-    pairwise edge-weight base product.
+    pairwise edge-weight base product.  The event is impossible, and every
+    model returns ZERO_PROBABILITY, when a support vertex j has d_j < x_j or
+    d_j > n - m + x_j (it must miss the other m - 1 - x_j support vertices).
     """
+    if model not in ("full", "leading", "lambda-model"):
+        raise ValueError(f"unknown model {model!r}")
     p = compute_parameters(d, X)
     omega = induced_spec(d, X, m)
     if m == 0:
         return LogEstimate.build(0.0, (), "exact")
     lam = interior_density(p)
     n = d.n
+    if any(not xj <= dj <= n - m + xj for dj, xj in zip(d.degrees[:m], X.row_sums)):
+        return ZERO_PROBABILITY
     A = float(p.A)
     Xc = X.edge_count
     w = {key: float(val) for key, val in omega.items()}
@@ -295,14 +304,12 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
         free_pairs = comb(m, 2) - Xc
         if free_pairs:
             base += free_pairs * log1p(-lam)
-    elif model == "lambda-model":
+    else:
         base = 0.0
         for j in range(1, m + 1):
             for k in range(j + 1, m + 1):
                 ljk = lambda_jk_expansion(p, j, k)
                 base += log(ljk) if X.has_edge(j, k) else log1p(-ljk)
-    else:
-        raise ValueError(f"unknown model {model!r}")
 
     if model == "lambda-model":
         terms = (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import json
 import math
 import sys
@@ -337,10 +338,27 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Build the parser and parse argv with the cyclic collector paused.
+
+    argparse links actions, groups and help formatters both ways, so every
+    parser is a few hundred objects of reference cycles.  A collection while
+    it is alive would promote it towards the oldest generation, and only a
+    full collection would free it; paused, it dies in the next young one.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build_parser().parse_args(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return _HANDLERS[args.subcommand](args, out)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -7,18 +7,21 @@ forbidden edge (one whose endpoints both have residual degree left).  The
 other live vertices are exchangeable, so they are kept as a multiset of
 residual-degree classes: each pivot branches over subsets of the constrained
 vertices it may join, times compositions of the rest of its degree across
-the classes with binomial weights.  A vertex whose forbidden neighbours are
-all spent joins the classes, and the states (constrained residuals, classes)
-are memoized per call.  Once no forbidden edge is live the count is a
-memoized recursion on the class multiset alone.  The overlap law with a
-graph Y is one pass of the same recursion that weights each Y-edge taken,
-so its cost follows the shape of Y, not 2^|Y|.  Measured on one core of a
-shared 2-core machine, d = n/2 regular takes 1.9 s cold at n = 20; with a
-forbidden triangle 0.05 s at n = 16 and 1.7 s at n = 20, with a forbidden
-perfect matching 0.09 s at n = 10 and 2.2 s at n = 12.  Overlap laws take
-0.5 s for a perfect matching (5-regular, n = 10), 0.15 s for two triangles
-and 15 s for an 8-cycle (6-regular, n = 12), 8 s for K10.  An independent
-brute-force enumeration over all 2^C(n,2) graphs checks n <= 6.
+the classes with binomial weights.  Those class steps carry no vertex label,
+so they are read from one table, bounded at STEP_MEMO_SIZE keys, that every
+pivot, state, call and instance with the same free multiset shares.  A
+vertex whose forbidden neighbours are all spent joins the classes, and the
+states (constrained residuals, classes) are memoized per call.  Once no
+forbidden edge is live the count is a memoized recursion on the class
+multiset alone.  The overlap law with a graph Y is one pass of the same
+recursion that weights each Y-edge taken, so its cost follows the shape of
+Y, not 2^|Y|.  Measured cold in one session on one core of a shared 2-core
+machine, d = n/2 regular takes 2.3 s at n = 20; with a forbidden triangle
+0.07 s at n = 16 and 2.2 s at n = 20, with a forbidden perfect matching
+0.06 s at n = 10 and 2.2 s at n = 12.  Overlap laws take 0.36 s for a
+perfect matching (5-regular, n = 10), 0.1 s for two triangles and 7 s for
+an 8-cycle (6-regular, n = 12), 7 s for K10.  An independent brute-force
+enumeration over all 2^C(n,2) graphs checks n <= 6.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
 ENUMERATION_LIMIT = 6
 FREE_MEMO_SIZE = 1 << 15  # holds a cold regular n = 20 count (24,216 classes)
+STEP_MEMO_SIZE = 1 << 12  # ~1 KB a key; holds a cold 7-regular n = 14 matching count (3,565)
 
 
 class CountLimitError(ValueError):
@@ -46,39 +50,53 @@ class UndefinedProbabilityError(ValueError):
     """Conditional probability requested while G(d) = 0."""
 
 
-def _class_compositions(caps: tuple[int, ...], r: int):
-    """Yield (k_1, ..., k_c) with 0 <= k_i <= caps[i] and sum k_i = r."""
-    if not caps:
-        if r == 0:
-            yield ()
-        return
-    rest = sum(caps[1:])
-    lo = max(0, r - rest)
-    hi = min(caps[0], r)
-    for k in range(lo, hi + 1):
-        for tail in _class_compositions(caps[1:], r - k):
-            yield (k,) + tail
-
-
-def _class_choices(classes: tuple[tuple[int, int], ...], r: int, extra=()):
-    """Yield (ways, classes') for every way to join a pivot to r vertices of classes.
+def _class_choices(classes: tuple[tuple[int, int], ...], r: int,
+                   extra: tuple[int, ...] = ()) -> tuple[tuple[int, tuple], ...]:
+    """Every (ways, classes') that joins a pivot to r vertices of classes.
 
     Taking k_i of the c_i vertices of residual v_i lowers them to v_i - 1 in
     comb(c_i, k_i) ways; vertices that reach 0 drop out.  The residuals in
-    extra join classes' unchanged.  classes' is sorted descending, like classes.
+    extra join classes' unchanged.  classes' is sorted descending, like classes:
+    the residuals are distinct, so each lowered group either merges with the
+    next class or sits alone between the two.
     """
-    for ks in _class_compositions(tuple(c for _, c in classes), r):
-        ways = 1
-        merged: dict[int, int] = {}
-        for v in extra:
-            merged[v] = merged.get(v, 0) + 1
-        for (v, c), k in zip(classes, ks):
-            ways *= comb(c, k)
-            if c - k:
-                merged[v] = merged.get(v, 0) + (c - k)
-            if k and v - 1:
-                merged[v - 1] = merged.get(v - 1, 0) + k
-        yield ways, tuple(sorted(merged.items(), reverse=True))
+    room = [0] * (len(classes) + 1)     # room[i]: vertices in classes[i:]
+    for i in range(len(classes) - 1, -1, -1):
+        room[i] = room[i + 1] + classes[i][1]
+    steps: list[tuple[int, tuple]] = []
+    out: list[tuple[int, int]] = []     # classes' so far, descending
+
+    def walk(i: int, left: int, ways: int, low: int) -> None:
+        # classes[:i] are split; low vertices of classes[i - 1] were lowered
+        if i == len(classes):
+            nxt = out + [(classes[-1][0] - 1, low)] if low and classes[-1][0] > 1 else out
+            if extra:
+                counts = dict(nxt)
+                for v in extra:
+                    counts[v] = counts.get(v, 0) + 1
+                nxt = sorted(counts.items(), reverse=True)
+            steps.append((ways, tuple(nxt)))
+            return
+        v, c = classes[i]
+        if low and classes[i - 1][0] - 1 > v:
+            out.append((classes[i - 1][0] - 1, low))
+            low = 0
+        mark = len(out)
+        for k in range(max(0, left - room[i + 1]), min(c, left) + 1):
+            if c - k + low:
+                out.append((v, c - k + low))
+            walk(i + 1, left - k, ways * comb(c, k), k)
+            del out[mark:]
+
+    if r <= room[0]:
+        walk(0, r, 1, 0)
+    return tuple(steps)
+
+
+# The class steps of the forbidden and weighted recursion.  The key holds no
+# vertex label, so pivots, states, calls and instances with the same free
+# multiset share one entry.
+_class_steps = lru_cache(maxsize=STEP_MEMO_SIZE)(_class_choices)
 
 
 @lru_cache(maxsize=FREE_MEMO_SIZE)
@@ -133,7 +151,7 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
         """(constrained (vertex, residual) pairs, free residuals) of the live vertices."""
         live = {v for v, r in res.items() if r}
         cons = tuple((v, res[v]) for v in res if v in live and xadj[v] & live)
-        return cons, [res[v] for v in live if not xadj[v] & live]
+        return cons, tuple(sorted(res[v] for v in live if not xadj[v] & live))
 
     def rec(cons: tuple[tuple[int, int], ...], free: tuple[tuple[int, int], ...]) -> int:
         if not cons:
@@ -154,7 +172,7 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
                     res[u] -= 1
                 cons2, moved = split(res)
                 branch = 0
-                for ways, free2 in _class_choices(free, need - k, moved):
+                for ways, free2 in _class_steps(free, need - k, moved):
                     branch += ways * rec(cons2, free2)
                 total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
                 for u in chosen:

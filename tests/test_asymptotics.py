@@ -370,6 +370,47 @@ def test_induced_lambda_model_matches_full_for_regular():
     assert lm.log_value == pytest.approx(full.log_value, abs=1e-12)
 
 
+@pytest.mark.parametrize("degrees,pairs,m", [
+    ((3, 1, 1, 1), [], 2),                  # d_1 = 3 > n-m+x_1 = 2: edge 12 is absent
+    ((1, 1, 0, 0), [(1, 2), (2, 3)], 3),    # d_2 = 1 < x_2 = 2
+])
+@pytest.mark.parametrize("model", ["full", "leading", "lambda-model"])
+def test_impossible_induced_event_is_zero(degrees, pairs, m, model):
+    d, X = DegreeSequence(degrees), fg(len(degrees), pairs)
+    assert exact_probability(d, X, "induced", m=m) == 0
+    zero = LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ())
+    assert induced_estimate(d, X, m, model=model) == zero
+
+
+def test_induced_unknown_model_fails_before_the_zero_test():
+    with pytest.raises(ValueError, match="unknown model"):
+        induced_estimate(DegreeSequence((3, 1, 1, 1)), fg(4, []), 2, model="trailing")
+
+
+def test_zero_induced_estimate_is_exactly_zero_property():
+    # the zero test is a degree bound on the support vertices, so it must
+    # never fire on an event that some graph realizes
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(3, 7))
+        m = data.draw(st.integers(1, n))
+        graph = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+        deg = [sum(v in e for e in graph) for v in range(n)]
+        hyp.assume(0 < sum(deg) < n * (n - 1))
+        pairs = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(1, m + 1), 2))))
+                          if m > 1 else st.just(set()))
+        d, X = DegreeSequence(tuple(deg)), fg(n, pairs)
+        est = induced_estimate(d, X, m)
+        exact = exact_probability(d, X, "induced", m=m)
+        assert (est.log_value == NEG_INF) <= (exact == 0)
+
+    check()
+
+
 def test_induced_support_violation():
     d = DegreeSequence((3,) * 8)
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import gc
 import io
 import json
 import warnings
@@ -6,6 +8,8 @@ import warnings
 import pytest
 
 from degcount import cli
+
+THRESHOLDS = gc.get_threshold()
 
 
 def run(argv):
@@ -186,6 +190,10 @@ def test_input_errors_exit_two(files, tmp_path, capsys):
     ("1\n1\n2\n2\n", "1 2\n1 3\n", ["estimate", "--formula", "mckay81"]),
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "miss"]),
     ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "hit"]),
+    ("3\n1\n1\n1\n", "", ["estimate", "--formula", "induced", "--m", "2"]),
+    ("3\n1\n1\n1\n", "", ["estimate", "--formula", "lambda-model", "--m", "2"]),
+    ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "induced", "--m", "3",
+                                      "--model", "leading"]),
 ])
 def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     d = tmp_path / "d.txt"
@@ -361,3 +369,33 @@ def test_csv_format(files):
         assert code == 0 and rows and all(len(row) == 2 for row in rows), argv
         assert dict(rows)["subcommand"] == argv[0]
 
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count"], ["verify-start", "--n-max", "3"]])
+def test_parsing_leaves_the_collector_as_it_was(argv):
+    # the parser is built with the cyclic collector paused; parsing that
+    # exits (help, a usage error) or succeeds restores the caller's setting
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_parser_cycles_die_young():
+    # a parser alive during a young collection would move to an older
+    # generation, which only a rarer collection frees; built with the
+    # collector paused, each one is garbage in the youngest generation
+    gc.collect()
+    gc.set_threshold(1, 1, 10 ** 6)     # young collections at every allocation
+    try:
+        for _ in range(3):
+            run(["verify-start", "--n-max", "3"])
+        gc.collect(0)
+        survivors = [o for o in gc.get_objects()
+                     if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("degcount")]
+    finally:
+        gc.set_threshold(*THRESHOLDS)
+    assert survivors == []

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
-from degcount.graphcore import DegreeSequence, ForbiddenGraph
+from degcount.graphcore import DegreeSequence, ForbiddenGraph, relabel
 from degcount.exactcount import (
     CountLimitError,
     UndefinedProbabilityError,
+    _class_steps,
     _collapse,
     _count_free,
     complement_degrees,
@@ -135,6 +138,44 @@ def test_free_memo_is_bounded():
     assert 0 < _count_free.cache_info().maxsize < float("inf")
 
 
+def test_class_step_table_is_bounded():
+    assert 0 < _class_steps.cache_info().maxsize < float("inf")
+
+
+def product_steps(classes, r, extra):
+    """Reference: every (k_1, ..., k_c) in the box 0..c_i summing to r, with
+    the lowered, kept and extra residuals merged by a Counter."""
+    steps = []
+    for ks in product(*(range(c + 1) for _, c in classes)):
+        if sum(ks) != r:
+            continue
+        ways, counts = 1, Counter(extra)
+        for (v, c), k in zip(classes, ks):
+            ways *= comb(c, k)
+            counts[v] += c - k
+            counts[v - 1] += k
+        del counts[0]
+        steps.append((ways, tuple(sorted((+counts).items(), reverse=True))))
+    return tuple(steps)
+
+
+def test_class_steps_match_product_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(residuals=st.sets(st.integers(1, 8), max_size=5),
+               counts=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+               r=st.integers(0, 14),
+               extra=st.lists(st.integers(1, 8), max_size=4))
+    def check(residuals, counts, r, extra):
+        classes = tuple(zip(sorted(residuals, reverse=True), counts))
+        extra = tuple(sorted(extra))
+        assert _class_steps(classes, r, extra) == product_steps(classes, r, extra)
+
+    check()
+
+
 @pytest.mark.parametrize("n,pairs", [
     (12, [(1, 2), (2, 3), (1, 3)]),
     (10, [(1, 2), (3, 4), (5, 6)]),
@@ -237,7 +278,6 @@ def test_complementation_identity(seed):
 
 
 def test_count_permutation_invariance():
-    from degcount.graphcore import relabel
     rng = random.Random(7)
     d, X = random_instance(rng, 6)
     perm = list(range(1, 7))
@@ -378,3 +418,31 @@ def test_overlap_limits():
     with pytest.raises(CountLimitError):
         exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=11)
     assert sum(exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=12)) == 1
+
+
+def test_shared_tables_carry_no_state_between_instances():
+    # the class-step table and the free memo are keyed without vertex labels
+    # and shared by every call: a warm table must give what a cold one gives
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def results(d, X, mode):
+        return (exact_count(d, X), exact_probability(d, X, mode),
+                exact_overlap_distribution(d, X))
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(st, data, 10, 6)
+        mode = data.draw(st.sampled_from(["miss", "hit"]))
+        _count_free.cache_clear()
+        _class_steps.cache_clear()
+        cold = results(d, X, mode)
+        # fill the tables from other instances: a relabelled copy, whose
+        # states share every label-free key, and an unrelated draw
+        perm = data.draw(st.permutations(range(1, d.n + 1)))
+        for other in (relabel(d, X, perm), draw_instance(st, data, 10, 6)):
+            results(*other, mode)
+        assert results(d, X, mode) == cold
+
+    check()
