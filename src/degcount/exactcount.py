@@ -88,9 +88,12 @@ def _class_choices(classes: tuple[tuple[int, int], ...], r: int,
             walk(i + 1, left - k, ways * comb(c, k), k)
             del out[mark:]
 
-    if r <= room[0]:
-        walk(0, r, 1, 0)
-    return tuple(steps)
+    try:
+        if r <= room[0]:
+            walk(0, r, 1, 0)
+        return tuple(steps)
+    finally:
+        walk = None   # walk reaches itself through its closure cell: free it now
 
 
 # The class steps of the forbidden and weighted recursion.  The key holds no
@@ -181,7 +184,10 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
         return total
 
     cons, moved = split(dict(enumerate(d.degrees)))
-    return rec(cons, _collapse(moved))
+    try:
+        return rec(cons, _collapse(moved))
+    finally:
+        rec = None   # rec reaches itself through its closure cell: free it and memo now
 
 
 def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,

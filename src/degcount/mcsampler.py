@@ -5,16 +5,19 @@ formulas beyond exact-count reach.
 A switch picks two edges uniformly, proposes rewiring them across, and
 rejects proposals that would create a loop or multi-edge; degrees are
 invariant along the chain.  The graph is one flat (n+1)^2 byte array, so
-every adjacency test and edit in the chain is a single index.  Estimates
-pool thinned samples and report a batch-means standard error so
-autocorrelation is priced in honestly.
+every adjacency test and edit in the chain is a single index.  Proposals
+come from a numpy Generator in bulk: each chunk of at most CHUNK proposals
+is three arrays (edge i, edge j, pairing flip), and one Python loop applies
+them.  Estimates pool thinned samples and report a batch-means standard
+error so autocorrelation is priced in honestly.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_fo
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
+CHUNK = 1 << 14   # most switch proposals drawn in one set of arrays
 
 
 class NonGraphicalError(ValueError):
@@ -48,13 +52,17 @@ def is_graphical(degrees) -> bool:
 class LabeledGraph:
     """Simple labeled graph on vertices 1..n as one flat adjacency array.
 
-    `adj[j * (n + 1) + k]` is 1 when {j, k} is an edge and 0 otherwise.
-    Row and column 0 stay 0, so vertex labels index the array directly.
+    `adj[j * (n + 1) + k]` is 1 when {j, k} is an edge and 0 otherwise, and
+    the diagonal cell of each vertex holds the marker 2, so a switch that
+    would make a loop fails the same nonzero test as one that would double
+    an edge.  Row and column 0 stay 0, so vertex labels index the array
+    directly.  Only cells holding 1 are edges.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.adj = bytearray((n + 1) * (n + 1))
+        self.adj[n + 2::n + 2] = b"\x02" * n
 
     def has_edge(self, j: int, k: int) -> bool:
         n = self.n
@@ -108,47 +116,31 @@ def realize(d: DegreeSequence) -> LabeledGraph:
     return g
 
 
-def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]],
-                steps: int = 1) -> LabeledGraph:
-    """Run `steps` double-edge-switch proposals, each applied in place when accepted.
+def _proposals(rng: np.random.Generator, m: int, steps: int):
+    """The next `steps` proposals (i, j, flip) on m >= 2 edges, lazily drawn.
 
-    A proposal picks an ordered pair of distinct edges uniformly, flips the
-    pairing with probability 1/2, and is rejected (a chain self-loop) whenever
-    the rewiring would create a loop or multi-edge.  `edges` is the current
-    edge list of g, updated in place on acceptance, so each proposal is O(1).
+    A chunk of k <= CHUNK proposals is drawn as k edges i, then k edges j
+    from the other m - 1 (shifted past i), then k pairing flips."""
+    def chunk(k: int):
+        i = rng.integers(m, size=k)
+        j = rng.integers(m - 1, size=k)
+        j += j >= i
+        return zip(i.tolist(), j.tolist(), (rng.random(k) < 0.5).tolist())
+    return chain.from_iterable(chunk(min(CHUNK, steps - lo)) for lo in range(0, steps, CHUNK))
 
-    Each proposal draws edge i, then edge j (shifted past i), then the
-    pairing flip; the endpoint and adjacency tests that follow draw nothing.
-    The edge draws are `rng.randrange(m)` and `rng.randrange(m - 1)` written
-    out as the `getrandbits` rejection loop `random.Random` runs for them, so
-    a seed gives the same chain as calling `randrange`.  Tests and edits are
-    single indexes into the flat adjacency `g.adj`.
-    """
-    m = len(edges)
-    if m < 2:
-        return g
-    adj = g.adj
-    row = g.n + 1
-    uniform = rng.random
-    bits = rng.getrandbits
-    m1 = m - 1
-    ki = m.bit_length()
-    kj = m1.bit_length()
-    for _ in range(steps):
-        i = bits(ki)
-        while i >= m:
-            i = bits(ki)
-        j = bits(kj)
-        while j >= m1:
-            j = bits(kj)
-        if j >= i:
-            j += 1
+
+def _switch(adj: bytearray, row: int, edges: list[tuple[int, int]], proposals) -> None:
+    """Apply each proposal (i, j, flip) that keeps the graph simple, in place.
+
+    The diagonal marker makes the two adjacency tests reject the shared
+    endpoints too: a == c and b == d hit a diagonal cell, a == d and b == c
+    the edge {a, b} itself."""
+    for i, j, flip in proposals:
         a, b = edges[i]
-        c, d_ = edges[j]
-        if uniform() < 0.5:
-            c, d_ = d_, c
-        if a == c or a == d_ or b == c or b == d_:
-            continue
+        if flip:
+            d_, c = edges[j]
+        else:
+            c, d_ = edges[j]
         ra = a * row
         rb = b * row
         if adj[ra + c] or adj[rb + d_]:
@@ -159,6 +151,26 @@ def switch_step(g: LabeledGraph, rng: random.Random, edges: list[tuple[int, int]
         adj[ra + c] = adj[rc + a] = adj[rb + d_] = adj[rd + b] = 1
         edges[i] = (a, c) if a < c else (c, a)
         edges[j] = (b, d_) if b < d_ else (d_, b)
+
+
+def switch_step(g: LabeledGraph, rng: np.random.Generator, edges: list[tuple[int, int]],
+                steps: int = 1) -> LabeledGraph:
+    """Run `steps` double-edge-switch proposals, each applied in place when accepted.
+
+    A proposal picks an ordered pair of distinct edges uniformly, flips the
+    pairing with probability 1/2, and is rejected (a chain self-loop) whenever
+    the rewiring would create a loop or multi-edge.  `edges` is the current
+    edge list of g, updated in place on acceptance, so each proposal is O(1).
+
+    The proposals come from rng in chunks of at most CHUNK: the edges i, the
+    edges j (shifted past i) and the pairing flips as three arrays, so a
+    seeded Generator and the sequence of `steps` fix the chain.  Tests and
+    edits are single indexes into the flat adjacency `g.adj`.  Fewer than
+    two edges admit no switch, and then nothing is drawn.
+    """
+    m = len(edges)
+    if m >= 2:
+        _switch(g.adj, g.n + 1, edges, _proposals(rng, m, steps))
     return g
 
 
@@ -173,14 +185,19 @@ class MCEstimate:
 
 
 def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
-    """Test of a LabeledGraph for the event graphcore.event_edges(X, mode, m)."""
+    """Test of a flat adjacency for the event graphcore.event_edges(X, mode, m):
+    one itemgetter read of the Y cells, compared with the same read of a
+    template holding 1 at the cells of S."""
     Y, S = event_edges(X, mode, m)
+    if not Y.edge_count:
+        return lambda adj: True
     row = X.n + 1
-    pattern = [(j * row + k, int((j, k) in S)) for j, k in Y.sorted_edges()]
-
-    def check(g: LabeledGraph) -> bool:
-        return all(g.adj[c] == w for c, w in pattern)
-    return check
+    cells = itemgetter(*(j * row + k for j, k in Y.sorted_edges()))
+    want = bytearray(row * row)
+    for j, k in S:
+        want[j * row + k] = 1
+    want = cells(want)
+    return lambda adj: cells(adj) == want
 
 
 def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
@@ -190,7 +207,9 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     """Empirical frequency of the miss/hit/induced event over the switch chain.
 
     burn_in defaults to 10 E ln(E) switch steps and thinning to E steps
-    between samples.  Deterministic for fixed arguments (including seed).
+    between samples.  One stream of proposals from np.random.default_rng(seed)
+    runs through burn-in and every sample, so the estimate is deterministic
+    for fixed arguments (including seed) under a given numpy.
     The standard error comes from batch means over the thinned sample stream;
     it is NaN when the event indicator never changed, since such a chain
     shows no spread at all.
@@ -208,14 +227,20 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
         thinning = max(E, 1)
     if burn_in < 0 or thinning < 1:
         raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
-    rng = random.Random(seed)
-    mixed = [0.0] * samples
-    switch_step(g, rng, edges, burn_in)
-    for s in range(samples):
-        switch_step(g, rng, edges, thinning)
-        mixed[s] = 1.0 if check(g) else 0.0
+    rng = np.random.default_rng(seed)
+    adj, row = g.adj, g.n + 1
+    if E < 2:
+        mixed = [check(adj)] * samples
+    else:
+        # one proposal stream across burn-in and every thinned sample
+        stream = _proposals(rng, E, burn_in + samples * thinning)
+        _switch(adj, row, edges, islice(stream, burn_in))
+        mixed = []
+        for _ in range(samples):
+            _switch(adj, row, edges, islice(stream, thinning))
+            mixed.append(check(adj))
 
-    values = np.asarray(mixed)
+    values = np.asarray(mixed, dtype=float)
     mean = float(values.mean())
     nb = max(1, min(BATCHES, samples))
     batch_means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])

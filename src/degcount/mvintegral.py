@@ -252,7 +252,9 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     weight of each accepted point is exp of the perturbation exponent, so the
     estimate is (pi/(A N))^(N/2) * box_mass * mean(weight).  Bit-reproducible
     for a fixed seed: batch k draws from the k-th spawn of the master seed
-    sequence and batches are reduced in order.
+    sequence and batches are reduced in order.  A batch draws only the rows
+    it uses (at most BATCH_SIZE), so acceptance_rate is the share of the rows
+    drawn that fell inside the box.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -273,20 +275,29 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
                          f"eps_hat={c.eps_hat:g}") from None
 
     master = np.random.SeedSequence(seed)
-    collected = proposed = accepted = 0
+    collected = proposed = 0
     s1 = 0.0 + 0.0j
     # sum of |w - mean|^2, merged over batches (Chan et al.); box_mass >=
     # MASS_FLOOR, so every batch accepts points and take > 0
     m2 = 0.0
     while collected < samples:
-        child = master.spawn(1)[0]
-        rng = np.random.default_rng(child)
-        zb = rng.normal(0.0, sigma, size=(BATCH_SIZE, N))
-        zin = zb[(np.abs(zb) <= bound).all(axis=1)]
-        proposed += BATCH_SIZE
-        accepted += zin.shape[0]
-        take = min(zin.shape[0], samples - collected)
-        w = np.exp(perturbation_exponent(c, zin[:take]))
+        rng = np.random.default_rng(master.spawn(1)[0])
+        # draw only the rows still needed, topping up the misses, and at most
+        # BATCH_SIZE rows: the draws are sequential, so these are the first
+        # accepted rows of a full batch
+        parts, drawn, take = [], 0, 0
+        while take < samples - collected and drawn < BATCH_SIZE:
+            rows = min(samples - collected - take, BATCH_SIZE - drawn)
+            zb = rng.normal(0.0, sigma, size=(rows, N))
+            inside = (np.abs(zb) <= bound).all(axis=1)
+            if not inside.all():
+                zb = zb[inside]
+            parts.append(zb)
+            drawn += rows
+            take += zb.shape[0]
+        proposed += drawn
+        zin = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        w = np.exp(perturbation_exponent(c, zin))
         sb = w.sum()
         dev = w - sb / take
         m2 += float(np.vdot(dev, dev).real)
@@ -303,7 +314,7 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         stderr=float(prefactor * math.sqrt(var_w / samples)),
         samples=samples,
         seed=seed,
-        acceptance_rate=accepted / proposed,
+        acceptance_rate=samples / proposed,
         box_mass=box_mass,
     )
 

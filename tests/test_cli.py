@@ -184,6 +184,15 @@ def test_input_errors_exit_two(files, tmp_path, capsys):
         assert code == 2 and out == ""
 
 
+def test_negative_seed_is_an_input_error(files, capsys):
+    # both samplers seed numpy generators, which take non-negative seeds only
+    for argv in (["sample", "--degrees", files["d8"], "--mode", "miss", "--samples", "10"],
+                 ["mw3", "--coefficients", files["coeff"], "--samples", "10"]):
+        code, out = run(argv + ["--seed", "-1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
 @pytest.mark.parametrize("degrees,edges,argv", [
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "naive"]),
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "dense"]),

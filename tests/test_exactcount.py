@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -337,6 +338,25 @@ def test_hit_with_infeasible_shift_is_zero():
     d = DegreeSequence((1, 1, 0, 0))
     X = fg(4, [(1, 2), (2, 3)])   # x_2 = 2 > d_2
     assert exact_probability(d, X, "hit") == 0
+
+
+def test_exact_queries_leave_no_cyclic_garbage():
+    # the recursions reach themselves through their closure cells; they and
+    # the memo must go when the count returns, not wait for the collector
+    d = DegreeSequence((3,) * 8)
+    X = fg(8, [(1, 2), (2, 3), (3, 4)])
+    _class_steps.cache_clear()   # new table entries run the class walk too
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for mode, m in (("miss", None), ("hit", None), ("induced", 4)):
+            exact_probability(d, X, mode, m)
+        exact_overlap_distribution(d, X)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------ overlap distribution

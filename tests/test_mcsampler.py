@@ -1,15 +1,17 @@
 import functools
 import itertools
 import math
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from degcount.graphcore import MODES, DegreeSequence, ForbiddenGraph
 from degcount.asymptotics import induced_estimate
 from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
+    BATCHES,
+    CHUNK,
     LabeledGraph,
     MCEstimate,
     NonGraphicalError,
@@ -64,7 +66,7 @@ def test_realize_hits_exact_degrees(degrees):
 # -------------------------------------------------------------- switch steps
 
 def test_triangle_rejects_every_swap():
-    rng = random.Random(0)
+    rng = np.random.default_rng(0)
     g = realize(DegreeSequence((2, 2, 2)))
     edges = g.edge_list()
     for _ in range(300):
@@ -75,7 +77,7 @@ def test_triangle_rejects_every_swap():
 def test_four_cycle_swaps_between_cycle_structures():
     # from any 4-cycle, an accepted swap yields another 4-cycle; all three
     # structures (keyed by the vertex opposite 1) are visited
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     g = LabeledGraph(4)
     for j, k in [(1, 2), (2, 3), (3, 4), (1, 4)]:
         g.add_edge(j, k)
@@ -91,12 +93,12 @@ def test_four_cycle_swaps_between_cycle_structures():
 
 
 def test_degrees_invariant_along_long_run():
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     g = realize(DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2)))
     edges = g.edge_list()
     ref = g.degrees()
-    for _ in range(10 ** 5):
-        switch_step(g, rng, edges)
+    for _ in range(10):
+        switch_step(g, rng, edges, 10 ** 4)
     assert g.degrees() == ref
     assert sorted(g.edge_list()) == sorted(edges)
 
@@ -116,39 +118,60 @@ def test_vertices_outside_range_are_no_edge_and_not_added(j, k):
     assert g.edge_list() == [(2, 3)]
 
 
-def _set_kernel_steps(adj, rng, edges, steps):
-    # the set-adjacency kernel with rng.randrange that the flat kernel
-    # replaced, kept as the reference for its draw order and edge updates
-    m = len(edges)
-    if m < 2:
+def test_diagonal_marker_is_invisible():
+    d = DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2))
+    g = realize(d)
+    row = g.n + 1
+    assert all(g.adj[j * row + j] == 2 for j in range(1, g.n + 1))
+    assert not any(g.has_edge(j, j) for j in range(g.n + 1))
+    assert g.degrees() == d.degrees
+    edges = g.edge_list()
+    assert len(edges) == sum(d.degrees) // 2 and all(j < k for j, k in edges)
+    assert sum(g.adj) == 2 * len(edges) + 2 * g.n
+    with pytest.raises(ValueError, match="no self-loops"):
+        g.add_edge(3, 3)
+
+
+def _reference_proposals(rng, m, steps):
+    # one call's proposals, drawn as the flat kernel draws them: per chunk of
+    # at most CHUNK, the edges i, then the edges j of the other m - 1, then
+    # the uniforms whose values below 1/2 flip the pairing
+    for lo in range(0, steps, CHUNK):
+        k = min(CHUNK, steps - lo)
+        edge_i = rng.integers(0, m, size=k).tolist()
+        edge_j = rng.integers(0, m - 1, size=k).tolist()
+        flips = rng.random(k).tolist()
+        for i, j, u in zip(edge_i, edge_j, flips):
+            yield i, j + 1 if j >= i else j, u < 0.5
+
+
+def _set_switch(adj, edges, proposal):
+    # the set-adjacency kernel, with the loop and multi-edge tests spelled out
+    i, j, flip = proposal
+    a, b = edges[i]
+    c, d_ = edges[j]
+    if flip:
+        c, d_ = d_, c
+    if len({a, b, c, d_}) < 4 or c in adj[a] or d_ in adj[b]:
         return
-    uniform = rng.random
-    randrange = rng.randrange
-    for _ in range(steps):
-        i = randrange(m)
-        j = randrange(m - 1)
-        if j >= i:
-            j += 1
-        a, b = edges[i]
-        c, d_ = edges[j]
-        if uniform() < 0.5:
-            c, d_ = d_, c
-        if a == c or a == d_ or b == c or b == d_:
-            continue
-        adj_a = adj[a]
-        adj_b = adj[b]
-        if c in adj_a or d_ in adj_b:
-            continue
-        adj_a.remove(b)
-        adj_b.remove(a)
-        adj[c].remove(d_)
-        adj[d_].remove(c)
-        adj_a.add(c)
-        adj[c].add(a)
-        adj_b.add(d_)
-        adj[d_].add(b)
-        edges[i] = (a, c) if a < c else (c, a)
-        edges[j] = (b, d_) if b < d_ else (d_, b)
+    adj[a].remove(b)
+    adj[b].remove(a)
+    adj[c].remove(d_)
+    adj[d_].remove(c)
+    adj[a].add(c)
+    adj[c].add(a)
+    adj[b].add(d_)
+    adj[d_].add(b)
+    edges[i] = (a, c) if a < c else (c, a)
+    edges[j] = (b, d_) if b < d_ else (d_, b)
+
+
+def _set_adjacency(n, edges):
+    adj = [set() for _ in range(n + 1)]
+    for j, k in edges:
+        adj[j].add(k)
+        adj[k].add(j)
+    return adj
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -158,23 +181,22 @@ def test_kernel_draws_the_set_kernel_stream(degrees, seed):
     g = realize(DegreeSequence(degrees))
     edges = g.edge_list()
     ref_edges = list(edges)
-    ref_adj = [set() for _ in range(len(degrees) + 1)]
-    for j, k in ref_edges:
-        ref_adj[j].add(k)
-        ref_adj[k].add(j)
-    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ref_adj = _set_adjacency(len(degrees), ref_edges)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     done, total = 0, 10 ** 5
-    for steps in itertools.cycle((1, 7, 60)):
+    # mixed call sizes, one of them past a chunk boundary
+    for steps in itertools.cycle((1, 7, 60, CHUNK + 1)):
         steps = min(steps, total - done)
         switch_step(g, rng, edges, steps)
-        _set_kernel_steps(ref_adj, ref_rng, ref_edges, steps)
+        for proposal in _reference_proposals(ref_rng, len(ref_edges), steps):
+            _set_switch(ref_adj, ref_edges, proposal)
         done += steps
         if done == total:
             break
     assert edges == ref_edges
     assert g.edge_list() == sorted((j, k) for j in range(1, len(degrees) + 1)
                                    for k in ref_adj[j] if j < k)
-    assert rng.getstate() == ref_rng.getstate()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- estimates
@@ -228,35 +250,60 @@ def test_same_seed_same_path():
         estimate_probability(d, X, "miss", **cfg).mean
 
 
+def test_estimate_reads_one_stream():
+    # burn-in and every thinned sample come from one stream of proposals,
+    # chunked over the whole run: replay it on the set-adjacency kernel and
+    # read the event off the edge set after each thinning interval
+    d = DegreeSequence((3,) * 8)
+    X = fg(8, [(1, 2)])
+    samples, burn_in, thinning, seed = 2000, 300, 12, 31
+    est = estimate_probability(d, X, "hit", samples=samples, burn_in=burn_in,
+                               thinning=thinning, seed=seed)
+    assert burn_in + samples * thinning > CHUNK
+    edges = realize(d).edge_list()
+    adj = _set_adjacency(8, edges)
+    stream = _reference_proposals(np.random.default_rng(seed), len(edges),
+                                  burn_in + samples * thinning)
+    values = []
+    for step, proposal in enumerate(stream, start=1):
+        _set_switch(adj, edges, proposal)
+        if step > burn_in and (step - burn_in) % thinning == 0:
+            values.append(float(2 in adj[1]))
+    values = np.array(values)
+    batch_means = [chunk.mean() for chunk in np.array_split(values, BATCHES)]
+    assert est.mean == values.mean()
+    assert est.stderr == np.std(batch_means, ddof=1) / math.sqrt(BATCHES)
+
+
 def test_pinned_seeded_estimate():
-    # the pinned values fix the RNG draw order of the switch kernel
+    # the pinned values fix the Generator draw order of the switch kernel
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2)])
     cfg = dict(samples=500, thinning=3, seed=99)
     est = estimate_probability(d, X, "miss", **cfg)
-    assert est == MCEstimate(mean=0.64, stderr=0.05708719093125053, samples=500,
+    assert est == MCEstimate(mean=0.592, stderr=0.040168067967111955, samples=500,
                              burn_in=298, thinning=3, seed=99)
 
 
 def test_pinned_seeded_estimate_dense_triangle():
-    # hit of a triangle in 30-regular graphs on 60 vertices; the values were
-    # recorded with the set-adjacency kernel and must not move
+    # hit of a triangle in 30-regular graphs on 60 vertices; the values fix
+    # the chunked Generator stream and must not move
     d = DegreeSequence((30,) * 60)
     X = fg(60, [(1, 2), (2, 3), (1, 3)])
     cfg = dict(samples=300, burn_in=6000, thinning=60, seed=6)
     assert estimate_probability(d, X, "hit", **cfg) == MCEstimate(
-        mean=0.25666666666666665, stderr=0.08380916780512221, samples=300,
+        mean=0.07333333333333333, stderr=0.04014593262626674, samples=300,
         burn_in=6000, thinning=60, seed=6)
 
 
 def test_constant_indicator_has_no_error_bar():
-    # every thinned sample of this chain misses the triangle; 0 +- 0 would
-    # claim a certainty the chain never showed
-    d = DegreeSequence((30,) * 60)
-    X = fg(60, [(1, 2), (2, 3), (1, 3)])
-    cfg = dict(samples=300, burn_in=6000, thinning=60, seed=5)
-    est = estimate_probability(d, X, "hit", **cfg)
-    assert est.mean == 0.0 and math.isnan(est.stderr)
+    # K4 is the only graph with degrees (3, 3, 3, 3), so every sample holds
+    # the edge 12 whatever the seed; 1 +- 0 would claim a certainty the chain
+    # cannot show
+    d = DegreeSequence((3, 3, 3, 3))
+    for seed in (0, 5, 1729):
+        est = estimate_probability(d, fg(4, [(1, 2)]), "hit", samples=300, seed=seed)
+        assert est.mean == 1.0 and math.isnan(est.stderr)
 
 
 def test_estimate_errors():
@@ -313,7 +360,7 @@ def test_event_matches_enumeration_property():
             return {(j, k) for j, k in edges if k <= m} == X.edges
 
         test = _event_checker(X, mode, m)
-        assert all(test(g) == happens(edges) for edges, g, _ in graphs)
+        assert all(test(g.adj) == happens(edges) for edges, g, _ in graphs)
         d = graphs[data.draw(st.integers(0, len(graphs) - 1))][2]
         same_d = [edges for edges, _, degrees in graphs if degrees == d]
         share = Fraction(sum(map(happens, same_d)), len(same_d))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from degcount import mvintegral
 from degcount.mvintegral import (
     BATCH_SIZE,
     CHUNK_CELLS,
@@ -150,17 +151,62 @@ def test_mc_reproducible_for_fixed_seed():
     assert r3.mean != r1.mean
 
 
-def box_weights(c, samples, seed):
-    """The importance weights mc_box_integral averages, drawn batch by batch as it does."""
+def box_batches(c, samples, seed):
+    """Each batch's accepted rows, cut from full BATCH_SIZE-row draws of its
+    spawned generator, with the rows up to its last used one."""
     sigma = 1.0 / math.sqrt(2.0 * c.A * c.N)
     master = np.random.SeedSequence(seed)
-    parts, have = [], 0
+    out, have = [], 0
     while have < samples:
         zb = np.random.default_rng(master.spawn(1)[0]).normal(0.0, sigma, size=(BATCH_SIZE, c.N))
-        zin = zb[(np.abs(zb) <= c.box_halfwidth).all(axis=1)][:samples - have]
-        parts.append(np.exp(perturbation_exponent(c, zin)))
-        have += zin.shape[0]
-    return np.concatenate(parts)
+        inside = np.flatnonzero((np.abs(zb) <= c.box_halfwidth).all(axis=1))[:samples - have]
+        used = BATCH_SIZE if inside.size < samples - have else int(inside[-1]) + 1
+        out.append((zb[inside], used))
+        have += inside.size
+    return out
+
+
+def box_weights(c, samples, seed):
+    """The importance weights mc_box_integral averages, drawn batch by batch as it does."""
+    return np.concatenate([np.exp(perturbation_exponent(c, rows))
+                           for rows, _ in box_batches(c, samples, seed)])
+
+
+@pytest.mark.parametrize("coeffs, samples, seed, pinned", [
+    # about 0.93% of the rows fall outside the box (box mass 0.9907)
+    (dict(N=2, A=1.0, eps_hat=1.0, a=[0.1, 0.2]), 30_000, 7,
+     (1.7319424419696878, 0.0011090782600388879)),
+    # a second batch: the first runs out of its BATCH_SIZE rows
+    (dict(N=2, A=1.0, eps_hat=1.0, a=[0.1, 0.2]), 70_000, 7,
+     (1.7317553134087234, 0.0007275472948638126)),
+    (dict(N=3, A=0.9, eps_hat=0.75, J=[0.3, 0.1, 0.2]), 150_000, 7,
+     (1.2629108171759054, 0.0005220440086991264)),
+    # every row inside
+    (dict(N=8, A=1.0, a=[0.05] * 8), 100_000, 7,
+     (0.02553517228352561, 2.8896360678271136e-06)),
+], ids=["outside-rows", "outside-rows-two-batches", "three-batches", "all-inside"])
+def test_trimmed_draws_are_the_full_batch_rows(monkeypatch, coeffs, samples, seed, pinned):
+    # the rows a batch draws are the first accepted rows of a full batch, bit
+    # for bit, and the acceptance rate is the share of the rows drawn
+    c = CoefficientSet(**coeffs)
+    seen = []
+
+    def recording(c, z):
+        seen.append(z.copy())
+        return perturbation_exponent(c, z)
+    monkeypatch.setattr(mvintegral, "perturbation_exponent", recording)
+    res = mc_box_integral(c, samples=samples, seed=seed)
+    want = box_batches(c, samples, seed)
+    assert len(seen) == len(want)
+    assert all(np.array_equal(z, rows) for z, (rows, _) in zip(seen, want))
+    drawn = sum(used for _, used in want)
+    assert res.acceptance_rate == samples / drawn
+    if coeffs["N"] == 8:
+        assert res.acceptance_rate == 1.0
+    else:
+        assert res.acceptance_rate < 1.0
+    # mean and stderr as the full-batch draws gave them
+    assert (res.mean.real, res.stderr) == pinned and res.mean.imag == 0.0
 
 
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-10])
