@@ -139,7 +139,7 @@ def dense_count_estimate(d: DegreeSequence, X: ForbiddenGraph | None = None
     X = forbidden_for(d, X)
     p = compute_parameters(d, X)
     flags = check_hypotheses(d, X)
-    interior_density(p)
+    interior_density(p.lam)
     ghat = naive_estimate(p, d, X)
     if ghat.log_value == NEG_INF:
         return ghat, flags
@@ -195,7 +195,7 @@ def miss_hit_estimate(d: DegreeSequence, X: ForbiddenGraph) -> dict[str, LogEsti
     the dense count estimate.
     """
     p = compute_parameters(d, X)
-    interior_density(p)
+    interior_density(p.lam)
     n, Xc = d.n, X.edge_count
 
     def miss_terms(f):
@@ -229,7 +229,7 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> di
             raise ValueError("flat case requires constant degrees")
         return miss_hit_estimate(d, X)
     p = compute_parameters(d, X)
-    lam = interior_density(p)
+    lam = interior_density(p.lam)
     if case != "reg":
         raise ValueError(f"unknown case {case!r}")
     xs = set(X.row_sums)
@@ -289,7 +289,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     omega = induced_spec(d, X, m)
     if m == 0:
         return LogEstimate.build(0.0, (), "exact")
-    lam = interior_density(p)
+    lam = interior_density(p.lam)
     n = d.n
     if any(not xj <= dj <= n - m + xj for dj, xj in zip(d.degrees[:m], X.row_sums)):
         return ZERO_PROBABILITY

@@ -62,12 +62,17 @@ class DegreeSequence:
         return len(set(self.degrees)) == 1
 
 
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class ForbiddenGraph:
     """Simple graph X whose edges the counted graphs must avoid.
 
     Edges are stored once each as (j, k) pairs with 1 <= j < k <= n; no
-    self-loops.  row_sums gives x_j, the X-degree of each vertex.
+    self-loops.  row_sums gives x_j, the X-degree of each vertex.  Neighbour
+    sets are kept only for the vertices of supp(X); every other vertex shares
+    one empty frozenset, so a few edges on n vertices hold O(|X|) objects.
     """
 
     n: int
@@ -86,12 +91,12 @@ class ForbiddenGraph:
             norm.add((j, k) if j < k else (k, j))
         object.__setattr__(self, "edges", frozenset(norm))
         rs = [0] * self.n
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+        nbrs: dict[int, set[int]] = {}
         for j, k in self.edges:
             rs[j - 1] += 1
             rs[k - 1] += 1
-            nbrs[j].add(k)
-            nbrs[k].add(j)
+            nbrs.setdefault(j, set()).add(k)
+            nbrs.setdefault(k, set()).add(j)
         object.__setattr__(self, "_row_sums", tuple(rs))
         object.__setattr__(self, "_neighbors", {v: frozenset(s) for v, s in nbrs.items()})
 
@@ -119,7 +124,7 @@ class ForbiddenGraph:
         return len(self.edges)
 
     def neighbors(self, j: int) -> frozenset[int]:
-        return self._neighbors[j]  # type: ignore[attr-defined]
+        return self._neighbors.get(j, _NO_NEIGHBORS)  # type: ignore[attr-defined]
 
     def has_edge(self, j: int, k: int) -> bool:
         return ((j, k) if j < k else (k, j)) in self.edges
@@ -161,8 +166,13 @@ def forbidden_for(d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph
 
 
 def over_capacity(d: DegreeSequence, X: ForbiddenGraph) -> bool:
-    """Whether some d_j > n-1-x_j, so that no graph with degrees d avoids X."""
-    return any(dj > d.n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums))
+    """Whether some d_j > n-1-x_j, so that no graph with degrees d avoids X.
+
+    Only vertices of supp(X) are tested: DegreeSequence already enforces
+    d_j <= n-1, so a vertex with x_j = 0 never fails.
+    """
+    x = X.row_sums
+    return any(d.degrees[j - 1] > d.n - 1 - x[j - 1] for edge in X.edges for j in edge)
 
 
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
@@ -207,9 +217,9 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     )
 
 
-def interior_density(p: Parameters) -> float:
+def interior_density(lam: Fraction | float) -> float:
     """lambda as a float; raises for the degenerate densities lambda in {0, 1}."""
-    lam = float(p.lam)
+    lam = float(lam)
     if lam <= 0.0 or lam >= 1.0:
         raise ValueError(f"degenerate density lambda={lam}")
     return lam

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import (DegreeSequence, ForbiddenGraph, compute_parameters, forbidden_for,
-                        interior_density, over_capacity)
+from .graphcore import (DegreeSequence, ForbiddenGraph, forbidden_for, interior_density,
+                        over_capacity)
 
 
 class SaddlePoleError(ValueError):
@@ -86,6 +86,18 @@ def _classes(d: DegreeSequence, X: ForbiddenGraph):
     return cls, first, m.astype(float), F
 
 
+def _class_deltas(d: DegreeSequence, X: ForbiddenGraph, first: np.ndarray) -> np.ndarray:
+    """compute_parameters' delta_j = (d_j N - S(n-1) + S x_j)/N, with S = 2E and
+    N = n(n-1), at the 0-indexed vertices `first`.
+
+    Each is one int/int division, which rounds correctly, so it equals
+    float(delta_j) bit for bit without the per-vertex Fraction record.
+    """
+    n, S, x = d.n, 2 * d.edge_count, X.row_sums
+    N = n * (n - 1)
+    return np.array([(d.degrees[j] * N - S * (n - 1) + S * x[j]) / N for j in first])
+
+
 def _state_valid(a: np.ndarray, r2: float) -> bool:
     if not np.all(np.isfinite(a)):
         return False
@@ -118,6 +130,11 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     supp(X) plus one per vertex of supp(X).  The class values are expanded to
     the per-vertex a, radii and residual in O(n).
 
+    The density lambda = 2E/(n(n-1)) and the class deltas are read from
+    integer sums (_class_deltas), not from compute_parameters' record with
+    its Fraction per vertex, so the setup keeps O(k^2 + |supp X|) objects
+    alive beyond d and the returned arrays.
+
     Intended for interior instances 0 < d_j < n-1-x_j.  Boundary instances
     are accepted (the factorization holds for any positive radii) but cannot
     converge; degenerate densities lambda in {0, 1} are rejected.
@@ -126,8 +143,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     n = d.n
     if n < 3:
         raise ValueError("need n >= 3")
-    p = compute_parameters(d, X)
-    lam = interior_density(p)
+    lam = interior_density(2 * d.edge_count / (n * (n - 1)))
     if over_capacity(d, X):
         raise ValueError("infeasible degrees: some d_j > n-1-x_j")
 
@@ -135,7 +151,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     r = math.sqrt(r2)
     cls, first, mult, F = _classes(d, X)
     W = mult[None, :] - np.eye(mult.size) - F   # non-forbidden partners per class
-    delta = np.array([float(p.delta[j]) for j in first])
+    delta = _class_deltas(d, X, first)
     xs = np.asarray(X.row_sums, dtype=float)[first]
     Xc = float(X.edge_count)
 

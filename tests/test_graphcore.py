@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -50,6 +51,29 @@ def test_forbidden_graph_validation():
     assert X.has_edge(2, 1) and not X.has_edge(1, 3)
     assert X.neighbors(1) == frozenset({2})
     assert sum(X.row_sums) == 2 * X.edge_count
+
+
+def test_forbidden_graph_holds_objects_only_for_its_support():
+    # a few edges on many vertices: neighbour sets for supp(X) only, so the
+    # young generation gains O(|X|) tracked objects instead of O(n)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects(0))
+        X = fg(10_000, [(1, 2), (2, 3)])
+        added = len(gc.get_objects(0)) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert added < 50
+    assert X.neighbors(2) == frozenset({1, 3}) and X.neighbors(1) == frozenset({2})
+    assert X.neighbors(4) == X.neighbors(10_000) == frozenset()
+    assert X.row_sums == (1, 2, 1) + (0,) * 9_997
+    assert X.edges == frozenset({(1, 2), (2, 3)})
+    Y = fg(10_000, [(3, 2), (2, 1)])
+    assert X == Y and hash(X) == hash(Y)
+    assert X != fg(10_001, [(1, 2), (2, 3)]) and X != fg(10_000, [(1, 2)])
 
 
 def test_clique_builder():

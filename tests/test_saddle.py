@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, relabel
+from degcount import saddle
+from degcount.graphcore import (DegreeSequence, ForbiddenGraph, compute_parameters,
+                                interior_density, over_capacity, relabel)
 from degcount.exactcount import exact_count
 from degcount.mcsampler import is_graphical
 from degcount.saddle import (
@@ -264,6 +266,102 @@ def test_relabelling_permutes_radii_and_keeps_log_prefactor():
         assert np.allclose(sp2.radii[idx], sp.radii, rtol=1e-12, atol=0.0)
         lp, lp2 = log_prefactor(sp, d, X), log_prefactor(sp2, d2, X2)
         assert abs(lp2 - lp) <= 1e-12 * abs(lp)
+
+    check()
+
+
+# ------------------------------------------------------ large-n instance setup
+
+def draw_instance(data, st):
+    """A random (d, X) with n <= 12 or 1000 <= n <= 2000 and up to three X-edges.
+
+    Degrees are near one value, or set at a support vertex's capacity
+    n-1-x_j give or take one, or all 0 or all n-1 (a degenerate density).
+    """
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(1000, 2000)), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    X = fg(n, [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(0, 3))] if n > 1 else [])
+    style = data.draw(st.sampled_from(("near", "capacity", "degenerate")), label="style")
+    if style == "degenerate":
+        return DegreeSequence((rng.choice((0, n - 1)),) * n), X
+    base = rng.randint(0, n - 1)
+    deg = [min(n - 1, max(0, base + rng.choice((-1, 0, 1)))) for _ in range(n)]
+    if style == "capacity":
+        for j, xj in enumerate(X.row_sums):
+            if xj:
+                deg[j] = min(n - 1, max(0, n - 1 - xj + rng.choice((-1, 0, 1))))
+    if sum(deg) % 2:
+        deg[-1] += 1 if deg[-1] < n - 1 else -1
+    return DegreeSequence(tuple(deg)), X
+
+
+def test_support_only_over_capacity_matches_every_vertex():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(data, st)
+        n = d.n
+        assert over_capacity(d, X) == any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums))
+
+    check()
+
+
+def parameters_solve(d, X, mode):
+    """solve_saddle with lambda and the class deltas read from compute_parameters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saddle, "interior_density",
+                   lambda lam: interior_density(compute_parameters(d, X).lam))
+        mp.setattr(saddle, "_class_deltas", lambda d, X, first: np.array(
+            [float(compute_parameters(d, X).delta[j]) for j in first]))
+        return solve_saddle(d, X, mode=mode)
+
+
+def test_integer_densities_match_parameters_solve():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(data=st.data(), mode=st.sampled_from(("converge", "fixed")))
+    def check(data, mode):
+        d, X = draw_instance(data, st)
+        try:
+            sp = solve_saddle(d, X, mode=mode)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                parameters_solve(d, X, mode)
+            return
+        ref = parameters_solve(d, X, mode)
+        for name in ("a", "radii", "residual"):
+            assert np.array_equal(getattr(sp, name), getattr(ref, name)), name
+        assert (sp.iterations, sp.converged) == (ref.iterations, ref.converged)
+
+    check()
+
+
+def test_solver_errors_keep_their_order():
+    # n < 3 first, then a degenerate density, then infeasible degrees
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        d, X = draw_instance(data, st)
+        n, S = d.n, 2 * d.edge_count
+        if n < 3:
+            expected = "need n >= 3"
+        elif S in (0, n * (n - 1)):
+            expected = f"degenerate density lambda={S / (n * (n - 1))}"
+        elif any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums)):
+            expected = "infeasible degrees"
+        else:
+            assert solve_saddle(d, X).a.shape == (n,)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+            solve_saddle(d, X)
 
     check()
 
