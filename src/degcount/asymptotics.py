@@ -346,7 +346,9 @@ def overlap_distribution_estimate(d: DegreeSequence, Y: ForbiddenGraph, k: int) 
     Yc = forbidden_for(d, Y).edge_count
     if not 0 <= k <= Yc:
         raise ValueError(f"k={k} outside 0..{Yc}")
-    lam = float(compute_parameters(d, Y).lam)
+    if d.n < 2:
+        raise ValueError("need n >= 2")
+    lam = 2 * d.edge_count / (d.n * (d.n - 1))
     return comb(Yc, k) * lam ** k * (1.0 - lam) ** (Yc - k)
 
 

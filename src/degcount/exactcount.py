@@ -8,24 +8,27 @@ other live vertices are exchangeable, so they are kept as a multiset of
 residual-degree classes: each pivot branches over subsets of the constrained
 vertices it may join, times compositions of the rest of its degree across
 the classes with binomial weights.  Those class steps carry no vertex label,
-so they are read from one table, bounded at STEP_MEMO_SIZE keys, that every
-pivot, state, call and instance with the same free multiset shares.  A
-vertex whose forbidden neighbours are all spent joins the classes, and the
-states (constrained residuals, classes) are memoized per call.  Once no
-forbidden edge is live the count is a memoized recursion on the class
-multiset alone.  The overlap law with a graph Y is one pass of the same
-recursion that weights each Y-edge taken, so its cost follows the shape of
-Y, not 2^|Y|.  Measured cold in one session on one core of a shared 2-core
-machine, d = n/2 regular takes 2.3 s at n = 20; with a forbidden triangle
-0.07 s at n = 16 and 2.2 s at n = 20, with a forbidden perfect matching
-0.06 s at n = 10 and 2.2 s at n = 12.  Overlap laws take 0.36 s for a
-perfect matching (5-regular, n = 10), 0.1 s for two triangles and 7 s for
-an 8-cycle (6-regular, n = 12), 7 s for K10.  An independent brute-force
-enumeration over all 2^C(n,2) graphs checks n <= 6.
+so they are read from one table that every pivot, state, call and instance
+with the same free multiset shares.  A vertex whose forbidden neighbours are
+all spent joins the classes, and the states (constrained residuals, classes)
+are memoized per call.  Once no forbidden edge is live the count is a
+memoized recursion on the class multiset alone.  Both shared tables grow
+freely within a count, so none evicts a sub-result it still needs; a count
+starts by emptying either one past FREE_MEMO_SIZE / STEP_MEMO_SIZE entries.
+The overlap law with a graph Y is one pass of the same recursion that
+weights each Y-edge taken, so its cost follows the shape of Y, not 2^|Y|.
+Measured cold on one core of a shared 2-core machine, d = n/2 regular takes
+2.0 s at n = 20, near-regular d = 11^10 9^10 10 s (80,456 free states);
+with a forbidden triangle 0.07 s at n = 16 and 1.9 s at n = 20, with a
+forbidden perfect matching 0.06 s at n = 10 and 2.2 s at n = 12.  Overlap
+laws take 0.36 s for a perfect matching (5-regular, n = 10), 0.1 s for two
+triangles and 7 s for an 8-cycle (6-regular, n = 12), 7 s for K10.  A
+brute-force enumeration over all 2^C(n,2) graphs checks n <= 6.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -38,8 +41,8 @@ from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_fo
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
 ENUMERATION_LIMIT = 6
-FREE_MEMO_SIZE = 1 << 15  # holds a cold regular n = 20 count (24,216 classes)
-STEP_MEMO_SIZE = 1 << 12  # ~1 KB a key; holds a cold 7-regular n = 14 matching count (3,565)
+FREE_MEMO_SIZE = 1 << 15  # kept between counts; a cold regular n = 20 count fills 24,216
+STEP_MEMO_SIZE = 1 << 12  # ~1 KB a key; a cold 7-regular n = 14 matching count fills 3,565
 
 
 class CountLimitError(ValueError):
@@ -64,45 +67,40 @@ def _class_choices(classes: tuple[tuple[int, int], ...], r: int,
     for i in range(len(classes) - 1, -1, -1):
         room[i] = room[i + 1] + classes[i][1]
     steps: list[tuple[int, tuple]] = []
-    out: list[tuple[int, int]] = []     # classes' so far, descending
+    if r <= room[0]:
+        _walk(classes, room, extra, steps, [], 0, r, 1, 0)
+    return tuple(steps)
 
-    def walk(i: int, left: int, ways: int, low: int) -> None:
-        # classes[:i] are split; low vertices of classes[i - 1] were lowered
-        if i == len(classes):
-            nxt = out + [(classes[-1][0] - 1, low)] if low and classes[-1][0] > 1 else out
-            if extra:
-                counts = dict(nxt)
-                for v in extra:
-                    counts[v] = counts.get(v, 0) + 1
-                nxt = sorted(counts.items(), reverse=True)
-            steps.append((ways, tuple(nxt)))
-            return
-        v, c = classes[i]
-        if low and classes[i - 1][0] - 1 > v:
-            out.append((classes[i - 1][0] - 1, low))
-            low = 0
-        mark = len(out)
-        for k in range(max(0, left - room[i + 1]), min(c, left) + 1):
-            if c - k + low:
-                out.append((v, c - k + low))
-            walk(i + 1, left - k, ways * comb(c, k), k)
-            del out[mark:]
 
-    try:
-        if r <= room[0]:
-            walk(0, r, 1, 0)
-        return tuple(steps)
-    finally:
-        walk = None   # walk reaches itself through its closure cell: free it now
+def _walk(classes: tuple, room: list[int], extra: tuple[int, ...], steps: list, out: list,
+          i: int, left: int, ways: int, low: int) -> None:
+    """Append to steps each way to take `left` more vertices from classes[i:]; out
+    holds classes' of classes[:i], of which low vertices of classes[i - 1] were lowered."""
+    if i == len(classes):
+        nxt = out + [(classes[-1][0] - 1, low)] if low and classes[-1][0] > 1 else out
+        if extra:
+            nxt = sorted((Counter(dict(nxt)) + Counter(extra)).items(), reverse=True)
+        steps.append((ways, tuple(nxt)))
+        return
+    v, c = classes[i]
+    if low and classes[i - 1][0] - 1 > v:
+        out.append((classes[i - 1][0] - 1, low))
+        low = 0
+    mark = len(out)
+    for k in range(max(0, left - room[i + 1]), min(c, left) + 1):
+        if c - k + low:
+            out.append((v, c - k + low))
+        _walk(classes, room, extra, steps, out, i + 1, left - k, ways * comb(c, k), k)
+        del out[mark:]
 
 
 # The class steps of the forbidden and weighted recursion.  The key holds no
 # vertex label, so pivots, states, calls and instances with the same free
 # multiset share one entry.
-_class_steps = lru_cache(maxsize=STEP_MEMO_SIZE)(_class_choices)
+_class_steps = lru_cache(maxsize=None)(_class_choices)
 
 
-@lru_cache(maxsize=FREE_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _count_free(classes: tuple[tuple[int, int], ...]) -> int:
     """Count simple graphs on interchangeable vertices grouped by residual degree.
 
@@ -125,11 +123,7 @@ def _count_free(classes: tuple[tuple[int, int], ...]) -> int:
 
 
 def _collapse(residuals) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for r in residuals:
-        if r:
-            counts[r] = counts.get(r, 0) + 1
-    return tuple(sorted(counts.items(), reverse=True))
+    return tuple(sorted(Counter(r for r in residuals if r).items(), reverse=True))
 
 
 def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
@@ -145,49 +139,54 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
         limit = DEFAULT_LIMIT_EMPTY if Y.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
     if n > limit:
         raise CountLimitError(f"n={n} exceeds exact-count limit {limit}")
+    for table, bound in ((_count_free, FREE_MEMO_SIZE), (_class_steps, STEP_MEMO_SIZE)):
+        if table.cache_info().currsize > bound:
+            table.cache_clear()
     if not weight and over_capacity(d, Y):
         return 0
     xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
-    memo: dict[tuple, int] = {}
-
-    def split(res: dict[int, int]):
-        """(constrained (vertex, residual) pairs, free residuals) of the live vertices."""
-        live = {v for v, r in res.items() if r}
-        cons = tuple((v, res[v]) for v in res if v in live and xadj[v] & live)
-        return cons, tuple(sorted(res[v] for v in live if not xadj[v] & live))
-
-    def rec(cons: tuple[tuple[int, int], ...], free: tuple[tuple[int, int], ...]) -> int:
-        if not cons:
-            return _count_free(free)
-        key = (cons, free)
-        if key in memo:
-            return memo[key]
-        res = dict(cons)
-        pivot = max(res, key=lambda v: (res[v], -v))
-        need = res.pop(pivot)
-        marked = xadj[pivot]
-        eligible = [v for v in res if weight or v not in marked]
-        nfree = sum(c for _, c in free)
-        total = 0
-        for k in range(max(0, need - nfree), min(need, len(eligible)) + 1):
-            for chosen in combinations(eligible, k):
-                for u in chosen:
-                    res[u] -= 1
-                cons2, moved = split(res)
-                branch = 0
-                for ways, free2 in _class_steps(free, need - k, moved):
-                    branch += ways * rec(cons2, free2)
-                total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
-                for u in chosen:
-                    res[u] += 1
-        memo[key] = total
-        return total
-
-    cons, moved = split(dict(enumerate(d.degrees)))
+    cons, moved = _split(xadj, dict(enumerate(d.degrees)))
     try:
-        return rec(cons, _collapse(moved))
-    finally:
-        rec = None   # rec reaches itself through its closure cell: free it and memo now
+        return _rec(xadj, weight, {}, cons, _collapse(moved))
+    except RecursionError:
+        raise CountLimitError(f"n={n} recurses too deep for the exact counter") from None
+
+
+def _split(xadj: list[frozenset[int]], res: dict[int, int]):
+    """(constrained (vertex, residual) pairs, free residuals) of the live vertices."""
+    live = {v for v, r in res.items() if r}
+    cons = tuple((v, res[v]) for v in res if v in live and xadj[v] & live)
+    return cons, tuple(sorted(res[v] for v in live if not xadj[v] & live))
+
+
+def _rec(xadj: list[frozenset[int]], weight: int, memo: dict[tuple, int],
+         cons: tuple[tuple[int, int], ...], free: tuple[tuple[int, int], ...]) -> int:
+    """_weighted_count of the state (constrained residuals, free classes)."""
+    if not cons:
+        return _count_free(free)
+    key = (cons, free)
+    if key in memo:
+        return memo[key]
+    res = dict(cons)
+    pivot = max(res, key=lambda v: (res[v], -v))
+    need = res.pop(pivot)
+    marked = xadj[pivot]
+    eligible = [v for v in res if weight or v not in marked]
+    nfree = sum(c for _, c in free)
+    total = 0
+    for k in range(max(0, need - nfree), min(need, len(eligible)) + 1):
+        for chosen in combinations(eligible, k):
+            for u in chosen:
+                res[u] -= 1
+            cons2, moved = _split(xadj, res)
+            branch = 0
+            for ways, free2 in _class_steps(free, need - k, moved):
+                branch += ways * _rec(xadj, weight, memo, cons2, free2)
+            total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
+            for u in chosen:
+                res[u] += 1
+    memo[key] = total
+    return total
 
 
 def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,

@@ -3,7 +3,7 @@
 Holds the target degree sequence, the forbidden graph, and every derived
 scalar parameter the estimate evaluators consume.  Averages, densities and
 the moment-style parameters are kept as exact rationals so that algebraic
-identities between them (for example sum(delta) = 2*lambda*X) survive into
+identities between them (for example sum(dev) = 0) survive into
 the test suite bit-for-bit; they are summed as integers over a common
 denominator and turned into Fractions once.  Evaluators convert to float at
 the point of use.
@@ -143,7 +143,6 @@ class Parameters:
     n: int
     lam: Fraction
     A: Fraction
-    delta: tuple[Fraction, ...]
     dev: tuple[Fraction, ...]
     R: Fraction
     X2: int
@@ -195,7 +194,6 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     # scaled integers: delta_j = dl[j] / N, dev_j = dv[j] / n
     dl = [dj * N - S * (n - 1) + S * xj for dj, xj in zip(d.degrees, x)]
     dv = [n * dj - S for dj in d.degrees]
-    fr_dl = {v: Fraction(v, N) for v in set(dl)}
     fr_dv = {v: Fraction(v, n) for v in set(dv)}
 
     D = L = K = 0
@@ -207,7 +205,7 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
 
     return Parameters(
         n=n, lam=lam, A=lam * (1 - lam) / 2,
-        delta=tuple(fr_dl[v] for v in dl), dev=tuple(fr_dv[v] for v in dv),
+        dev=tuple(fr_dv[v] for v in dv),
         R=Fraction(sum(v * v for v in dv), n * n),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
         D=Fraction(D, N * N), L=Fraction(L, N * N), K=Fraction(K, n * n),

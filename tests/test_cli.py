@@ -363,6 +363,18 @@ def test_verify_start_beyond_quadrature_limit_exits_two(tmp_path):
     assert code == 2 and out == ""
 
 
+def test_too_deep_count_exits_two(tmp_path, capsys):
+    # 1-regular on 3000 vertices nests 1,500 free counts, past the
+    # interpreter's recursion limit: a count-limit error, not a traceback
+    d = tmp_path / "d.txt"
+    d.write_text("1\n" * 3000)
+    capsys.readouterr()
+    code, out = run(["count", "--degrees", str(d), "--limit", "3000"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=3000 ") and err.count("\n") == 1
+
+
 def test_csv_format(files):
     code, out = run(["--format", "csv", "estimate", "--formula", "num",
                      "--degrees", files["d8"], "--forbidden", files["x"]])

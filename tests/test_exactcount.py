@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from degcount import exactcount
 from degcount.graphcore import DegreeSequence, ForbiddenGraph, relabel
 from degcount.exactcount import (
     CountLimitError,
@@ -135,12 +136,26 @@ def test_bad_mode_fails_before_the_count(degrees):
         exact_probability(d, ForbiddenGraph.empty(d.n), "inside")
 
 
-def test_free_memo_is_bounded():
-    assert 0 < _count_free.cache_info().maxsize < float("inf")
-
-
-def test_class_step_table_is_bounded():
-    assert 0 < _class_steps.cache_info().maxsize < float("inf")
+def test_count_keeps_its_own_memo_entries(monkeypatch):
+    # however small the bounds, a count computes each state once: the shared
+    # tables are trimmed only when the next count starts
+    d = DegreeSequence((8,) * 7 + (6,) * 7)
+    X = fg(14, [(1, 2), (2, 3), (3, 4)])   # a path keeps the class-step table busy
+    _count_free.cache_clear()
+    _class_steps.cache_clear()
+    full = exact_count(d, X, limit=14)
+    monkeypatch.setattr(exactcount, "FREE_MEMO_SIZE", 16)
+    monkeypatch.setattr(exactcount, "STEP_MEMO_SIZE", 16)
+    _count_free.cache_clear()
+    _class_steps.cache_clear()
+    assert exact_count(d, X, limit=14) == full
+    free, steps = _count_free.cache_info(), _class_steps.cache_info()
+    assert free.misses == free.currsize > 16
+    assert steps.misses == steps.currsize > 16
+    # the next count starts from emptied tables, so it runs cold again
+    assert exact_count(d, X, limit=14) == full
+    assert _count_free.cache_info() == free
+    assert _class_steps.cache_info() == steps
 
 
 def product_steps(classes, r, extra):
@@ -341,8 +356,7 @@ def test_hit_with_infeasible_shift_is_zero():
 
 
 def test_exact_queries_leave_no_cyclic_garbage():
-    # the recursions reach themselves through their closure cells; they and
-    # the memo must go when the count returns, not wait for the collector
+    # the per-call memo must go when the count returns, not wait for the collector
     d = DegreeSequence((3,) * 8)
     X = fg(8, [(1, 2), (2, 3), (3, 4)])
     _class_steps.cache_clear()   # new table entries run the class walk too

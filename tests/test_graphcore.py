@@ -89,15 +89,14 @@ def test_parameters_regular_empty():
     p = compute_parameters(d, ForbiddenGraph.empty(4))
     assert p.lam == Fraction(2, 3)
     assert p.A == Fraction(1, 9)
-    assert p.delta == (0, 0, 0, 0)
     assert p.R == p.D == p.L == p.K == 0
 
 
 def test_parameters_one_edge():
     d = DegreeSequence((2, 2, 2, 2))
     p = compute_parameters(d, fg(4, [(1, 2)]))
-    assert p.delta[0] == p.delta[1] == Fraction(2, 3)
-    assert p.delta[2] == p.delta[3] == 0
+    # delta = (2/3, 2/3, 0, 0) and x = (1, 1, 0, 0)
+    assert (p.C11, p.C12, p.C21) == (Fraction(4, 3), Fraction(4, 3), Fraction(8, 9))
     assert p.D == Fraction(4, 9)
     assert p.K == 0
 
@@ -106,7 +105,8 @@ def test_parameters_irregular():
     d = DegreeSequence((3, 2, 2, 2, 1))
     p = compute_parameters(d, fg(5, [(1, 5)]))
     assert p.lam == Fraction(1, 2)
-    assert p.delta == (Fraction(3, 2), 0, 0, 0, Fraction(-1, 2))
+    # delta = (3/2, 0, 0, 0, -1/2) and x = (1, 0, 0, 0, 1)
+    assert (p.C11, p.C21, p.D) == (1, Fraction(5, 2), Fraction(-3, 4))
     assert p.R == 2
     assert p.K == -1
 
@@ -131,11 +131,16 @@ def random_instance(rng, n):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_identity_sum_delta(seed):
-    # sum(delta) = 2 lambda X holds exactly thanks to Fraction arithmetic
+    # with delta_j = (d_j N - S(n-1) + S x_j)/N, S = 2E and N = n(n-1), taken
+    # from integers: sum(delta) = 2 lambda X, and C11 = sum delta_j x_j exactly
     rng = random.Random(seed)
     d, X = random_instance(rng, rng.randint(3, 12))
     p = compute_parameters(d, X)
-    assert sum(p.delta) == 2 * p.lam * X.edge_count
+    n, S = d.n, 2 * d.edge_count
+    N = n * (n - 1)
+    delta = [Fraction(dj * N - S * (n - 1) + S * xj, N) for dj, xj in zip(d.degrees, X.row_sums)]
+    assert sum(delta) == 2 * p.lam * X.edge_count
+    assert p.C11 == sum(dj * xj for dj, xj in zip(delta, X.row_sums))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -180,7 +185,7 @@ def fraction_parameters(d, X):
         L += (dj - x[j - 1]) * (dk - x[k - 1])
         K += dev[j - 1] * dev[k - 1]
     return Parameters(
-        n=n, lam=lam, A=lam * (1 - lam) / 2, delta=delta, dev=dev,
+        n=n, lam=lam, A=lam * (1 - lam) / 2, dev=dev,
         R=sum((t * t for t in dev), start=Fraction(0)),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
         D=D, L=L, K=K,

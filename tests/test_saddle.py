@@ -309,13 +309,19 @@ def test_support_only_over_capacity_matches_every_vertex():
     check()
 
 
+def exact_deltas(d, X):
+    """delta_j = d_j - lambda (n-1) + lambda x_j in Fraction arithmetic."""
+    lam = compute_parameters(d, X).lam
+    return [dj - lam * (d.n - 1) + lam * xj for dj, xj in zip(d.degrees, X.row_sums)]
+
+
 def parameters_solve(d, X, mode):
-    """solve_saddle with lambda and the class deltas read from compute_parameters."""
+    """solve_saddle with lambda from compute_parameters and Fraction class deltas."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(saddle, "interior_density",
                    lambda lam: interior_density(compute_parameters(d, X).lam))
         mp.setattr(saddle, "_class_deltas", lambda d, X, first: np.array(
-            [float(compute_parameters(d, X).delta[j]) for j in first]))
+            [float(v) for v in exact_deltas(d, X)])[first])
         return solve_saddle(d, X, mode=mode)
 
 
@@ -414,7 +420,7 @@ def test_four_sweep_point_tracks_leading_term():
         X = fg(n, [(1, 2)])
         sp = solve_saddle(d, X, mode="fixed")
         p = compute_parameters(d, X)
-        lead = np.array([float(v) for v in p.delta]) / (float(p.lam) * n)
+        lead = np.array([float(v) for v in exact_deltas(d, X)]) / (float(p.lam) * n)
         gaps.append(np.abs(sp.a - lead).max())
     assert gaps[0] > gaps[1] > gaps[2]
 
