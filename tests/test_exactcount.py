@@ -136,26 +136,53 @@ def test_bad_mode_fails_before_the_count(degrees):
         exact_probability(d, ForbiddenGraph.empty(d.n), "inside")
 
 
+BOUND_CASE = (DegreeSequence((8,) * 7 + (6,) * 7),
+              fg(14, [(1, 2), (2, 3), (3, 4)]))   # a path keeps the class-step table busy
+
+
+def cold_count(monkeypatch, free_bound, step_bound):
+    """Count BOUND_CASE from empty tables under the given bounds."""
+    monkeypatch.setattr(exactcount, "FREE_MEMO_SIZE", free_bound)
+    monkeypatch.setattr(exactcount, "STEP_MEMO_SIZE", step_bound)
+    _count_free.cache_clear()
+    _class_steps.cache_clear()
+    return exact_count(*BOUND_CASE, limit=14)
+
+
 def test_count_keeps_its_own_memo_entries(monkeypatch):
     # however small the bounds, a count computes each state once: the shared
     # tables are trimmed only when the next count starts
-    d = DegreeSequence((8,) * 7 + (6,) * 7)
-    X = fg(14, [(1, 2), (2, 3), (3, 4)])   # a path keeps the class-step table busy
-    _count_free.cache_clear()
-    _class_steps.cache_clear()
-    full = exact_count(d, X, limit=14)
-    monkeypatch.setattr(exactcount, "FREE_MEMO_SIZE", 16)
-    monkeypatch.setattr(exactcount, "STEP_MEMO_SIZE", 16)
-    _count_free.cache_clear()
-    _class_steps.cache_clear()
-    assert exact_count(d, X, limit=14) == full
+    full = cold_count(monkeypatch, exactcount.FREE_MEMO_SIZE, exactcount.STEP_MEMO_SIZE)
+    assert cold_count(monkeypatch, 16, 16) == full
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
     assert free.misses == free.currsize > 16
     assert steps.misses == steps.currsize > 16
-    # the next count starts from emptied tables, so it runs cold again
-    assert exact_count(d, X, limit=14) == full
+
+
+def test_free_memo_is_bounded(monkeypatch):
+    # a free table past its bound is emptied when the next count starts, so
+    # that count runs it cold again; the step table, within bound, is kept
+    assert 0 < exactcount.FREE_MEMO_SIZE < float("inf")
+    full = cold_count(monkeypatch, 16, exactcount.STEP_MEMO_SIZE)
+    free, steps = _count_free.cache_info(), _class_steps.cache_info()
+    assert free.currsize > 16
+    assert exact_count(*BOUND_CASE, limit=14) == full
     assert _count_free.cache_info() == free
+    assert _class_steps.cache_info().misses == steps.misses
+    assert _class_steps.cache_info().hits > steps.hits
+
+
+def test_class_step_table_is_bounded(monkeypatch):
+    # a step table past its bound is emptied when the next count starts, so
+    # that count runs it cold again; the free table, within bound, is kept
+    assert 0 < exactcount.STEP_MEMO_SIZE < float("inf")
+    full = cold_count(monkeypatch, exactcount.FREE_MEMO_SIZE, 16)
+    free, steps = _count_free.cache_info(), _class_steps.cache_info()
+    assert steps.currsize > 16
+    assert exact_count(*BOUND_CASE, limit=14) == full
     assert _class_steps.cache_info() == steps
+    assert _count_free.cache_info().misses == free.misses
+    assert _count_free.cache_info().hits > free.hits
 
 
 def product_steps(classes, r, extra):
