@@ -20,16 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log, log1p
 
-from .graphcore import (
-    DegreeSequence,
-    ForbiddenGraph,
-    Parameters,
-    compute_parameters,
-    forbidden_for,
-    induced_spec,
-    interior_density,
-    over_capacity,
-)
+from .graphcore import (DegreeSequence, ForbiddenGraph, Parameters, compute_parameters,
+                        event_edges, forbidden_for, impossible, induced_spec, interior_density)
 
 NEG_INF = float("-inf")
 HYPOTHESIS_A = 0.3           # the constant a of the density window n/(3a log n)
@@ -113,7 +105,7 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     X = forbidden_for(d, X)
     if p.n != d.n or p.lam * d.n * (d.n - 1) != 2 * d.edge_count:
         raise ValueError(f"parameters of another instance: n={p.n}, lambda={p.lam}")
-    if over_capacity(d, X):
+    if impossible(d, X):
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
     n = d.n
     lam = float(p.lam)
@@ -178,11 +170,9 @@ def complement_fields(p: Parameters) -> dict[str, Fraction]:
 def _miss_and_hit(p: Parameters, d: DegreeSequence, X: ForbiddenGraph,
                   miss_terms) -> dict[str, LogEstimate]:
     """miss_terms(fields) at p's own fields (miss) and at the complement's (hit);
-    a side is zero if over capacity at d (miss) or n-1-d (some d_j < x_j, hit)."""
+    a side is zero if its event is impossible."""
     fields = vars(p)
-    zero = {"miss": over_capacity(d, X),
-            "hit": any(dj < xj for dj, xj in zip(d.degrees, X.row_sums))}
-    return {side: ZERO_PROBABILITY if zero[side]
+    return {side: ZERO_PROBABILITY if impossible(d, *event_edges(X, side))
             else LogEstimate.build(0.0, miss_terms(f), ERROR_ORDER)
             for side, f in (("miss", fields), ("hit", {**fields, **complement_fields(p)}))}
 
@@ -279,8 +269,8 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
 
     model "full" evaluates the complete omega expansion, "leading" its first
     term only (error o(1)), and "lambda-model" the reduced expansion over the
-    pairwise edge-weight base product.  The event is impossible, and every
-    model returns ZERO_PROBABILITY, when a support vertex j has d_j < x_j or
+    pairwise edge-weight base product.  Every model returns ZERO_PROBABILITY
+    when the event is impossible: a support vertex j has d_j < x_j or
     d_j > n - m + x_j (it must miss the other m - 1 - x_j support vertices).
     """
     if model not in ("full", "leading", "lambda-model"):
@@ -291,7 +281,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
         return LogEstimate.build(0.0, (), "exact")
     lam = interior_density(p.lam)
     n = d.n
-    if any(not xj <= dj <= n - m + xj for dj, xj in zip(d.degrees[:m], X.row_sums)):
+    if impossible(d, *event_edges(X, "induced", m)):
         return ZERO_PROBABILITY
     A = float(p.A)
     Xc = X.edge_count
@@ -375,7 +365,7 @@ def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEst
         Xc = X.edge_count
         if Xc > E:
             raise ValueError("need X <= E")
-        if any(dj < xj for dj, xj in zip(d.degrees, x)):
+        if impossible(d, *event_edges(X, "hit")):
             return LogEstimate(NEG_INF, NEG_INF, 0.0, "ratio is zero", ())
         base = math.fsum(lgamma(dj + 1) - lgamma(dj - xj + 1)
                          for dj, xj in zip(d.degrees, x))

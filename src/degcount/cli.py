@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thinning", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--dump-graph", help="write one realization as an edge list")
+    p.add_argument("--dump-graph", help="write realize(d), the largest-first greedy graph the "
+                   "chain starts from, as an edge list; neither --seed nor the chain changes it")
 
     p = sub.add_parser("validate", help="run the validation suite")
     p.add_argument("--suite", choices=("small", "full"), default="small")

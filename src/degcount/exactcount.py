@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, over_capacity
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, impossible
 
 DEFAULT_LIMIT_EMPTY = 12
 DEFAULT_LIMIT_FORBIDDEN = 10
@@ -135,6 +135,8 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
     eligible.  A vertex is constrained while it has a live marked neighbour.
     """
     n = d.n
+    if not weight and impossible(d, Y):
+        return 0
     if limit is None:
         limit = DEFAULT_LIMIT_EMPTY if Y.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
     if n > limit:
@@ -142,8 +144,6 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
     for table, bound in ((_count_free, FREE_MEMO_SIZE), (_class_steps, STEP_MEMO_SIZE)):
         if table.cache_info().currsize > bound:
             table.cache_clear()
-    if not weight and over_capacity(d, Y):
-        return 0
     xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
     cons, moved = _split(xadj, dict(enumerate(d.degrees)))
     try:
@@ -193,8 +193,9 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
                 limit: int | None = None) -> int:
     """Exact number of simple graphs with degrees d and no edge of X.
 
-    Infeasible instances return 0; exceeding the size limit raises
-    CountLimitError (default limit 12 for empty X, 10 otherwise).
+    An instance graphcore.impossible marks (some d_j > n-1-x_j) counts 0 at
+    any n; otherwise exceeding the size limit raises CountLimitError
+    (default limit 12 for empty X, 10 otherwise).
     """
     return _weighted_count(d, forbidden_for(d, X), 0, limit)
 
@@ -234,15 +235,17 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     """Exact probability, as a Fraction, that a uniform graph with degrees d
     has exactly the edges S inside Y, (Y, S) = graphcore.event_edges(X, mode,
     m): exact_count(d - x(S), Y) / G(d).  The event is decoded before G(d) is
-    counted, so a bad mode or m fails fast."""
+    counted, so a bad mode or m fails fast; after G(d), an event
+    graphcore.impossible marks is 0 with no count under Y's limit."""
     Y, S = event_edges(forbidden_for(d, X), mode, m)
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
         raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
-    shifted = [dj - sj for dj, sj in zip(d.degrees, ForbiddenGraph(d.n, S).row_sums)]
-    if min(shifted) < 0:
+    if impossible(d, Y, S):
         return Fraction(0)
-    return Fraction(exact_count(DegreeSequence(tuple(shifted)), Y, limit=limit), gd)
+    s = ForbiddenGraph(d.n, S).row_sums
+    shifted = DegreeSequence(tuple(dj - sj for dj, sj in zip(d.degrees, s)))
+    return Fraction(exact_count(shifted, Y, limit=limit), gd)
 
 
 def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,

@@ -15,6 +15,7 @@ the file formats parsed here.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -164,16 +165,6 @@ def forbidden_for(d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph
     return X
 
 
-def over_capacity(d: DegreeSequence, X: ForbiddenGraph) -> bool:
-    """Whether some d_j > n-1-x_j, so that no graph with degrees d avoids X.
-
-    Only vertices of supp(X) are tested: DegreeSequence already enforces
-    d_j <= n-1, so a vertex with x_j = 0 never fails.
-    """
-    x = X.row_sums
-    return any(d.degrees[j - 1] > d.n - 1 - x[j - 1] for edge in X.edges for j in edge)
-
-
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     """Populate a Parameters record from a degree sequence and forbidden graph.
 
@@ -255,6 +246,21 @@ def event_edges(X: ForbiddenGraph, mode: str,
         check_support(X, m)
         return ForbiddenGraph.clique(X.n, m), X.edges
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def impossible(d: DegreeSequence, Y: ForbiddenGraph,
+               S: frozenset[tuple[int, int]] = frozenset()) -> bool:
+    """Whether no graph with degrees d has exactly the edges S inside Y (S a
+    subset of Y's edges), as for each (Y, S) of event_edges.
+
+    Vertex j takes its s_j edges of S and its other d_j - s_j edges outside Y,
+    so the event is impossible when some d_j < s_j or d_j > n-1-y_j+s_j.
+    Only the endpoints of Y's edges are tested: a vertex with y_j = 0 has
+    s_j = 0, and DegreeSequence already enforces 0 <= d_j <= n-1.
+    """
+    y, s = Y.row_sums, Counter(j for edge in S for j in edge)
+    return any(not s[j] <= d.degrees[j - 1] <= d.n - 1 - y[j - 1] + s[j]
+               for edge in Y.edges for j in edge)
 
 
 def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int) -> dict[tuple[int, int], Fraction]:

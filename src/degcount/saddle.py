@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import (DegreeSequence, ForbiddenGraph, forbidden_for, interior_density,
-                        over_capacity)
+from .graphcore import DegreeSequence, ForbiddenGraph, forbidden_for, impossible, interior_density
 
 
 class SaddlePoleError(ValueError):
@@ -144,7 +143,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     if n < 3:
         raise ValueError("need n >= 3")
     lam = interior_density(2 * d.edge_count / (n * (n - 1)))
-    if over_capacity(d, X):
+    if impossible(d, X):
         raise ValueError("infeasible degrees: some d_j > n-1-x_j")
 
     r2 = lam / (1.0 - lam)

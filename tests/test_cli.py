@@ -8,6 +8,8 @@ import warnings
 import pytest
 
 from degcount import cli
+from degcount.graphcore import DegreeSequence
+from degcount.mcsampler import realize
 
 THRESHOLDS = gc.get_threshold()
 
@@ -373,6 +375,27 @@ def test_too_deep_count_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: n=3000 ") and err.count("\n") == 1
+
+
+def test_impossible_count_past_the_limit_is_zero(tmp_path):
+    # no graph with d_1 = n-1 avoids the edge 12: at n = 11, past the default
+    # limit of 10 with a forbidden graph, the count is 0, not a limit error
+    d, x = tmp_path / "d.txt", tmp_path / "x.txt"
+    d.write_text("10\n" + "5\n" * 10)
+    x.write_text("1 2\n")
+    code, out = run(["count", "--degrees", str(d), "--forbidden", str(x)])
+    assert code == 0 and strict_json(out)["count"] == 0
+
+
+def test_dump_graph_is_the_greedy_start(files, tmp_path):
+    # --dump-graph writes realize(d), whatever the seed and the chain
+    dumps = []
+    for seed in ("11", "12"):
+        dumps.append(tmp_path / f"g{seed}.txt")
+        run(["sample", "--degrees", files["d8"], "--mode", "hit", "--samples", "20",
+             "--seed", seed, "--dump-graph", str(dumps[-1])])
+    edges = "".join(f"{j} {k}\n" for j, k in realize(DegreeSequence((3,) * 8)).edge_list())
+    assert dumps[0].read_text() == dumps[1].read_text() == edges
 
 
 def test_csv_format(files):

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from degcount import exactcount
-from degcount.graphcore import DegreeSequence, ForbiddenGraph, relabel
+from degcount.graphcore import MODES, DegreeSequence, ForbiddenGraph, event_edges, impossible, relabel
 from degcount.exactcount import (
     CountLimitError,
     UndefinedProbabilityError,
@@ -380,6 +380,63 @@ def test_hit_with_infeasible_shift_is_zero():
     d = DegreeSequence((1, 1, 0, 0))
     X = fg(4, [(1, 2), (2, 3)])   # x_2 = 2 > d_2
     assert exact_probability(d, X, "hit") == 0
+
+
+@pytest.mark.parametrize("n", [11, 50])
+def test_impossible_instance_counts_zero_at_any_n(n):
+    # d_1 = n-1 cannot avoid the edge 12, so the count is 0 before the
+    # n-limit is checked (this raised CountLimitError at n = 11 before)
+    d = DegreeSequence((n - 1,) + (n // 2,) * (n - 1))
+    assert exact_count(d, fg(n, [(1, 2)])) == 0
+    with pytest.raises(CountLimitError, match=f"^n={n} exceeds exact-count limit 10$"):
+        exact_count(d, fg(n, [(2, 3)]))
+
+
+def test_impossible_event_is_zero_past_the_forbidden_limit():
+    # G(d) counts under the empty-graph limit 12, and an impossible event
+    # needs no count of its own under the limit 10 of a non-empty Y
+    d11 = DegreeSequence((10,) + (5,) * 10)
+    assert exact_probability(d11, fg(11, [(1, 2)]), "miss") == 0        # d_1 = 10 > 11-1-1
+    assert exact_probability(DegreeSequence((0,) + (6,) * 10),
+                             fg(11, [(1, 2)]), "hit") == 0              # d_1 = 0 < s_1 = 1
+    assert exact_probability(DegreeSequence((11,) + (5,) * 11),
+                             fg(12, []), "induced", m=2) == 0           # d_1 = 11 > 12-1-1+0
+    # a possible event still needs its count, under the limit
+    with pytest.raises(CountLimitError, match="^n=11 exceeds exact-count limit 10$"):
+        exact_probability(d11, fg(11, [(1, 2)]), "hit")
+    # G(d) is counted first, so its limit still comes before the rule
+    with pytest.raises(CountLimitError, match="^n=13 exceeds exact-count limit 12$"):
+        exact_probability(DegreeSequence((12,) + (6,) * 12), fg(13, [(1, 2)]), "miss")
+
+
+def test_impossible_matches_every_vertex_reference_property():
+    # graphcore.impossible reads only the endpoints of Y's edges; the
+    # reference bounds every vertex by mode, and an event it marks
+    # impossible has exact probability 0
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        # d is the degree sequence of a graph, so G(d) > 0
+        d, X = draw_instance(st, data, 7, 6)
+        n, x = d.n, X.row_sums
+        mode = data.draw(st.sampled_from(MODES))
+        m = data.draw(st.integers(max((j for e in X.edges for j in e), default=0), n))
+        want = False
+        for j, dj in enumerate(d.degrees):
+            if mode == "miss":
+                want |= dj > n - 1 - x[j]
+            elif mode == "hit":
+                want |= dj < x[j]
+            elif j < m:
+                want |= not x[j] <= dj <= n - m + x[j]
+        assert impossible(d, *event_edges(X, mode, m)) == want
+        if want:
+            assert exact_probability(d, X, mode, m=m) == 0
+
+    check()
 
 
 def test_exact_queries_leave_no_cyclic_garbage():

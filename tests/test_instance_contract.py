@@ -26,8 +26,8 @@ from degcount.graphcore import (
     DegreeSequence,
     ForbiddenGraph,
     compute_parameters,
+    impossible,
     induced_spec,
-    over_capacity,
     relabel,
 )
 from degcount.mcsampler import estimate_probability
@@ -98,8 +98,12 @@ def test_instance_contract(name):
         np.testing.assert_equal(_fields(call(d, None)), _fields(call(d, ForbiddenGraph.empty(5))))
 
 
-def test_over_capacity():
+def test_impossible():
     d = DegreeSequence((3, 1, 1, 1))
-    assert not over_capacity(d, ForbiddenGraph.empty(4))
-    assert over_capacity(d, ForbiddenGraph.from_pairs(4, [(1, 2)]))      # d_1 = 3 > 4-1-1
-    assert not over_capacity(d, ForbiddenGraph.from_pairs(4, [(2, 3)]))  # 1 <= 4-1-1
+    assert not impossible(d, ForbiddenGraph.empty(4))
+    assert impossible(d, ForbiddenGraph.from_pairs(4, [(1, 2)]))      # d_1 = 3 > 4-1-1
+    assert not impossible(d, ForbiddenGraph.from_pairs(4, [(2, 3)]))  # 1 <= 4-1-1
+    edge = ForbiddenGraph.from_pairs(4, [(1, 2)])
+    assert not impossible(d, edge, edge.edges)                        # s_j <= d_j <= 4-1-1+s_j
+    path = ForbiddenGraph.from_pairs(4, [(1, 2), (2, 3)])
+    assert impossible(d, path, path.edges)                            # d_2 = 1 < s_2 = 2

@@ -9,7 +9,7 @@ import pytest
 
 from degcount import saddle
 from degcount.graphcore import (DegreeSequence, ForbiddenGraph, compute_parameters,
-                                interior_density, over_capacity, relabel)
+                                impossible, interior_density, relabel)
 from degcount.exactcount import exact_count
 from degcount.mcsampler import is_graphical
 from degcount.saddle import (
@@ -295,7 +295,7 @@ def draw_instance(data, st):
     return DegreeSequence(tuple(deg)), X
 
 
-def test_support_only_over_capacity_matches_every_vertex():
+def test_support_only_impossible_matches_every_vertex():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -304,7 +304,7 @@ def test_support_only_over_capacity_matches_every_vertex():
     def check(data):
         d, X = draw_instance(data, st)
         n = d.n
-        assert over_capacity(d, X) == any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums))
+        assert impossible(d, X) == any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums))
 
     check()
 
