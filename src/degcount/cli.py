@@ -2,9 +2,13 @@
 factorization verification, box-integral evaluation, chain sampling, and the
 validation harness.
 
-Reports are JSON by default (sorted keys, stable schema "degcount-report/1"),
-so an identical run configuration, seed included, reproduces byte-identical
-output.  JSON is strict: non-finite values are written as null.  CSV is the
+Reports are JSON by default (stable schema "degcount-report/1"), laid out as
+json.dumps(report, sort_keys=True, indent=2) writes it: 2-space indent, keys
+sorted, non-string keys written as strings.  An identical run configuration,
+seed included, reproduces byte-identical output.  JSON is strict: non-finite
+values are written as null.  The writer hands every innermost list and object
+to json's C encoder, so a report's n-vectors (the saddle's a and radii) cost
+no per-element Python.  CSV is the
 same report flattened into key,value rows, quoted where needed.  Vertices are
 1-indexed in all files.
 
@@ -22,6 +26,7 @@ import gc
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -49,9 +54,52 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _key(key) -> str:
+    """A dict key as json writes it: int, float, bool and None keys as strings."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(key)    # _emit has the stdlib call report it
+        key = json.dumps(key, allow_nan=False)
+    return json.dumps(key)
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), for obj at
+    the depth whose line break and indent is `indent`.
+
+    The indented stdlib encoder is pure Python.  Here Python walks only the
+    containers that hold containers; each innermost one is a single call of
+    the C encoder, whose item separator carries the line break and indent, so
+    only its brackets need re-indenting.  Nested objects sort by the original
+    key, as json does, before their keys are written as strings.
+    """
+    if isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    else:
+        return json.dumps(obj, allow_nan=False)
+    if not values:
+        return brackets
+    inner = indent + "  "
+    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
+        body = json.dumps(obj, sort_keys=True, allow_nan=False,
+                          separators=("," + inner, ": "))[1:-1]
+    elif brackets == "{}":
+        body = ("," + inner).join(_key(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+    else:
+        body = ("," + inner).join(_dumps(v, inner) for v in obj)
+    return brackets[0] + inner + body + indent + brackets[1]
+
+
 def _emit(out, payload: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        try:
+            text = _dumps(payload)
+        except (TypeError, ValueError):
+            # the stdlib call raises its own message (the C encoder omits the value)
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        out.write(text + "\n")
     elif fmt == "csv":
         csv.writer(out, lineterminator="\n").writerows(
             (key, str(value)) for key, value in _flatten(payload))
@@ -169,7 +217,7 @@ def _cmd_saddle(args, out) -> int:
     ln_p = saddle.log_prefactor(sp, d, X)
     payload = {
         "schema": SCHEMA, "subcommand": "saddle", "mode": sp.mode,
-        "a": list(sp.a), "radii": list(sp.radii),
+        "a": sp.a.tolist(), "radii": sp.radii.tolist(),
         "residualMax": sp.max_residual, "iterations": sp.iterations,
         "converged": sp.converged, "logPrefactor": ln_p, "scale": "log",
     }

@@ -300,7 +300,8 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         w = np.exp(perturbation_exponent(c, zin))
         sb = w.sum()
         dev = w - sb / take
-        m2 += float(np.vdot(dev, dev).real)
+        # numpy's pairwise sum, not a BLAS dot, whose bits vary with the thread count
+        m2 += float((dev.real * dev.real + dev.imag * dev.imag).sum())
         if collected:
             shift = abs(sb / take - s1 / collected)
             m2 += shift * shift * collected * take / (collected + take)

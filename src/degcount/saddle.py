@@ -11,13 +11,17 @@ tensor quadrature at tiny n.
 
 Vertices outside the support of the forbidden graph that share a degree
 share a radius, so both solver modes and the log prefactor work on vertex
-classes and cost O(k^2 + n) for k classes; the n x n weight matrix is built
-only on demand, for the tiny-n consumers.
+classes and cost O(k^2 + n) for k classes.  The O(n) part runs in numpy and
+C-level iteration, not per-vertex Python: classes are keyed only on supp(X)
+and the distinct free degrees, and the prefactor's sum d_j ln r_j is one
+fsum over map.  The n x n weight matrix is built only on demand, for the
+tiny-n consumers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +76,26 @@ def _classes(d: DegreeSequence, X: ForbiddenGraph):
     Returns (cls, first, m, F): cls[j] is the class of vertex j (0-indexed),
     first[c] the first vertex of class c, m[c] its size, and F[c, c'] = 1
     where an X-edge joins c and c' (both ends are one-vertex classes).
+
+    Keys are built only for the vertices of supp(X) and the distinct free
+    degrees; the free vertices take their class from a degree -> class
+    array, so the O(n) part is numpy.
     """
-    dx = list(zip(d.degrees, X.row_sums))
-    keys = [key + (tuple(sorted(dx[k - 1] for k in X.neighbors(j + 1))), j) if key[1] else key
-            for j, key in enumerate(dx)]
-    index = {key: c for c, key in enumerate(sorted(set(keys)))}
-    cls = np.array([index[key] for key in keys], dtype=np.intp)
+    degrees, x = d.degrees, X.row_sums
+    supp = sorted({j - 1 for edge in X.edges for j in edge})
+    supp_keys = [(degrees[j], x[j],
+                  tuple(sorted((degrees[k - 1], x[k - 1]) for k in X.neighbors(j + 1))), j)
+                 for j in supp]
+    deg = np.fromiter(degrees, dtype=np.intp, count=d.n)
+    free = np.ones(d.n, dtype=bool)
+    free[supp] = False
+    free_degrees = np.flatnonzero(np.bincount(deg[free]))
+    free_keys = [(dj, 0) for dj in free_degrees.tolist()]
+    index = {key: c for c, key in enumerate(sorted(supp_keys + free_keys))}
+    by_degree = np.zeros(d.n, dtype=np.intp)
+    by_degree[free_degrees] = [index[key] for key in free_keys]
+    cls = by_degree[deg]
+    cls[supp] = [index[key] for key in supp_keys]
     first, m = np.unique(cls, return_index=True, return_counts=True)[1:]
     F = np.zeros((len(m), len(m)))
     for j, k in X.edges:
@@ -259,7 +277,8 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
 
     The pair sum runs over groups of equal radius, with m_c vertices of radius
     r_c: 1/2 [sum m_c m_c' L_cc' - sum m_c L_cc] with L = ln(1 + r r'), minus
-    one term per X-edge.  It is accumulated with compensated summation.
+    one term per X-edge.  It is accumulated with compensated summation, and
+    so is sum d_j ln r_j, with math.log on each radius.
     """
     X = _contour_for(sp, d, X)
     n = d.n
@@ -269,7 +288,7 @@ def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None =
     forbidden = np.log1p(sp.radii[edges[:, 0]] * sp.radii[edges[:, 1]])
     acc = math.fsum((pairs * np.log1p(np.outer(r, r))).ravel().tolist() + (-forbidden).tolist())
     acc -= n * math.log(2.0 * math.pi)
-    acc -= math.fsum(dj * math.log(rj) for dj, rj in zip(d.degrees, sp.radii))
+    acc -= math.fsum(map(operator.mul, d.degrees, map(math.log, sp.radii.tolist())))
     return acc
 
 

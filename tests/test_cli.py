@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -443,3 +444,79 @@ def test_parser_cycles_die_young():
     finally:
         gc.set_threshold(*THRESHOLDS)
     assert survivors == []
+
+
+def stdlib_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def emitted(payload):
+    buf = io.StringIO()
+    cli._emit(buf, payload, "json")
+    return buf.getvalue()
+
+
+def test_json_writer_is_the_stdlib_layout():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scalars = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 63, 2 ** 80) | finite
+               | st.sampled_from([-0.0, 1e16, 1e-05, 5e-324]) | st.text()
+               | st.sampled_from(["", "\"quoted\" \\ back", "tab\tnew\nline", "\x00\x1f", "é ☃ \U0001f600"]))
+    # one key kind per object: str, numbers, bools and None do not sort together
+    key_kinds = (st.text(), st.integers() | finite, st.booleans(), st.none())
+
+    def containers(children):
+        items = st.lists(children, max_size=4)
+        return st.one_of(items, items.map(tuple),
+                         *(st.dictionaries(keys, children, max_size=4) for keys in key_kinds))
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.recursive(scalars, containers, max_leaves=40))
+    def check(payload):
+        assert emitted(payload) == stdlib_json(payload)
+
+    check()
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": math.nan},
+    {"a": [1.0, math.inf]},
+    {"a": {"b": [-math.inf]}, "c": [[1]]},
+    {"a": {math.nan: 1}},
+    {"a": {math.inf: [1]}},
+])
+def test_json_writer_rejects_non_finite_values_as_the_stdlib_does(payload):
+    with pytest.raises(ValueError) as want:
+        stdlib_json(payload)
+    with pytest.raises(ValueError) as got:
+        emitted(payload)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_writes_int_keys_as_strings_in_numeric_order():
+    # validate's measured tables are keyed by n
+    report = {"schema": cli.SCHEMA, "subcommand": "validate", "passed": True, "suite": "full",
+              "results": [{"name": "subgraph-probability", "passed": True, "detail": "",
+                           "measured": {"errors": {8: {"edge": [0.1, 0.2]}, 10: {"edge": [0.05, 0.1]},
+                                                   14: {}},
+                                        "mean_errors": [0.1, 0.05]}}]}
+    text = emitted(report)
+    assert text == stdlib_json(report)
+    assert list(strict_json(text)["results"][0]["measured"]["errors"]) == ["8", "10", "14"]
+
+
+def test_json_reports_leave_no_cyclic_garbage():
+    # the indented stdlib encoder is pure Python, and its closures refer to
+    # each other: every report would leave a few dozen cyclic objects
+    saddle_like = {"schema": cli.SCHEMA, "a": [0.001 * j for j in range(500)],
+                   "radii": [1.0 + 0.001 * j for j in range(500)], "converged": True}
+    nested = {"results": [{"measured": {8: {"edge": [0.1]}}, "name": "x"}], "passed": True}
+    gc.collect()
+    gc.disable()
+    try:
+        for payload in (saddle_like, nested):
+            emitted(payload)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,12 +182,12 @@ def box_weights(c, samples, seed):
      (1.7319424419696878, 0.0011090782600388879)),
     # a second batch: the first runs out of its BATCH_SIZE rows
     (dict(N=2, A=1.0, eps_hat=1.0, a=[0.1, 0.2]), 70_000, 7,
-     (1.7317553134087234, 0.0007275472948638126)),
+     (1.7317553134087234, 0.0007275472948638123)),
     (dict(N=3, A=0.9, eps_hat=0.75, J=[0.3, 0.1, 0.2]), 150_000, 7,
-     (1.2629108171759054, 0.0005220440086991264)),
+     (1.2629108171759054, 0.0005220440086991265)),
     # every row inside
     (dict(N=8, A=1.0, a=[0.05] * 8), 100_000, 7,
-     (0.02553517228352561, 2.8896360678271136e-06)),
+     (0.02553517228352561, 2.8896360678271128e-06)),
 ], ids=["outside-rows", "outside-rows-two-batches", "three-batches", "all-inside"])
 def test_trimmed_draws_are_the_full_batch_rows(monkeypatch, coeffs, samples, seed, pinned):
     # the rows a batch draws are the first accepted rows of a full batch, bit
@@ -207,6 +211,22 @@ def test_trimmed_draws_are_the_full_batch_rows(monkeypatch, coeffs, samples, see
         assert res.acceptance_rate < 1.0
     # mean and stderr as the full-batch draws gave them
     assert (res.mean.real, res.stderr) == pinned and res.mean.imag == 0.0
+
+
+def test_mc_result_does_not_depend_on_the_blas_thread_count():
+    # the merged-batch variance is numpy's pairwise sum; a BLAS dot product
+    # reduced in another order at 2 threads and moved the stderr's last bits
+    code = ("from degcount.mvintegral import CoefficientSet, mc_box_integral\n"
+            "r = mc_box_integral(CoefficientSet(N=8, A=1.0, a=[0.05] * 8), samples=100_000, seed=7)\n"
+            "print(repr(r.mean), repr(r.stderr))")
+    src = str(Path(mvintegral.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] == "(0.02553517228352561+0j) 2.8896360678271128e-06\n"
 
 
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-10])

@@ -226,6 +226,40 @@ def test_class_solve_residual_matches_dense_recompute(seed):
     assert np.unique(sp.radii).size > 0.6 * n
 
 
+def per_vertex_classes(d, X):
+    """_classes as it was first written, with a key built for every vertex."""
+    dx = list(zip(d.degrees, X.row_sums))
+    keys = [key + (tuple(sorted(dx[k - 1] for k in X.neighbors(j + 1))), j) if key[1] else key
+            for j, key in enumerate(dx)]
+    index = {key: c for c, key in enumerate(sorted(set(keys)))}
+    cls = np.array([index[key] for key in keys], dtype=np.intp)
+    first, m = np.unique(cls, return_index=True, return_counts=True)[1:]
+    F = np.zeros((len(m), len(m)))
+    for j, k in X.edges:
+        F[cls[j - 1], cls[k - 1]] = F[cls[k - 1], cls[j - 1]] = 1.0
+    return cls, first, m.astype(float), F
+
+
+def test_classes_match_the_per_vertex_keys():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(3, 30)
+        deg = [rng.randint(0, n - 1) for _ in range(n)]
+        if sum(deg) % 2:
+            deg[0] += 1 if deg[0] < n - 1 else -1
+        p = rng.choice([0.0, 0.05, 0.3, 1.0])
+        pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        cases.append((DegreeSequence(deg), fg(n, pairs)))
+    # every vertex in supp(X): a Hamilton cycle and a perfect matching
+    cases.append((DegreeSequence((4,) * 9), fg(9, [(j, j % 9 + 1) for j in range(1, 10)])))
+    cases.append((DegreeSequence((5, 5, 3, 3, 4, 4, 2, 2)), fg(8, [(1, 2), (3, 4), (5, 6), (7, 8)])))
+    cases += [relabel(d, X, rng.sample(range(1, d.n + 1), d.n)) for d, X in cases]
+    for d, X in cases:
+        got, want = saddle._classes(d, X), per_vertex_classes(d, X)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_class_solve_at_ten_thousand_vertices():
     n = 10_000
     d, X = near_regular(random.Random(1), n, 2)
