@@ -8,9 +8,10 @@ sorted, non-string keys written as strings.  An identical run configuration,
 seed included, reproduces byte-identical output.  JSON is strict: non-finite
 values are written as null.  The writer hands every innermost list and object
 to json's C encoder, so a report's n-vectors (the saddle's a and radii) cost
-no per-element Python.  CSV is the
-same report flattened into key,value rows, quoted where needed.  Vertices are
-1-indexed in all files.
+no per-element Python, and it formats each repeated value of such a vector
+once: a class solve gives n vertices a handful of distinct floats.  CSV is
+the same report flattened into key,value rows, quoted where needed.  Vertices
+are 1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors and unreadable
 paths (with line-numbered diagnostics where applicable).  A saddle solve
@@ -63,6 +64,25 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
+def _repeated_floats(items) -> dict[float, str] | None:
+    """Each distinct value's text, as json writes it, when items are exact,
+    finite, non-zero floats with at most half as many distinct values as
+    items; otherwise None.
+
+    A class solve expands a handful of values to n vertices, so formatting
+    each value once beats one repr per item.  0.0 and -0.0 are one dict key
+    but two texts; non-finite values must reach json to raise its error; and
+    an int or bool equal to a float would share that float's key.
+    """
+    if {*map(type, items)} != {float}:
+        return None
+    distinct = {*items}
+    if (2 * len(distinct) > len(items) or 0.0 in distinct
+            or not all(map(math.isfinite, distinct))):
+        return None
+    return {value: float.__repr__(value) for value in distinct}
+
+
 def _dumps(obj, indent: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), for obj at
     the depth whose line break and indent is `indent`.
@@ -70,8 +90,10 @@ def _dumps(obj, indent: str = "\n") -> str:
     The indented stdlib encoder is pure Python.  Here Python walks only the
     containers that hold containers; each innermost one is a single call of
     the C encoder, whose item separator carries the line break and indent, so
-    only its brackets need re-indenting.  Nested objects sort by the original
-    key, as json does, before their keys are written as strings.
+    only its brackets need re-indenting; an innermost list of repeated floats
+    is joined from one text per distinct value instead.  Nested objects sort
+    by the original key, as json does, before their keys are written as
+    strings.
     """
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
@@ -83,8 +105,12 @@ def _dumps(obj, indent: str = "\n") -> str:
         return brackets
     inner = indent + "  "
     if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-        body = json.dumps(obj, sort_keys=True, allow_nan=False,
-                          separators=("," + inner, ": "))[1:-1]
+        texts = brackets == "[]" and _repeated_floats(obj)
+        if texts:
+            body = ("," + inner).join(map(texts.__getitem__, obj))
+        else:
+            body = json.dumps(obj, sort_keys=True, allow_nan=False,
+                              separators=("," + inner, ": "))[1:-1]
     elif brackets == "{}":
         body = ("," + inner).join(_key(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
     else:

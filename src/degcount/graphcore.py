@@ -15,6 +15,7 @@ the file formats parsed here.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,17 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(v) for v in self.degrees))
+        # operator.index takes ints and numpy integers; int() would truncate 1.9
+        try:
+            degrees = tuple(map(operator.index, self.degrees))
+        except TypeError:
+            for j, v in enumerate(self.degrees, start=1):
+                try:
+                    operator.index(v)
+                except TypeError:
+                    raise ValueError(f"degree d_{j}={v!r} is not an integer") from None
+            raise
+        object.__setattr__(self, "degrees", degrees)
         n = len(self.degrees)
         if n < 1:
             raise ValueError("degree sequence must be non-empty")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -33,17 +33,27 @@ class NonGraphicalError(ValueError):
 
 
 def is_graphical(degrees) -> bool:
-    """Erdos-Gallai test, including the even-sum requirement."""
+    """Erdos-Gallai test, including the even-sum requirement.
+
+    With d sorted non-increasing and p the number of degrees >= k, the tail
+    sum_{i>k} min(d_i, k) is k (p - k) plus the degrees past p when p > k,
+    and the degrees past k otherwise.  p only falls as k grows, so after the
+    sort the test is one linear sweep.
+    """
     ds = sorted((int(v) for v in degrees), reverse=True)
     n = len(ds)
-    if any(v < 0 or v > n - 1 for v in ds):
+    if n and (ds[-1] < 0 or ds[0] > n - 1):
         return False
     if sum(ds) % 2:
         return False
+    suffix = list(accumulate(reversed(ds), initial=0))[::-1]   # suffix[i] = sum(ds[i:])
+    p = n
     prefix = 0
     for k in range(1, n + 1):
         prefix += ds[k - 1]
-        tail = sum(min(v, k) for v in ds[k:])
+        while p and ds[p - 1] < k:
+            p -= 1
+        tail = k * (p - k) + suffix[p] if p > k else suffix[k]
         if prefix > k * (k - 1) + tail:
             return False
     return True

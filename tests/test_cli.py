@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from degcount import cli
@@ -471,8 +472,23 @@ def test_json_writer_is_the_stdlib_layout():
         return st.one_of(items, items.map(tuple),
                          *(st.dictionaries(keys, children, max_size=4) for keys in key_kinds))
 
+    # long lists drawn from at most 3 values, which the writer formats once
+    # each: 0.0 and -0.0, and ints and bools equal to a float, must keep their
+    # own text, and np.float64 items must keep json's
+    specials = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-05])
+    floats = st.lists(finite | specials, min_size=1, max_size=3)
+    np_floats = st.lists(finite | specials, min_size=1, max_size=3).map(
+        lambda vals: [np.float64(v) for v in vals] + vals)
+    mixed = st.lists(st.sampled_from([1.0, 1, True, 0.0, 0, False, -0.0, 2.5]),
+                     min_size=1, max_size=3)
+    repeated = st.one_of(floats, np_floats, mixed).flatmap(
+        lambda vals: st.lists(st.sampled_from(vals), min_size=2, max_size=40))
+
     @hyp.settings(max_examples=400, deadline=None)
-    @hyp.given(st.recursive(scalars, containers, max_leaves=40))
+    @hyp.given(st.recursive(scalars | repeated, containers, max_leaves=40))
+    @hyp.example([0.0, -0.0, 0.0, -0.0])
+    @hyp.example({"a": [1.0, 1, True, 1.0], "b": [1e16, 1e-05, 5e-324, 1e16, 1e-05, 5e-324]})
+    @hyp.example([np.float64(0.5), 0.5, np.float64(0.5), 0.5])
     def check(payload):
         assert emitted(payload) == stdlib_json(payload)
 
@@ -485,6 +501,9 @@ def test_json_writer_is_the_stdlib_layout():
     {"a": {"b": [-math.inf]}, "c": [[1]]},
     {"a": {math.nan: 1}},
     {"a": {math.inf: [1]}},
+    {"a": [math.nan] * 4},
+    {"a": [1.0, math.inf, 1.0, math.inf], "b": [2.0, 2.0]},
+    {"a": [-math.inf, 0.5, 0.5, 0.5]},
 ])
 def test_json_writer_rejects_non_finite_values_as_the_stdlib_does(payload):
     with pytest.raises(ValueError) as want:
@@ -492,6 +511,20 @@ def test_json_writer_rejects_non_finite_values_as_the_stdlib_does(payload):
     with pytest.raises(ValueError) as got:
         emitted(payload)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode", ["converge", "fixed"])
+def test_saddle_report_is_the_stdlib_layout_at_n_1000(tmp_path, mode):
+    # near-regular with a forbidden path: a and radii repeat a few class values
+    degrees, path = tmp_path / "d.txt", tmp_path / "x.txt"
+    degrees.write_text("\n".join(["501"] * 500 + ["499"] * 500) + "\n")
+    path.write_text("1 2\n2 3\n")
+    code, text = run(["saddle", "--degrees", str(degrees), "--forbidden", str(path),
+                      "--mode", mode])
+    report = strict_json(text)
+    assert code == 0 and len(report["a"]) == 1000
+    assert len(set(report["a"])) <= 5 and len(set(report["radii"])) <= 5
+    assert text == stdlib_json(report)
 
 
 def test_json_writer_writes_int_keys_as_strings_in_numeric_order():

@@ -1,8 +1,10 @@
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from degcount.graphcore import (
@@ -37,6 +39,17 @@ def test_degree_sequence_validation():
         DegreeSequence((-1, 1))
     d = DegreeSequence((2, 2, 2, 2))
     assert d.n == 4 and d.edge_count == 4 and d.is_regular()
+
+
+def test_degree_sequence_takes_integers_only():
+    d = DegreeSequence((np.int64(2), np.uint8(2), 2, 2))
+    assert d.degrees == (2, 2, 2, 2) and all(type(v) is int for v in d.degrees)
+    # int() once truncated (1.9, 1.2) to the degrees (1, 1)
+    for degrees, bad in [((1.9, 1.2), "d_1=1.9"), (("1", "1"), "d_1='1'"),
+                         ((2, 2, 2, np.float64(2.0)), f"d_4={np.float64(2.0)!r}"),
+                         ((1, 1, 2.0), "d_3=2.0")]:
+        with pytest.raises(ValueError, match=f"degree {re.escape(bad)} is not an integer"):
+            DegreeSequence(degrees)
 
 
 def test_forbidden_graph_validation():

@@ -37,6 +37,40 @@ def test_erdos_gallai():
     assert not is_graphical((5, 1, 1, 1))     # above n-1
 
 
+def is_graphical_reference(degrees):
+    """The quadratic Erdos-Gallai loop: every tail sum taken afresh."""
+    ds = sorted((int(v) for v in degrees), reverse=True)
+    n = len(ds)
+    if any(v < 0 or v > n - 1 for v in ds):
+        return False
+    if sum(ds) % 2:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += ds[k - 1]
+        tail = sum(min(v, k) for v in ds[k:])
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def test_erdos_gallai_sweep_is_the_quadratic_loop():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.integers(-1, n), min_size=n, max_size=n)))
+    def check(degrees):
+        assert is_graphical(degrees) == is_graphical_reference(degrees)
+
+    check()
+    # every multiset of n degrees in [0, n-1] at n <= 8, graphical or not
+    for n in range(1, 9):
+        for degrees in itertools.combinations_with_replacement(range(n), n):
+            assert is_graphical(degrees) == is_graphical_reference(degrees)
+
+
 def test_realize_triangle_unique():
     g = realize(DegreeSequence((2, 2, 2)))
     assert g.edge_list() == [(1, 2), (1, 3), (2, 3)]
