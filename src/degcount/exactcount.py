@@ -10,20 +10,26 @@ vertices it may join, times compositions of the rest of its degree across
 the classes with binomial weights.  Those class steps carry no vertex label,
 so they are read from one table that every pivot, state, call and instance
 with the same free multiset shares.  A vertex whose forbidden neighbours are
-all spent joins the classes, and the states (constrained residuals, classes)
-are memoized per call.  Once no forbidden edge is live the count is a
-memoized recursion on the class multiset alone.  Both shared tables grow
-freely within a count, so none evicts a sub-result it still needs; a count
-starts by emptying either one past FREE_MEMO_SIZE / STEP_MEMO_SIZE entries.
-The overlap law with a graph Y is one pass of the same recursion that
-weights each Y-edge taken, so its cost follows the shape of Y, not 2^|Y|.
-Measured cold on one core of a shared 2-core machine, d = n/2 regular takes
-2.0 s at n = 20, near-regular d = 11^10 9^10 10 s (80,456 free states);
-with a forbidden triangle 0.07 s at n = 16 and 1.9 s at n = 20, with a
-forbidden perfect matching 0.06 s at n = 10 and 2.2 s at n = 12.  Overlap
-laws take 0.36 s for a perfect matching (5-regular, n = 10), 0.1 s for two
-triangles and 7 s for an 8-cycle (6-regular, n = 12), 7 s for K10.  A
-brute-force enumeration over all 2^C(n,2) graphs checks n <= 6.
+all spent joins the classes.  The states (constrained residuals, classes)
+are memoized in one table per (Y, weight), shared by every count under
+that Y and weight whatever d is, and keyed by their orbit under Y's twin
+classes and isomorphic components: an automorphism of Y that maps one state
+onto another keeps its count.  A Y with neither keeps the labelled key.
+Once no forbidden edge is live the count is a memoized recursion on the
+class multiset alone.  The three shared tables grow freely within a count,
+so none evicts a sub-result it still needs; a count starts by emptying any
+one past FREE_MEMO_SIZE / STEP_MEMO_SIZE / STATE_MEMO_SIZE entries, and a
+count with an empty Y never reads the state table.  The overlap law with a
+graph Y is one pass of the same recursion that weights each Y-edge taken,
+so its cost follows the shape of Y, not 2^|Y|.  Measured cold on one core
+of a shared 2-core machine, d = n/2 regular takes 2.0 s at n = 20,
+near-regular d = 11^10 9^10 10 s (80,456 free states); with a forbidden
+triangle 0.04 s at n = 16 and 1.1 s at n = 20, with a forbidden perfect
+matching 0.01 s at n = 10, 0.11 s at n = 12 and 0.7 s at n = 14 (3,898
+states; 125 s with labelled keys).  Overlap laws take 0.03 s for a perfect
+matching (5-regular, n = 10), 0.05 s for two triangles and 5.6 s for an
+8-cycle (6-regular, n = 12; 78,873 states), 0.01 s for K10.  A brute-force
+enumeration over all 2^C(n,2) graphs checks n <= 6.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ DEFAULT_LIMIT_FORBIDDEN = 10
 ENUMERATION_LIMIT = 6
 FREE_MEMO_SIZE = 1 << 15  # kept between counts; a cold regular n = 20 count fills 24,216
 STEP_MEMO_SIZE = 1 << 12  # ~1 KB a key; a cold 7-regular n = 14 matching count fills 3,565
+STATE_MEMO_SIZE = 1 << 15  # states and scopes; a cold 8-cycle law (n = 12) fills 78,873
 
 
 class CountLimitError(ValueError):
@@ -126,6 +133,16 @@ def _collapse(residuals) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(r for r in residuals if r).items(), reverse=True))
 
 
+# The constrained states of the forbidden and weighted recursion, scoped by
+# (Y, weight): a state's count depends only on its constrained residuals, the
+# marked edges among them, its free classes and the weight, so every count
+# under one Y and weight shares them.  _scopes maps (Y, weight) to (scope id,
+# Y's neighbour sets, Y's symmetries); _states maps (scope id, state key,
+# free classes) to the count.
+_scopes: dict[tuple[ForbiddenGraph, int], tuple[int, list[frozenset[int]], tuple | None]] = {}
+_states: dict[tuple, int] = {}
+
+
 def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
                     limit: int | None) -> int:
     """Sum over the graphs with degrees d of weight^(edges shared with Y).
@@ -144,10 +161,19 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
     for table, bound in ((_count_free, FREE_MEMO_SIZE), (_class_steps, STEP_MEMO_SIZE)):
         if table.cache_info().currsize > bound:
             table.cache_clear()
-    xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
-    cons, moved = _split(xadj, dict(enumerate(d.degrees)))
     try:
-        return _rec(xadj, weight, {}, cons, _collapse(moved))
+        if not Y.edge_count:
+            return _count_free(_collapse(d.degrees))
+        if len(_states) + len(_scopes) > STATE_MEMO_SIZE:
+            _states.clear()
+            _scopes.clear()
+        scope = _scopes.get((Y, weight))
+        if scope is None:
+            xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
+            scope = _scopes[Y, weight] = (len(_scopes), xadj, _symmetries(xadj))
+        sid, xadj, types = scope
+        cons, moved = _split(xadj, dict(enumerate(d.degrees)))
+        return _rec(xadj, weight, types, sid, cons, _collapse(moved))
     except RecursionError:
         raise CountLimitError(f"n={n} recurses too deep for the exact counter") from None
 
@@ -159,14 +185,100 @@ def _split(xadj: list[frozenset[int]], res: dict[int, int]):
     return cons, tuple(sorted(res[v] for v in live if not xadj[v] & live))
 
 
-def _rec(xadj: list[frozenset[int]], weight: int, memo: dict[tuple, int],
+def _symmetries(xadj: list[frozenset[int]]) -> tuple | None:
+    """Y's twin classes and isomorphic components, as _orbit reads them.
+
+    Twins are vertices with the same Y-neighbours besides each other; swapping
+    two is an automorphism of Y.  One entry per isomorphism type of Y's
+    components lists each component of that type as its twin classes, taken
+    through an isomorphism from the type's first component, so that permuting
+    the components of a type is an automorphism too.  None when Y has no twins
+    and no two isomorphic components: the labelled state is then its own key.
+    """
+    seen: set[int] = set()
+    types: list[tuple[list[int], list[list[list[int]]]]] = []
+    for s in range(len(xadj)):
+        if not xadj[s] or s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        for v in comp:                  # breadth first, so _extend meets each
+            for u in sorted(xadj[v] - seen):    # vertex after a neighbour
+                seen.add(u)
+                comp.append(u)
+        for ref, members in types:
+            iso: dict[int, int] = {}
+            if len(ref) == len(comp) and _extend(xadj, ref, comp, iso):
+                members.append([[iso[v] for v in cls] for cls in members[0]])
+                break
+        else:
+            classes: list[list[int]] = []
+            for v in comp:
+                for cls in classes:     # twins form an equivalence relation
+                    if xadj[cls[0]] - {v} == xadj[v] - {cls[0]}:
+                        cls.append(v)
+                        break
+                else:
+                    classes.append([v])
+            types.append((comp, [classes]))
+    if all(len(members) == 1 and len(members[0]) == len(ref) for ref, members in types):
+        return None
+    return (dict.fromkeys(seen, 0),
+            tuple(tuple(tuple(map(tuple, comp)) for comp in members) for _, members in types))
+
+
+def _extend(xadj: list[frozenset[int]], ref: list[int], comp: list[int],
+            iso: dict[int, int]) -> bool:
+    """Extend iso, a map of ref[:len(iso)] into comp that keeps Y's edges and
+    non-edges, to an isomorphism of ref onto comp, of the same size; False if
+    none exists."""
+    i = len(iso)
+    if i == len(ref):
+        return True
+    v = ref[i]
+    for u in comp:
+        if (len(xadj[u]) == len(xadj[v]) and u not in iso.values()
+                and all((iso[w] in xadj[u]) == (w in xadj[v]) for w in ref[:i])):
+            iso[v] = u
+            if _extend(xadj, ref, comp, iso):
+                return True
+            del iso[v]
+    return False
+
+
+def _orbit(types: tuple, cons: tuple[tuple[int, int], ...]) -> tuple:
+    """The key of the constrained residuals cons under the symmetries types
+    of _symmetries, the same for every state in one orbit: each component's
+    residuals, sorted within each twin class, then the components of each
+    type sorted.  Components of one type have the same class sizes, so the
+    flat vectors of a type are comparable and the key reads back one orbit."""
+    zeros, groups = types
+    res = zeros.copy()
+    res.update(cons)
+    get = res.__getitem__
+    key: list[tuple[int, ...]] = []
+    for members in groups:
+        vecs = []
+        for comp in members:
+            vec: list[int] = []
+            for cls in comp:
+                vec += sorted(map(get, cls))
+            vecs.append(tuple(vec))
+        vecs.sort()
+        key += vecs
+    return tuple(key)
+
+
+def _rec(xadj: list[frozenset[int]], weight: int, types: tuple | None, sid: int,
          cons: tuple[tuple[int, int], ...], free: tuple[tuple[int, int], ...]) -> int:
-    """_weighted_count of the state (constrained residuals, free classes)."""
+    """_weighted_count of the state (constrained residuals, free classes) in
+    the scope sid of _states."""
     if not cons:
         return _count_free(free)
-    key = (cons, free)
-    if key in memo:
-        return memo[key]
+    key = (sid, cons if types is None else _orbit(types, cons), free)
+    total = _states.get(key)
+    if total is not None:
+        return total
     res = dict(cons)
     pivot = max(res, key=lambda v: (res[v], -v))
     need = res.pop(pivot)
@@ -181,11 +293,11 @@ def _rec(xadj: list[frozenset[int]], weight: int, memo: dict[tuple, int],
             cons2, moved = _split(xadj, res)
             branch = 0
             for ways, free2 in _class_steps(free, need - k, moved):
-                branch += ways * _rec(xadj, weight, memo, cons2, free2)
+                branch += ways * _rec(xadj, weight, types, sid, cons2, free2)
             total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
             for u in chosen:
                 res[u] += 1
-    memo[key] = total
+    _states[key] = total
     return total
 
 

@@ -34,6 +34,23 @@ class InputFormatError(ValueError):
         self.line = line
 
 
+def integer_degrees(values: Iterable) -> tuple[int, ...]:
+    """The degrees as ints; ValueError names the first one that is not an integer.
+
+    operator.index takes ints and numpy integers; int() would truncate 1.9
+    and parse "1".
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for j, v in enumerate(values, start=1):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"degree d_{j}={v!r} is not an integer") from None
+        raise
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Target degrees d = (d_1, ..., d_n) with even sum, 0 <= d_j <= n-1."""
@@ -41,17 +58,7 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        # operator.index takes ints and numpy integers; int() would truncate 1.9
-        try:
-            degrees = tuple(map(operator.index, self.degrees))
-        except TypeError:
-            for j, v in enumerate(self.degrees, start=1):
-                try:
-                    operator.index(v)
-                except TypeError:
-                    raise ValueError(f"degree d_{j}={v!r} is not an integer") from None
-            raise
-        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "degrees", integer_degrees(self.degrees))
         n = len(self.degrees)
         if n < 1:
             raise ValueError("degree sequence must be non-empty")

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, integer_degrees
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
@@ -38,9 +38,10 @@ def is_graphical(degrees) -> bool:
     With d sorted non-increasing and p the number of degrees >= k, the tail
     sum_{i>k} min(d_i, k) is k (p - k) plus the degrees past p when p > k,
     and the degrees past k otherwise.  p only falls as k grows, so after the
-    sort the test is one linear sweep.
+    sort the test is one linear sweep.  A degree that is not an integer
+    raises ValueError, as in DegreeSequence.
     """
-    ds = sorted((int(v) for v in degrees), reverse=True)
+    ds = sorted(integer_degrees(degrees), reverse=True)
     n = len(ds)
     if n and (ds[-1] < 0 or ds[0] > n - 1):
         return False

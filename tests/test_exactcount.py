@@ -2,7 +2,7 @@ import gc
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import pytest
@@ -15,6 +15,8 @@ from degcount.exactcount import (
     _class_steps,
     _collapse,
     _count_free,
+    _scopes,
+    _states,
     complement_degrees,
     enumerate_count,
     exact_count,
@@ -72,6 +74,12 @@ def draw_instance(st, data, n_max, x_max):
     n = data.draw(st.integers(1, n_max))
     pairs = list(combinations(range(1, n + 1), 2))
     xs = data.draw(st.lists(st.sampled_from(pairs), max_size=x_max, unique=True)) if pairs else []
+    return draw_degrees(st, data, n, xs), fg(n, xs)
+
+
+def draw_degrees(st, data, n, xs):
+    """d of draw_instance for the edges xs of X on n vertices."""
+    pairs = combinations(range(1, n + 1), 2)
     avoid_x = data.draw(st.booleans())
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
     p = rng.random()
@@ -80,7 +88,7 @@ def draw_instance(st, data, n_max, x_max):
         if not (avoid_x and (j, k) in xs) and rng.random() < p:
             deg[j - 1] += 1
             deg[k - 1] += 1
-    return DegreeSequence(tuple(deg)), fg(n, xs)
+    return DegreeSequence(tuple(deg))
 
 
 # ----------------------------------------------------------- frozen examples
@@ -140,32 +148,45 @@ BOUND_CASE = (DegreeSequence((8,) * 7 + (6,) * 7),
               fg(14, [(1, 2), (2, 3), (3, 4)]))   # a path keeps the class-step table busy
 
 
-def cold_count(monkeypatch, free_bound, step_bound):
+def cold_count(monkeypatch, free_bound, step_bound, state_bound):
     """Count BOUND_CASE from empty tables under the given bounds."""
     monkeypatch.setattr(exactcount, "FREE_MEMO_SIZE", free_bound)
     monkeypatch.setattr(exactcount, "STEP_MEMO_SIZE", step_bound)
+    monkeypatch.setattr(exactcount, "STATE_MEMO_SIZE", state_bound)
     _count_free.cache_clear()
     _class_steps.cache_clear()
+    clear_state_table()
     return exact_count(*BOUND_CASE, limit=14)
+
+
+def clear_state_table():
+    _scopes.clear()
+    _states.clear()
+
+
+FULL_BOUNDS = (exactcount.FREE_MEMO_SIZE, exactcount.STEP_MEMO_SIZE, exactcount.STATE_MEMO_SIZE)
 
 
 def test_count_keeps_its_own_memo_entries(monkeypatch):
     # however small the bounds, a count computes each state once: the shared
     # tables are trimmed only when the next count starts
-    full = cold_count(monkeypatch, exactcount.FREE_MEMO_SIZE, exactcount.STEP_MEMO_SIZE)
-    assert cold_count(monkeypatch, 16, 16) == full
+    full = cold_count(monkeypatch, *FULL_BOUNDS)
+    states = len(_states)
+    assert cold_count(monkeypatch, 16, 16, 16) == full
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
     assert free.misses == free.currsize > 16
     assert steps.misses == steps.currsize > 16
+    assert len(_states) == states > 16
 
 
 def test_free_memo_is_bounded(monkeypatch):
     # a free table past its bound is emptied when the next count starts, so
     # that count runs it cold again; the step table, within bound, is kept
     assert 0 < exactcount.FREE_MEMO_SIZE < float("inf")
-    full = cold_count(monkeypatch, 16, exactcount.STEP_MEMO_SIZE)
+    full = cold_count(monkeypatch, 16, *FULL_BOUNDS[1:])
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
     assert free.currsize > 16
+    clear_state_table()     # else the state table answers the next count at its root
     assert exact_count(*BOUND_CASE, limit=14) == full
     assert _count_free.cache_info() == free
     assert _class_steps.cache_info().misses == steps.misses
@@ -176,13 +197,51 @@ def test_class_step_table_is_bounded(monkeypatch):
     # a step table past its bound is emptied when the next count starts, so
     # that count runs it cold again; the free table, within bound, is kept
     assert 0 < exactcount.STEP_MEMO_SIZE < float("inf")
-    full = cold_count(monkeypatch, exactcount.FREE_MEMO_SIZE, 16)
+    full = cold_count(monkeypatch, FULL_BOUNDS[0], 16, FULL_BOUNDS[2])
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
     assert steps.currsize > 16
+    clear_state_table()     # else the state table answers the next count at its root
     assert exact_count(*BOUND_CASE, limit=14) == full
     assert _class_steps.cache_info() == steps
     assert _count_free.cache_info().misses == free.misses
     assert _count_free.cache_info().hits > free.hits
+
+
+def test_state_memo_is_bounded(monkeypatch):
+    # a state table past its bound is emptied when the next count starts, so
+    # that count runs its states cold again; the free and step tables, within
+    # bound, are kept
+    assert 0 < exactcount.STATE_MEMO_SIZE < float("inf")
+    full = cold_count(monkeypatch, *FULL_BOUNDS[:2], 16)
+    free, steps = _count_free.cache_info(), _class_steps.cache_info()
+    states = len(_states)
+    assert states > 16
+    assert exact_count(*BOUND_CASE, limit=14) == full
+    assert len(_states) == states
+    for table, before in ((_count_free, free), (_class_steps, steps)):
+        assert table.cache_info().misses == before.misses
+        assert table.cache_info().hits > before.hits
+
+
+def test_state_table_is_shared_between_counts(monkeypatch):
+    # a state's count depends on Y and the weight, not on d: a second d under
+    # the same Y reads states the first one stored and counts what it counts
+    # cold; a count with an empty Y never touches the table, even past its bound
+    X = fg(10, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    d1, d2 = DegreeSequence((4,) * 10), DegreeSequence((5,) * 8 + (4,) * 2)
+    clear_state_table()
+    cold = exact_count(d2, X)
+    cold_states = len(_states)
+    clear_state_table()
+    exact_count(d1, X)
+    warm_states = len(_states)
+    assert exact_count(d2, X) == cold
+    assert warm_states < len(_states) < warm_states + cold_states
+    monkeypatch.setattr(exactcount, "STATE_MEMO_SIZE", 16)
+    table = (dict(_scopes), dict(_states))
+    assert exact_count(DegreeSequence((3,) * 10)) == 11180820
+    assert exact_count(DegreeSequence((3,) * 10), fg(10, [])) == 11180820
+    assert (_scopes, _states) == table
 
 
 def product_steps(classes, r, extra):
@@ -540,7 +599,8 @@ def test_overlap_limits():
 
 def test_shared_tables_carry_no_state_between_instances():
     # the class-step table and the free memo are keyed without vertex labels
-    # and shared by every call: a warm table must give what a cold one gives
+    # and shared by every call, the state table by every call under one Y and
+    # weight: a warm table must give what a cold one gives
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -555,12 +615,140 @@ def test_shared_tables_carry_no_state_between_instances():
         mode = data.draw(st.sampled_from(["miss", "hit"]))
         _count_free.cache_clear()
         _class_steps.cache_clear()
+        clear_state_table()
         cold = results(d, X, mode)
         # fill the tables from other instances: a relabelled copy, whose
-        # states share every label-free key, and an unrelated draw
+        # states share every label-free key, another d under the same X,
+        # whose states share X's scope, and an unrelated draw
         perm = data.draw(st.permutations(range(1, d.n + 1)))
-        for other in (relabel(d, X, perm), draw_instance(st, data, 10, 6)):
+        for other in (relabel(d, X, perm), (draw_degrees(st, data, d.n, X.edges), X),
+                      draw_instance(st, data, 10, 6)):
             results(*other, mode)
         assert results(d, X, mode) == cold
 
     check()
+
+
+# ------------------------------------------------------------ orbit keys
+
+TWIN_BLOCKS = {   # components whose automorphisms are all twin swaps
+    "K2": [(0, 1)], "P3": [(0, 1), (1, 2)], "K3": [(0, 1), (1, 2), (0, 2)],
+    "K13": [(0, 1), (0, 2), (0, 3)], "K4": list(combinations(range(4), 2)),
+    "K23": [(a, b) for a in (0, 1) for b in (2, 3, 4)]}
+OTHER_BLOCKS = {  # components with automorphisms that are not
+    "P4": [(0, 1), (1, 2), (2, 3)], "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "C5": [(j, (j + 1) % 5) for j in range(5)]}
+
+
+def state_key(types, residuals):
+    """The table key exactcount gives the constrained residuals."""
+    cons = tuple((v, r) for v, r in enumerate(residuals) if r)
+    return cons if types is None else exactcount._orbit(types, cons)
+
+
+def test_orbit_key_is_one_key_per_orbit_property():
+    # twin swaps and permutations of isomorphic components give every state
+    # of one orbit one key; and two states share a key only when an
+    # automorphism of Y (found by networkx) maps one onto the other
+    hyp = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    st = hyp.strategies
+    blocks = {**TWIN_BLOCKS, **OTHER_BLOCKS}
+
+    def residual_graph(edges, n, residuals):
+        G = nx.Graph(edges)
+        G.add_nodes_from(range(n))
+        nx.set_node_attributes(G, dict(enumerate(residuals)), "r")
+        return G
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        names = data.draw(st.lists(st.sampled_from(sorted(blocks)), min_size=1, max_size=4))
+        pairs, n = [], 0
+        for name in names:
+            pairs += [(n + a, n + b) for a, b in blocks[name]]
+            n += 1 + max(chain.from_iterable(blocks[name]))
+        hyp.assume(n <= 10)
+        n += data.draw(st.integers(0, 2))           # vertices outside supp(Y)
+        perm = data.draw(st.permutations(range(n)))
+        edges = [(perm[a], perm[b]) for a, b in pairs]
+        xadj = [frozenset(chain.from_iterable(set(e) - {v} for e in edges if v in e))
+                for v in range(n)]
+        types = exactcount._symmetries(xadj)
+        support = [v for v in range(n) if xadj[v]]
+        r1 = [0] * n
+        for v in support:
+            r1[v] = data.draw(st.integers(0, 2))
+        G1 = residual_graph(edges, n, r1)
+
+        autos = list(islice(GraphMatcher(G1, G1).isomorphisms_iter(), 64))
+        sigma = autos[data.draw(st.integers(0, len(autos) - 1))]
+        r2 = [0] * n
+        for v, w in sigma.items():
+            r2[w] = r1[v]
+        if all(name in TWIN_BLOCKS for name in names):
+            assert state_key(types, r1) == state_key(types, r2)
+
+        shuffled = data.draw(st.permutations([r1[v] for v in support]))
+        r3 = [0] * n
+        for v, r in zip(support, shuffled):
+            r3[v] = r
+        if state_key(types, r1) == state_key(types, r3):
+            G3 = residual_graph(edges, n, r3)
+            assert GraphMatcher(G1, G3, node_match=lambda a, b: a["r"] == b["r"]).is_isomorphic()
+
+    check()
+
+
+def pooled_types(xadj):
+    """Mutant: the components of every type sorted as one type."""
+    types = SYMMETRIES(xadj)
+    return types and (types[0], (tuple(chain.from_iterable(types[1])),))
+
+
+def merged_classes(xadj):
+    """Mutant: the matching twin classes of a type's components merged."""
+    types = SYMMETRIES(xadj)
+    return types and (types[0], tuple(
+        (tuple(tuple(chain.from_iterable(comp[i] for comp in members))
+               for i in range(len(members[0]))),) for members in types[1]))
+
+
+SYMMETRIES = exactcount._symmetries
+SMALL_DEGREES = [DegreeSequence(d) for d in product(range(3), repeat=6) if sum(d) % 2 == 0]
+
+
+@pytest.mark.parametrize("mutant,pairs", [
+    (pooled_types, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),    # a path and a triangle
+    (merged_classes, [(1, 2), (2, 3), (4, 5), (5, 6)]),          # two paths
+])
+def test_mutant_orbit_keys_miscount(monkeypatch, mutant, pairs):
+    # the orbit key counts every d under one Y as the labelled key does; a
+    # key that forgets which type a component has, or treats twins in two
+    # components as twins, merges states of different orbits and miscounts
+    Y = fg(6, pairs)
+    counts = []
+    for symmetries in (lambda xadj: None, SYMMETRIES, mutant):
+        monkeypatch.setattr(exactcount, "_symmetries", symmetries)
+        clear_state_table()
+        counts.append([exact_count(d, Y) for d in SMALL_DEGREES])
+    labelled, orbit, wrong = counts
+    assert orbit == labelled != wrong
+
+
+def test_orbit_keys_shrink_the_matching_states(monkeypatch):
+    # the 46,080 automorphisms of a perfect matching on 12 vertices are twin
+    # swaps and permutations of its edges: the orbit keys store at least 5x
+    # fewer states than labelled keys, for the same count
+    n = 12
+    d, M = DegreeSequence((6,) * n), fg(n, [(2 * i + 1, 2 * i + 2) for i in range(n // 2)])
+    counts, states = [], []
+    for symmetries in (SYMMETRIES, lambda xadj: None):
+        monkeypatch.setattr(exactcount, "_symmetries", symmetries)
+        clear_state_table()
+        counts.append(exact_count(d, M, limit=n))
+        states.append(len(_states))
+    assert counts[0] == counts[1] == 37780629210
+    assert states[1] >= 5 * states[0]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,15 @@ def test_erdos_gallai():
     assert not is_graphical((1, 1, 1))        # odd sum
     assert not is_graphical((3, 3, 0, 0))     # fails the inequality
     assert not is_graphical((5, 1, 1, 1))     # above n-1
+
+
+@pytest.mark.parametrize("degrees,bad", [((1.9, 1.2), "d_1=1.9"), (("1", "1"), "d_1='1'"),
+                                         ((2, 2, 2.0), "d_3=2.0")])
+def test_erdos_gallai_takes_integers_only(degrees, bad):
+    # the rule of DegreeSequence: int() would truncate 1.9 and parse "1"
+    with pytest.raises(ValueError, match=f"^degree {re.escape(bad)} is not an integer$"):
+        is_graphical(degrees)
+    assert is_graphical(np.array([2, 2, 2], dtype=np.int32))
 
 
 def is_graphical_reference(degrees):
