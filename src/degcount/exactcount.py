@@ -11,25 +11,27 @@ the classes with binomial weights.  Those class steps carry no vertex label,
 so they are read from one table that every pivot, state, call and instance
 with the same free multiset shares.  A vertex whose forbidden neighbours are
 all spent joins the classes.  The states (constrained residuals, classes)
-are memoized in one table per (Y, weight), shared by every count under
-that Y and weight whatever d is, and keyed by their orbit under Y's twin
-classes and isomorphic components: an automorphism of Y that maps one state
-onto another keeps its count.  A Y with neither keeps the labelled key.
-Once no forbidden edge is live the count is a memoized recursion on the
-class multiset alone.  The three shared tables grow freely within a count,
-so none evicts a sub-result it still needs; a count starts by emptying any
-one past FREE_MEMO_SIZE / STEP_MEMO_SIZE / STATE_MEMO_SIZE entries, and a
-count with an empty Y never reads the state table.  The overlap law with a
-graph Y is one pass of the same recursion that weights each Y-edge taken,
-so its cost follows the shape of Y, not 2^|Y|.  Measured cold on one core
-of a shared 2-core machine, d = n/2 regular takes 2.0 s at n = 20,
-near-regular d = 11^10 9^10 10 s (80,456 free states); with a forbidden
-triangle 0.04 s at n = 16 and 1.1 s at n = 20, with a forbidden perfect
-matching 0.01 s at n = 10, 0.11 s at n = 12 and 0.7 s at n = 14 (3,898
-states; 125 s with labelled keys).  Overlap laws take 0.03 s for a perfect
-matching (5-regular, n = 10), 0.05 s for two triangles and 5.6 s for an
-8-cycle (6-regular, n = 12; 78,873 states), 0.01 s for K10.  A brute-force
-enumeration over all 2^C(n,2) graphs checks n <= 6.
+are memoized in a table that the scope (Y, weight) owns, shared by every
+count under that Y and weight whatever d is: a recursion writes only into
+its own scope's table, so no thread or re-entrant count mixes two Ys.  They
+are keyed by their orbit under Y's twin classes and isomorphic components,
+which keeps a state's count; a Y with neither keeps the labelled key.  Once
+no forbidden edge is live the count is a memoized recursion on the class
+multiset alone.  The tables grow freely within a count, so none evicts a
+sub-result it still needs; a count starts by emptying the free or step
+table past FREE_MEMO_SIZE / STEP_MEMO_SIZE entries, and the scopes once
+they and their states pass STATE_MEMO_SIZE.  A count with an empty Y never
+reads the scopes.  The overlap law with a graph Y is one pass of the same
+recursion that weights each Y-edge taken, so its cost follows the shape of
+Y, not 2^|Y|.  Measured cold on one core of a shared 2-core machine,
+d = n/2 regular takes 2.0 s at n = 20, near-regular d = 11^10 9^10 10 s
+(80,456 free states); with a forbidden triangle 0.04 s at n = 16 and 1.1 s
+at n = 20, with a forbidden perfect matching 0.01 s at n = 10, 0.11 s at
+n = 12 and 0.7 s at n = 14 (3,898 states; 125 s with labelled keys).
+Overlap laws take 0.03 s for a perfect matching (5-regular, n = 10), 0.05 s
+for two triangles and 5.6 s for an 8-cycle (6-regular, n = 12; 78,873
+states), 0.01 s for K10.  A brute-force enumeration over all 2^C(n,2)
+graphs checks n <= 6.
 """
 
 from __future__ import annotations
@@ -120,9 +122,6 @@ def _count_free(classes: tuple[tuple[int, int], ...]) -> int:
     total = sum(v * c for v, c in classes)
     if total % 2:
         return 0
-    nverts = sum(c for _, c in classes)
-    if classes[0][0] > nverts - 1:
-        return 0
     # peel one vertex of the highest residual degree
     r = classes[0][0]
     rest = ((r, classes[0][1] - 1),) + classes[1:] if classes[0][1] > 1 else classes[1:]
@@ -136,11 +135,10 @@ def _collapse(residuals) -> tuple[tuple[int, int], ...]:
 # The constrained states of the forbidden and weighted recursion, scoped by
 # (Y, weight): a state's count depends only on its constrained residuals, the
 # marked edges among them, its free classes and the weight, so every count
-# under one Y and weight shares them.  _scopes maps (Y, weight) to (scope id,
-# Y's neighbour sets, Y's symmetries); _states maps (scope id, state key,
-# free classes) to the count.
-_scopes: dict[tuple[ForbiddenGraph, int], tuple[int, list[frozenset[int]], tuple | None]] = {}
-_states: dict[tuple, int] = {}
+# under one Y and weight shares them.  _scopes maps (Y, weight) to the scope
+# (Y's neighbour sets, weight, Y's symmetries, states), whose own states dict
+# maps (state key, free classes) to the count.
+_scopes: dict[tuple[ForbiddenGraph, int], tuple] = {}
 
 
 def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
@@ -164,16 +162,15 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
     try:
         if not Y.edge_count:
             return _count_free(_collapse(d.degrees))
-        if len(_states) + len(_scopes) > STATE_MEMO_SIZE:
-            _states.clear()
+        # a list, since another thread may add a scope while this one sums
+        if sum(1 + len(scope[3]) for scope in list(_scopes.values())) > STATE_MEMO_SIZE:
             _scopes.clear()
         scope = _scopes.get((Y, weight))
         if scope is None:
             xadj = [frozenset(v - 1 for v in Y.neighbors(j)) for j in range(1, n + 1)]
-            scope = _scopes[Y, weight] = (len(_scopes), xadj, _symmetries(xadj))
-        sid, xadj, types = scope
-        cons, moved = _split(xadj, dict(enumerate(d.degrees)))
-        return _rec(xadj, weight, types, sid, cons, _collapse(moved))
+            scope = _scopes[Y, weight] = (xadj, weight, _symmetries(xadj), {})
+        cons, moved = _split(scope[0], dict(enumerate(d.degrees)))
+        return _rec(scope, cons, _collapse(moved))
     except RecursionError:
         raise CountLimitError(f"n={n} recurses too deep for the exact counter") from None
 
@@ -269,14 +266,15 @@ def _orbit(types: tuple, cons: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(key)
 
 
-def _rec(xadj: list[frozenset[int]], weight: int, types: tuple | None, sid: int,
-         cons: tuple[tuple[int, int], ...], free: tuple[tuple[int, int], ...]) -> int:
-    """_weighted_count of the state (constrained residuals, free classes) in
-    the scope sid of _states."""
+def _rec(scope: tuple, cons: tuple[tuple[int, int], ...],
+         free: tuple[tuple[int, int], ...]) -> int:
+    """_weighted_count of the state (constrained residuals, free classes)
+    under the scope (xadj, weight, types, states) of _scopes."""
     if not cons:
         return _count_free(free)
-    key = (sid, cons if types is None else _orbit(types, cons), free)
-    total = _states.get(key)
+    xadj, weight, types, states = scope
+    key = (cons if types is None else _orbit(types, cons), free)
+    total = states.get(key)
     if total is not None:
         return total
     res = dict(cons)
@@ -293,11 +291,11 @@ def _rec(xadj: list[frozenset[int]], weight: int, types: tuple | None, sid: int,
             cons2, moved = _split(xadj, res)
             branch = 0
             for ways, free2 in _class_steps(free, need - k, moved):
-                branch += ways * _rec(xadj, weight, types, sid, cons2, free2)
+                branch += ways * _rec(scope, cons2, free2)
             total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
             for u in chosen:
                 res[u] += 1
-    _states[key] = total
+    states[key] = total
     return total
 
 

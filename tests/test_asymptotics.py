@@ -101,6 +101,28 @@ def test_validity_flags_on_desk_scale():
     assert check_hypotheses(d2, ForbiddenGraph.empty(101)) == ()
 
 
+def cycle_powers(n, steps):
+    """The edges {j, j+s} mod n for each step s: a 2*len(steps)-regular X."""
+    return ForbiddenGraph.from_pairs(n, [(j + 1, (j + s) % n + 1) for j in range(n)
+                                         for s in steps])
+
+
+@pytest.mark.parametrize("d,X,hypothesis,measured,bound", [
+    (DegreeSequence((30,) * 50 + (70,) * 51), ForbiddenGraph.empty(101),
+     "max|d_j - d| <= n^(1/2)", 5070 / 101 - 30, math.sqrt(101)),
+    (DegreeSequence((50,) * 101), ForbiddenGraph.from_pairs(101, [(1, k) for k in range(2, 13)]),
+     "max x_j <= n^(1/2)", 11.0, math.sqrt(101)),
+    (DegreeSequence((50,) * 101), cycle_powers(101, (1, 2)), "X <= n", 202.0, 101.0),
+], ids=["degree-spread", "forbidden-degree", "forbidden-edges"])
+def test_each_hypothesis_flag_reports_its_measure(d, X, hypothesis, measured, bound):
+    # one hypothesis broken at a time: only its flag, with what was measured
+    # against which bound
+    (flag,) = check_hypotheses(d, X)
+    assert flag.hypothesis == hypothesis
+    assert flag.measured == pytest.approx(measured, rel=1e-12)
+    assert flag.bound == pytest.approx(bound, rel=1e-12)
+
+
 # ------------------------------------------------------------------ miss/hit
 
 def test_miss_hit_empty_forbidden_exactly_one():

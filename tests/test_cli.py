@@ -309,6 +309,19 @@ def test_single_sample_stderr_is_null(files):
     assert code == 0 and doc["stderr"] is None and "zero" not in doc
 
 
+def test_static_chain_stderr_is_null(tmp_path):
+    # one edge allows no switch: the report holds the start graph's indicator
+    # and no error bar
+    d, x = tmp_path / "d.txt", tmp_path / "x.txt"
+    d.write_text("1\n1\n0\n0\n")
+    x.write_text("1 2\n")
+    code, out = run(["sample", "--degrees", str(d), "--forbidden", str(x),
+                     "--mode", "hit", "--samples", "20"])
+    doc = strict_json(out)
+    assert code == 0 and doc["mean"] == 1.0 and doc["stderr"] is None
+    assert (doc["burnIn"], doc["thinning"]) == (0, 1)
+
+
 def test_missing_options_exit_two(files):
     code, _ = run(["estimate", "--formula", "induced",
                    "--degrees", files["d8"], "--forbidden", files["x"]])
@@ -320,6 +333,74 @@ def test_missing_options_exit_two(files):
     code, _ = run(["sample", "--degrees", files["d8"], "--forbidden", files["x"],
                    "--mode", "induced", "--samples", "50"])
     assert code == 2   # --m required
+
+
+def key_value_rows(doc, prefix=""):
+    """The report doc as the text format writes it: one `key = value` row per
+    leaf, keys sorted and joined by dots, list items by index."""
+    if isinstance(doc, dict):
+        return "".join(key_value_rows(doc[key], f"{prefix}{key}.") for key in sorted(doc))
+    if isinstance(doc, list):
+        return "".join(key_value_rows(item, f"{prefix}{i}.") for i, item in enumerate(doc))
+    return f"{prefix[:-1]} = {doc}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--formula", "miss", "--degrees", "d8", "--forbidden", "x"],
+    ["mw3", "--coefficients", "coeff", "--samples", "2000", "--seed", "5"],
+    ["sample", "--degrees", "d8", "--forbidden", "x", "--mode", "hit",
+     "--samples", "50", "--seed", "2"],
+], ids=["estimate", "mw3", "sample"])
+def test_text_format_is_the_report_as_key_value_rows(files, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out = run(argv)
+    assert code == 0
+    code, text = run(["--format", "text"] + argv)
+    assert code == 0 and text == key_value_rows(strict_json(out))
+    assert "\nschema = degcount-report/1\n" in text
+
+
+def test_saddle_text_format_lists_the_radii_and_prefactor(files):
+    argv = ["saddle", "--degrees", files["d8"], "--forbidden", files["x"]]
+    doc = strict_json(run(argv)[1])
+    code, text = run(["--format", "text"] + argv)
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == 8 + 2
+    for j, (line, aj, rj) in enumerate(zip(lines, doc["a"], doc["radii"]), start=1):
+        assert line == f"a_{j} = {aj:.15g}   r_{j} = {rj:.15g}"
+    assert lines[8] == (f"residual max = {doc['residualMax']:.3e}  "
+                        f"iterations = {doc['iterations']}")
+    assert lines[9] == f"ln P = {doc['logPrefactor']:.15g}"
+
+
+@pytest.mark.parametrize("formula,extra", [
+    ("matchings", []), ("cycles", ["--q", "3"]), ("sptrees", [])])
+def test_regular_formulas_read_constant_degree_files(files, tmp_path, capsys, formula, extra):
+    # a constant degree file gives the --n/--d report; any other one is an input error
+    argv = ["estimate", "--formula", formula] + extra
+    code, from_file = run(argv + ["--degrees", files["d8"]])
+    assert code == 0 and from_file == run(argv + ["--n", "8", "--d", "3"])[1]
+    uneven = tmp_path / "uneven.txt"
+    uneven.write_text("3\n3\n3\n3\n2\n2\n2\n2\n")
+    capsys.readouterr()
+    code, out = run(argv + ["--degrees", str(uneven)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: {uneven}: regular-graph formulas need constant degrees\n")
+
+
+@pytest.mark.parametrize("given", [[], ["--n", "8"], ["--d", "3"]])
+def test_regular_formula_without_an_instance_exits_two(capsys, given):
+    code, out = run(["estimate", "--formula", "matchings"] + given)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: provide --degrees or both --n and --d\n"
+
+
+def test_overlap_without_k_exits_two(files, capsys):
+    code, out = run(["estimate", "--formula", "overlap", "--degrees", files["d4"],
+                     "--forbidden", files["x"]])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: overlap needs --k\n"
 
 
 def test_degenerate_density_exits_two(tmp_path):

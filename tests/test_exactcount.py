@@ -16,7 +16,6 @@ from degcount.exactcount import (
     _collapse,
     _count_free,
     _scopes,
-    _states,
     complement_degrees,
     enumerate_count,
     exact_count,
@@ -124,6 +123,15 @@ def test_infeasible_degrees_give_zero():
     assert exact_count(d, fg(4, [(1, 2)])) == 0
 
 
+@pytest.mark.parametrize("degrees", [(3, 3, 0, 0), (4, 4, 1, 1, 0)])
+def test_free_classes_past_their_room_count_zero(degrees):
+    # a vertex whose residual exceeds the other live vertices has no class
+    # step to take, so the free recursion sums to 0 with no early exit
+    d = DegreeSequence(degrees)
+    _count_free.cache_clear()
+    assert exact_count(d) == enumerate_count(d) == 0
+
+
 def test_limits():
     with pytest.raises(CountLimitError):
         exact_count(DegreeSequence((0,) * 13))
@@ -161,7 +169,16 @@ def cold_count(monkeypatch, free_bound, step_bound, state_bound):
 
 def clear_state_table():
     _scopes.clear()
-    _states.clear()
+
+
+def stored_states():
+    """The states stored over every scope's own table."""
+    return sum(len(states) for _, _, _, states in _scopes.values())
+
+
+def state_tables():
+    """A copy of every scope's state table, by (Y, weight)."""
+    return {key: dict(states) for key, (_, _, _, states) in _scopes.items()}
 
 
 FULL_BOUNDS = (exactcount.FREE_MEMO_SIZE, exactcount.STEP_MEMO_SIZE, exactcount.STATE_MEMO_SIZE)
@@ -171,12 +188,12 @@ def test_count_keeps_its_own_memo_entries(monkeypatch):
     # however small the bounds, a count computes each state once: the shared
     # tables are trimmed only when the next count starts
     full = cold_count(monkeypatch, *FULL_BOUNDS)
-    states = len(_states)
+    states = stored_states()
     assert cold_count(monkeypatch, 16, 16, 16) == full
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
     assert free.misses == free.currsize > 16
     assert steps.misses == steps.currsize > 16
-    assert len(_states) == states > 16
+    assert stored_states() == states > 16
 
 
 def test_free_memo_is_bounded(monkeypatch):
@@ -214,10 +231,10 @@ def test_state_memo_is_bounded(monkeypatch):
     assert 0 < exactcount.STATE_MEMO_SIZE < float("inf")
     full = cold_count(monkeypatch, *FULL_BOUNDS[:2], 16)
     free, steps = _count_free.cache_info(), _class_steps.cache_info()
-    states = len(_states)
+    states = stored_states()
     assert states > 16
     assert exact_count(*BOUND_CASE, limit=14) == full
-    assert len(_states) == states
+    assert stored_states() == states
     for table, before in ((_count_free, free), (_class_steps, steps)):
         assert table.cache_info().misses == before.misses
         assert table.cache_info().hits > before.hits
@@ -231,17 +248,69 @@ def test_state_table_is_shared_between_counts(monkeypatch):
     d1, d2 = DegreeSequence((4,) * 10), DegreeSequence((5,) * 8 + (4,) * 2)
     clear_state_table()
     cold = exact_count(d2, X)
-    cold_states = len(_states)
+    cold_states = stored_states()
     clear_state_table()
     exact_count(d1, X)
-    warm_states = len(_states)
+    warm_states = stored_states()
     assert exact_count(d2, X) == cold
-    assert warm_states < len(_states) < warm_states + cold_states
+    assert warm_states < stored_states() < warm_states + cold_states
     monkeypatch.setattr(exactcount, "STATE_MEMO_SIZE", 16)
-    table = (dict(_scopes), dict(_states))
+    table = state_tables()
     assert exact_count(DegreeSequence((3,) * 10)) == 11180820
     assert exact_count(DegreeSequence((3,) * 10), fg(10, [])) == 11180820
-    assert (_scopes, _states) == table
+    assert state_tables() == table
+
+
+def test_scope_built_inside_another_owns_its_states(monkeypatch):
+    # a scope made while another is being built, here by a count that the
+    # path's symmetry search starts, keeps a table of its own: neither Y
+    # reads the other's states, though their root states share a key
+    d = DegreeSequence((3,) * 8)
+    triangle, path = fg(8, [(1, 2), (2, 3), (1, 3)]), fg(8, [(1, 2), (2, 3)])
+    symmetries, inner = exactcount._symmetries, []
+
+    def reentrant(xadj):
+        monkeypatch.setattr(exactcount, "_symmetries", symmetries)     # only once
+        inner.append(exact_count(d, triangle))
+        return symmetries(xadj)
+
+    clear_state_table()
+    monkeypatch.setattr(exactcount, "_symmetries", reentrant)
+    assert exact_count(d, path) == 5530
+    assert inner == [2160]
+    assert exact_count(d, triangle) == 2160
+
+
+def test_scopes_built_at_once_by_two_threads_own_their_states(monkeypatch):
+    # two threads build their scopes at the same time, and the triangle's
+    # count starts only once the path's has filled the path's table: each
+    # thread still reads only its own Y's states
+    import threading
+    d = DegreeSequence((3,) * 8)
+    triangle, path = fg(8, [(1, 2), (2, 3), (1, 3)]), fg(8, [(1, 2), (2, 3)])
+    symmetries = exactcount._symmetries
+    building, path_done = threading.Barrier(2, timeout=30), threading.Event()
+    counts = {}
+
+    def held(xadj):
+        building.wait()
+        if len(xadj[0]) == 2:       # the triangle's vertex 1
+            path_done.wait(30)
+        return symmetries(xadj)
+
+    def count(name, Y):
+        counts[name] = exact_count(d, Y)
+        path_done.set()
+
+    clear_state_table()
+    monkeypatch.setattr(exactcount, "_symmetries", held)
+    threads = [threading.Thread(target=count, args=case)
+               for case in (("path", path), ("triangle", triangle))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert counts == {"path": 5530, "triangle": 2160}
 
 
 def product_steps(classes, r, extra):
@@ -749,6 +818,6 @@ def test_orbit_keys_shrink_the_matching_states(monkeypatch):
         monkeypatch.setattr(exactcount, "_symmetries", symmetries)
         clear_state_table()
         counts.append(exact_count(d, M, limit=n))
-        states.append(len(_states))
+        states.append(stored_states())
     assert counts[0] == counts[1] == 37780629210
     assert states[1] >= 5 * states[0]

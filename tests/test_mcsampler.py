@@ -350,6 +350,22 @@ def test_constant_indicator_has_no_error_bar():
         assert est.mean == 1.0 and math.isnan(est.stderr)
 
 
+@pytest.mark.parametrize("degrees,pairs,mode,indicator", [
+    ((0, 0, 0), [(1, 2)], "miss", 1.0),
+    ((0, 0, 0), [(1, 2)], "hit", 0.0),
+    ((1, 1, 0, 0), [(1, 2)], "hit", 1.0),
+    ((1, 1, 0, 0), [(1, 2)], "miss", 0.0),
+    ((1, 1, 0, 0), [(3, 4)], "miss", 1.0),
+])
+def test_fewer_than_two_edges_read_the_start_graph(degrees, pairs, mode, indicator):
+    # no switch moves a graph with fewer than two edges: the chain is its
+    # start graph, with no burn-in, unit thinning and no error bar
+    d = DegreeSequence(degrees)
+    est = estimate_probability(d, fg(d.n, pairs), mode, samples=7, seed=3)
+    assert (est.mean, est.burn_in, est.thinning, est.samples) == (indicator, 0, 1, 7)
+    assert math.isnan(est.stderr)
+
+
 def test_estimate_errors():
     with pytest.raises(NonGraphicalError):
         estimate_probability(DegreeSequence((3, 3, 0, 0)),
