@@ -8,6 +8,7 @@ from .graphcore import (
     Parameters,
     compute_parameters,
     induced_spec,
+    is_graphical,
     read_degrees,
     read_edges,
     relabel,
@@ -64,7 +65,6 @@ from .mcsampler import (
     MCEstimate,
     NonGraphicalError,
     estimate_probability,
-    is_graphical,
     realize,
     switch_step,
 )

@@ -19,6 +19,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -264,6 +265,34 @@ def event_edges(X: ForbiddenGraph, mode: str,
         check_support(X, m)
         return ForbiddenGraph.clique(X.n, m), X.edges
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def is_graphical(degrees) -> bool:
+    """Erdos-Gallai test, including the even-sum requirement.
+
+    With d sorted non-increasing and p the number of degrees >= k, the tail
+    sum_{i>k} min(d_i, k) is k (p - k) plus the degrees past p when p > k,
+    and the degrees past k otherwise.  p only falls as k grows, so after the
+    sort the test is one linear sweep.  A degree that is not an integer
+    raises ValueError, as in DegreeSequence.
+    """
+    ds = sorted(integer_degrees(degrees), reverse=True)
+    n = len(ds)
+    if n and (ds[-1] < 0 or ds[0] > n - 1):
+        return False
+    if sum(ds) % 2:
+        return False
+    suffix = list(accumulate(reversed(ds), initial=0))[::-1]   # suffix[i] = sum(ds[i:])
+    p = n
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += ds[k - 1]
+        while p and ds[p - 1] < k:
+            p -= 1
+        tail = k * (p - k) + suffix[p] if p > k else suffix[k]
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
 
 
 def impossible(d: DegreeSequence, Y: ForbiddenGraph,

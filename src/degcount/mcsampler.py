@@ -5,23 +5,30 @@ formulas beyond exact-count reach.
 A switch picks two edges uniformly, proposes rewiring them across, and
 rejects proposals that would create a loop or multi-edge; degrees are
 invariant along the chain.  The graph is one flat (n+1)^2 byte array, so
-every adjacency test and edit in the chain is a single index.  Proposals
-come from a numpy Generator in bulk: each chunk of at most CHUNK proposals
-is three arrays (edge i, edge j, pairing flip), and one Python loop applies
-them.  Estimates pool thinned samples and report a batch-means standard
-error so autocorrelation is priced in honestly.
+every adjacency test and edit in the chain is a single index; an estimate
+runs its chain on a list copy of the cells, which indexes faster and holds
+8 bytes a cell instead of 1.  The chain
+keeps each edge as two oriented ends (x, y, x(n+1), y(n+1)), the sorted
+orientation first, so a proposal reads two ends and tests two cells with no
+branch on the pairing and no multiplication.  Proposals come from a numpy
+Generator in bulk: each chunk of at most CHUNK proposals is three arrays
+(edge i, edge j, pairing flip), and one Python loop applies them as the end
+slots (2i, 2j + flip).  Slot 2j + 1 is edge j reversed, which is the pairing
+the flip selects, so the draws and the chain of a seed are those of a kernel
+on sorted edge pairs.  Estimates pool thinned samples and report a
+batch-means standard error so autocorrelation is priced in honestly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, integer_degrees
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, is_graphical
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
@@ -30,34 +37,6 @@ CHUNK = 1 << 14   # most switch proposals drawn in one set of arrays
 
 class NonGraphicalError(ValueError):
     """The degree sequence admits no simple graph."""
-
-
-def is_graphical(degrees) -> bool:
-    """Erdos-Gallai test, including the even-sum requirement.
-
-    With d sorted non-increasing and p the number of degrees >= k, the tail
-    sum_{i>k} min(d_i, k) is k (p - k) plus the degrees past p when p > k,
-    and the degrees past k otherwise.  p only falls as k grows, so after the
-    sort the test is one linear sweep.  A degree that is not an integer
-    raises ValueError, as in DegreeSequence.
-    """
-    ds = sorted(integer_degrees(degrees), reverse=True)
-    n = len(ds)
-    if n and (ds[-1] < 0 or ds[0] > n - 1):
-        return False
-    if sum(ds) % 2:
-        return False
-    suffix = list(accumulate(reversed(ds), initial=0))[::-1]   # suffix[i] = sum(ds[i:])
-    p = n
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += ds[k - 1]
-        while p and ds[p - 1] < k:
-            p -= 1
-        tail = k * (p - k) + suffix[p] if p > k else suffix[k]
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
 
 
 class LabeledGraph:
@@ -128,40 +107,62 @@ def realize(d: DegreeSequence) -> LabeledGraph:
 
 
 def _proposals(rng: np.random.Generator, m: int, steps: int):
-    """The next `steps` proposals (i, j, flip) on m >= 2 edges, lazily drawn.
+    """The next `steps` proposals (2i, 2j + flip) on m >= 2 edges, lazily drawn.
 
     A chunk of k <= CHUNK proposals is drawn as k edges i, then k edges j
-    from the other m - 1 (shifted past i), then k pairing flips."""
+    from the other m - 1 (shifted past i), then k pairing flips, and yields
+    them as the end slots the kernel reads: 2i, and 2j + 1 when flipped."""
     def chunk(k: int):
         i = rng.integers(m, size=k)
         j = rng.integers(m - 1, size=k)
         j += j >= i
-        return zip(i.tolist(), j.tolist(), (rng.random(k) < 0.5).tolist())
+        j <<= 1
+        j += rng.random(k) < 0.5
+        i <<= 1
+        return zip(i.tolist(), j.tolist())
     return chain.from_iterable(chunk(min(CHUNK, steps - lo)) for lo in range(0, steps, CHUNK))
 
 
-def _switch(adj: bytearray, row: int, edges: list[tuple[int, int]], proposals) -> None:
-    """Apply each proposal (i, j, flip) that keeps the graph simple, in place.
+def _ends(edges: list[tuple[int, int]], row: int) -> list[tuple[int, int, int, int]]:
+    """The 2E oriented ends of the sorted edges: slot 2e holds edge e = (x, y)
+    as (x, y, x * row, y * row), slot 2e + 1 as (y, x, y * row, x * row)."""
+    ends = []
+    for x, y in edges:
+        rx, ry = x * row, y * row
+        ends += (x, y, rx, ry), (y, x, ry, rx)
+    return ends
 
-    The diagonal marker makes the two adjacency tests reject the shared
-    endpoints too: a == c and b == d hit a diagonal cell, a == d and b == c
-    the edge {a, b} itself."""
-    for i, j, flip in proposals:
-        a, b = edges[i]
-        if flip:
-            d_, c = edges[j]
-        else:
-            c, d_ = edges[j]
-        ra = a * row
-        rb = b * row
+
+def _switch(adj: bytearray | list[int], ends: list[tuple[int, int, int, int]],
+            proposals) -> None:
+    """Apply each proposal (p, q) that keeps the graph simple, in place.
+
+    Ends p and q are (a, b) and (c, d) with their row offsets, so the
+    proposal rewires {a, b}, {c, d} to {a, c}, {b, d}.  The diagonal marker
+    makes the two adjacency tests reject the shared endpoints too: a == c
+    and b == d hit a diagonal cell, a == d and b == c the edge {a, b}
+    itself.  An accepted switch writes both ends of each new edge, the
+    sorted orientation at the even slot."""
+    for p, q in proposals:
+        a, b, ra, rb = ends[p]
+        c, d_, rc, rd = ends[q]
         if adj[ra + c] or adj[rb + d_]:
             continue
-        rc = c * row
-        rd = d_ * row
         adj[ra + b] = adj[rb + a] = adj[rc + d_] = adj[rd + c] = 0
         adj[ra + c] = adj[rc + a] = adj[rb + d_] = adj[rd + b] = 1
-        edges[i] = (a, c) if a < c else (c, a)
-        edges[j] = (b, d_) if b < d_ else (d_, b)
+        if a < c:
+            ends[p] = a, c, ra, rc
+            ends[p + 1] = c, a, rc, ra
+        else:
+            ends[p] = c, a, rc, ra
+            ends[p + 1] = a, c, ra, rc
+        q &= -2
+        if b < d_:
+            ends[q] = b, d_, rb, rd
+            ends[q + 1] = d_, b, rd, rb
+        else:
+            ends[q] = d_, b, rd, rb
+            ends[q + 1] = b, d_, rb, rd
 
 
 def switch_step(g: LabeledGraph, rng: np.random.Generator, edges: list[tuple[int, int]],
@@ -171,17 +172,20 @@ def switch_step(g: LabeledGraph, rng: np.random.Generator, edges: list[tuple[int
     A proposal picks an ordered pair of distinct edges uniformly, flips the
     pairing with probability 1/2, and is rejected (a chain self-loop) whenever
     the rewiring would create a loop or multi-edge.  `edges` is the current
-    edge list of g, updated in place on acceptance, so each proposal is O(1).
+    edge list of g as sorted pairs, rewritten in place.
 
     The proposals come from rng in chunks of at most CHUNK: the edges i, the
     edges j (shifted past i) and the pairing flips as three arrays, so a
-    seeded Generator and the sequence of `steps` fix the chain.  Tests and
-    edits are single indexes into the flat adjacency `g.adj`.  Fewer than
-    two edges admit no switch, and then nothing is drawn.
+    seeded Generator and the sequence of `steps` fix the chain.  Each call
+    turns `edges` into the kernel's oriented ends and back, which costs O(E)
+    on top of the proposals; a long chain is cheapest as one call.  Fewer
+    than two edges admit no switch, and then nothing is drawn.
     """
     m = len(edges)
     if m >= 2:
-        _switch(g.adj, g.n + 1, edges, _proposals(rng, m, steps))
+        ends = _ends(edges, g.n + 1)
+        _switch(g.adj, ends, _proposals(rng, m, steps))
+        edges[:] = [end[:2] for end in ends[::2]]
     return g
 
 
@@ -239,16 +243,19 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if burn_in < 0 or thinning < 1:
         raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
     rng = np.random.default_rng(seed)
-    adj, row = g.adj, g.n + 1
     if E < 2:
-        mixed = [check(adj)] * samples
+        mixed = [check(g.adj)] * samples
     else:
+        # the chain runs on the cells as a list, which CPython indexes with a
+        # specialised instruction and a bytearray without one
+        adj = list(g.adj)
+        ends = _ends(edges, g.n + 1)
         # one proposal stream across burn-in and every thinned sample
         stream = _proposals(rng, E, burn_in + samples * thinning)
-        _switch(adj, row, edges, islice(stream, burn_in))
+        _switch(adj, ends, islice(stream, burn_in))
         mixed = []
         for _ in range(samples):
-            _switch(adj, row, edges, islice(stream, thinning))
+            _switch(adj, ends, islice(stream, thinning))
             mixed.append(check(adj))
 
     values = np.asarray(mixed, dtype=float)

@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph
+from .graphcore import DegreeSequence, ForbiddenGraph, is_graphical
 from .exactcount import (
     complement_degrees,
     enumerate_count,
@@ -36,7 +36,7 @@ from .asymptotics import (
     specialized_estimates,
 )
 from .mvintegral import CoefficientSet, gaussian_reference, mc_box_integral, theta1
-from .mcsampler import estimate_probability, is_graphical
+from .mcsampler import estimate_probability
 
 ORACLE_SEED = 101
 COMPLEMENT_SEED = 202

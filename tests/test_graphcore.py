@@ -14,6 +14,7 @@ from degcount.graphcore import (
     Parameters,
     compute_parameters,
     induced_spec,
+    is_graphical,
     parse_degrees,
     parse_edges,
     read_degrees,
@@ -50,6 +51,15 @@ def test_degree_sequence_takes_integers_only():
                          ((1, 1, 2.0), "d_3=2.0")]:
         with pytest.raises(ValueError, match=f"degree {re.escape(bad)} is not an integer"):
             DegreeSequence(degrees)
+
+
+def test_graphicality_has_one_home():
+    # realize, validation's sequence generator and the package export all
+    # read the one Erdos-Gallai test of graphcore
+    import degcount
+    from degcount import mcsampler, validation
+    assert is_graphical.__module__ == "degcount.graphcore"
+    assert degcount.is_graphical is mcsampler.is_graphical is validation.is_graphical is is_graphical
 
 
 def test_forbidden_graph_validation():

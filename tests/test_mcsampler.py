@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from degcount.graphcore import MODES, DegreeSequence, ForbiddenGraph
+from degcount.graphcore import MODES, DegreeSequence, ForbiddenGraph, is_graphical
 from degcount.asymptotics import induced_estimate
 from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
@@ -18,7 +18,6 @@ from degcount.mcsampler import (
     NonGraphicalError,
     _event_checker,
     estimate_probability,
-    is_graphical,
     realize,
     switch_step,
 )
@@ -145,6 +144,37 @@ def test_degrees_invariant_along_long_run():
         switch_step(g, rng, edges, 10 ** 4)
     assert g.degrees() == ref
     assert sorted(g.edge_list()) == sorted(edges)
+
+
+def test_switches_preserve_degrees_property():
+    # random simple graphs on n <= 12 with their own degrees, a random seed and
+    # mixed call sizes, one of them past a chunk boundary: after every call the
+    # degrees, the diagonal markers, the cell total and the sorted edge list hold
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 12))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        g = LabeledGraph(n)
+        for j, k in chosen:
+            g.add_edge(j, k)
+        d, edges = g.degrees(), g.edge_list()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        row = n + 1
+        for steps in data.draw(st.lists(st.one_of(st.integers(0, 64), st.just(CHUNK + 1)),
+                                        min_size=1, max_size=5)):
+            switch_step(g, rng, edges, steps)
+            assert g.degrees() == d
+            assert all(g.adj[j * row + j] == 2 for j in range(1, row))
+            assert sum(g.adj) == 2 * len(chosen) + 2 * n
+            assert sorted(edges) == g.edge_list()
+            assert all(j < k for j, k in edges)
+
+    check()
 
 
 @pytest.mark.parametrize("j, k", [(1, 5), (5, 1), (0, 1), (1, 0), (-1, 2), (1, 8), (4, 6)])

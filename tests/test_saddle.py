@@ -9,9 +9,8 @@ import pytest
 
 from degcount import saddle
 from degcount.graphcore import (DegreeSequence, ForbiddenGraph, compute_parameters,
-                                impossible, interior_density, relabel)
+                                impossible, interior_density, is_graphical, relabel)
 from degcount.exactcount import exact_count
-from degcount.mcsampler import is_graphical
 from degcount.saddle import (
     QuadratureError,
     contour_point,
