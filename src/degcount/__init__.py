@@ -61,12 +61,10 @@ from .mvintegral import (
 )
 from .mcsampler import (
     DEFAULT_SEED,
-    LabeledGraph,
     MCEstimate,
     NonGraphicalError,
     estimate_probability,
     realize,
-    switch_step,
 )
 
 __version__ = "0.1.0"

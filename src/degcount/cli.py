@@ -304,9 +304,8 @@ def _cmd_sample(args, out) -> int:
                                          burn_in=args.burn_in, thinning=args.thinning,
                                          seed=args.seed)
     if args.dump_graph:
-        g = mcsampler.realize(d)
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            for j, k in g.edge_list():
+            for j, k in mcsampler.realize(d):
                 fh.write(f"{j} {k}\n")
     payload = {
         "schema": SCHEMA, "subcommand": "sample", "mode": args.mode,
@@ -393,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thinning", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--dump-graph", help="write realize(d), the largest-first greedy graph the "
-                   "chain starts from, as an edge list; neither --seed nor the chain changes it")
+    p.add_argument("--dump-graph", help="write the sorted edges of realize(d), the largest-first "
+                   "greedy graph the chain starts from; neither --seed nor the chain changes it")
 
     p = sub.add_parser("validate", help="run the validation suite")
     p.add_argument("--suite", choices=("small", "full"), default="small")

@@ -4,19 +4,19 @@ formulas beyond exact-count reach.
 
 A switch picks two edges uniformly, proposes rewiring them across, and
 rejects proposals that would create a loop or multi-edge; degrees are
-invariant along the chain.  The graph is one flat (n+1)^2 byte array, so
-every adjacency test and edit in the chain is a single index; an estimate
-runs its chain on a list copy of the cells, which indexes faster and holds
-8 bytes a cell instead of 1.  The chain
-keeps each edge as two oriented ends (x, y, x(n+1), y(n+1)), the sorted
-orientation first, so a proposal reads two ends and tests two cells with no
-branch on the pairing and no multiplication.  Proposals come from a numpy
-Generator in bulk: each chunk of at most CHUNK proposals is three arrays
-(edge i, edge j, pairing flip), and one Python loop applies them as the end
-slots (2i, 2j + flip).  Slot 2j + 1 is edge j reversed, which is the pairing
-the flip selects, so the draws and the chain of a seed are those of a kernel
-on sorted edge pairs.  Estimates pool thinned samples and report a
-batch-means standard error so autocorrelation is priced in honestly.
+invariant along the chain.  realize(d) gives the start graph as its sorted
+edge list, and the chain runs on one flat list of (n+1)^2 cells built from
+it, so every adjacency test and edit is a single index into a list, which
+CPython indexes with a specialised instruction.  The chain keeps each edge as
+two oriented ends (x, y, x(n+1), y(n+1)), the sorted orientation first, so a
+proposal reads two ends and tests two cells with no branch on the pairing and
+no multiplication.  Proposals come from a numpy Generator in bulk: each chunk
+of at most CHUNK proposals is three arrays (edge i, edge j, pairing flip), and
+one Python loop applies them as the end slots (2i, 2j + flip).  Slot 2j + 1 is
+edge j reversed, which is the pairing the flip selects, so the draws and the
+chain of a seed are those of a kernel on sorted edge pairs.  Estimates pool
+thinned samples and report a batch-means standard error so autocorrelation is
+priced in honestly.
 """
 
 from __future__ import annotations
@@ -39,53 +39,16 @@ class NonGraphicalError(ValueError):
     """The degree sequence admits no simple graph."""
 
 
-class LabeledGraph:
-    """Simple labeled graph on vertices 1..n as one flat adjacency array.
-
-    `adj[j * (n + 1) + k]` is 1 when {j, k} is an edge and 0 otherwise, and
-    the diagonal cell of each vertex holds the marker 2, so a switch that
-    would make a loop fails the same nonzero test as one that would double
-    an edge.  Row and column 0 stay 0, so vertex labels index the array
-    directly.  Only cells holding 1 are edges.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj = bytearray((n + 1) * (n + 1))
-        self.adj[n + 2::n + 2] = b"\x02" * n
-
-    def has_edge(self, j: int, k: int) -> bool:
-        n = self.n
-        return 1 <= j <= n and 1 <= k <= n and self.adj[j * (n + 1) + k] == 1
-
-    def add_edge(self, j: int, k: int) -> None:
-        n = self.n
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise ValueError(f"edge ({j},{k}) outside vertices 1..{n}")
-        if j == k:
-            raise ValueError("no self-loops")
-        if self.adj[j * (n + 1) + k]:
-            raise ValueError(f"duplicate edge ({j},{k})")
-        self.adj[j * (n + 1) + k] = self.adj[k * (n + 1) + j] = 1
-
-    def degrees(self) -> tuple[int, ...]:
-        row, adj = self.n + 1, self.adj
-        return tuple(adj.count(1, v * row, v * row + row) for v in range(1, row))
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        row, adj = self.n + 1, self.adj
-        return [(v, u) for v in range(1, row) for u in range(v + 1, row) if adj[v * row + u]]
-
-
-def realize(d: DegreeSequence) -> LabeledGraph:
-    """One simple graph with degrees exactly d (largest-first greedy build).
+def realize(d: DegreeSequence) -> list[tuple[int, int]]:
+    """The sorted edges (j, k), j < k, of one simple graph with degrees
+    exactly d (largest-first greedy build).
 
     Raises NonGraphicalError when no simple graph exists; any later
     structural failure would be an internal error and raises RuntimeError.
     """
     if not is_graphical(d.degrees):
-        raise NonGraphicalError(f"sequence {d.degrees} is not graphical")
-    g = LabeledGraph(d.n)
+        raise NonGraphicalError(f"degrees are not graphical (n={d.n})")
+    edges = []
     residual = [(dj, v) for v, dj in enumerate(d.degrees, start=1)]
     while True:
         residual.sort(reverse=True)
@@ -99,11 +62,32 @@ def realize(d: DegreeSequence) -> LabeledGraph:
             raise RuntimeError("internal realization failure")
         residual[0] = (0, v)
         for idx, (ru, u) in enumerate(targets, start=1):
-            g.add_edge(v, u)
+            edges.append((v, u) if v < u else (u, v))
             residual[idx] = (ru - 1, u)
-    if g.degrees() != d.degrees:
+    edges.sort()
+    count = [0] * (d.n + 1)
+    for j, k in edges:
+        count[j] += 1
+        count[k] += 1
+    if len(set(edges)) < len(edges) or tuple(count[1:]) != d.degrees:
         raise RuntimeError("internal realization failure")
-    return g
+    return edges
+
+
+def _cells(n: int, edges) -> list[int]:
+    """The flat adjacency of the graph on 1..n with these edges.
+
+    Cell j(n+1) + k is 1 when {j, k} is an edge and 0 otherwise, and the
+    diagonal cell of each vertex holds the marker 2, so a switch that would
+    make a loop fails the same nonzero test as one that would double an edge.
+    Row and column 0 stay 0, so vertex labels index the list directly.
+    """
+    row = n + 1
+    cells = [0] * (row * row)
+    cells[row + 1::row + 1] = [2] * n
+    for j, k in edges:
+        cells[j * row + k] = cells[k * row + j] = 1
+    return cells
 
 
 def _proposals(rng: np.random.Generator, m: int, steps: int):
@@ -133,7 +117,7 @@ def _ends(edges: list[tuple[int, int]], row: int) -> list[tuple[int, int, int, i
     return ends
 
 
-def _switch(adj: bytearray | list[int], ends: list[tuple[int, int, int, int]],
+def _switch(adj: list[int], ends: list[tuple[int, int, int, int]],
             proposals) -> None:
     """Apply each proposal (p, q) that keeps the graph simple, in place.
 
@@ -165,30 +149,6 @@ def _switch(adj: bytearray | list[int], ends: list[tuple[int, int, int, int]],
             ends[q + 1] = b, d_, rb, rd
 
 
-def switch_step(g: LabeledGraph, rng: np.random.Generator, edges: list[tuple[int, int]],
-                steps: int = 1) -> LabeledGraph:
-    """Run `steps` double-edge-switch proposals, each applied in place when accepted.
-
-    A proposal picks an ordered pair of distinct edges uniformly, flips the
-    pairing with probability 1/2, and is rejected (a chain self-loop) whenever
-    the rewiring would create a loop or multi-edge.  `edges` is the current
-    edge list of g as sorted pairs, rewritten in place.
-
-    The proposals come from rng in chunks of at most CHUNK: the edges i, the
-    edges j (shifted past i) and the pairing flips as three arrays, so a
-    seeded Generator and the sequence of `steps` fix the chain.  Each call
-    turns `edges` into the kernel's oriented ends and back, which costs O(E)
-    on top of the proposals; a long chain is cheapest as one call.  Fewer
-    than two edges admit no switch, and then nothing is drawn.
-    """
-    m = len(edges)
-    if m >= 2:
-        ends = _ends(edges, g.n + 1)
-        _switch(g.adj, ends, _proposals(rng, m, steps))
-        edges[:] = [end[:2] for end in ends[::2]]
-    return g
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     mean: float
@@ -202,16 +162,14 @@ class MCEstimate:
 def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
     """Test of a flat adjacency for the event graphcore.event_edges(X, mode, m):
     one itemgetter read of the Y cells, compared with the same read of a
-    template holding 1 at the cells of S."""
+    template holding 1 at the cells of S and 0 at the other cells of Y."""
     Y, S = event_edges(X, mode, m)
     if not Y.edge_count:
         return lambda adj: True
     row = X.n + 1
-    cells = itemgetter(*(j * row + k for j, k in Y.sorted_edges()))
-    want = bytearray(row * row)
-    for j, k in S:
-        want[j * row + k] = 1
-    want = cells(want)
+    template = {j * row + k: int((j, k) in S) for j, k in Y.sorted_edges()}
+    cells = itemgetter(*template)
+    want = cells(template)
     return lambda adj: cells(adj) == want
 
 
@@ -233,8 +191,7 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if samples < 1:
         raise ValueError("need samples >= 1")
     check = _event_checker(X, mode, m)
-    g = realize(d)
-    edges = g.edge_list()
+    edges = realize(d)
     E = len(edges)
     if burn_in is None:
         burn_in = int(10 * E * math.log(E)) if E > 1 else 0
@@ -243,13 +200,11 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if burn_in < 0 or thinning < 1:
         raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
     rng = np.random.default_rng(seed)
+    adj = _cells(d.n, edges)
     if E < 2:
-        mixed = [check(g.adj)] * samples
+        mixed = [check(adj)] * samples
     else:
-        # the chain runs on the cells as a list, which CPython indexes with a
-        # specialised instruction and a bytearray without one
-        adj = list(g.adj)
-        ends = _ends(edges, g.n + 1)
+        ends = _ends(edges, d.n + 1)
         # one proposal stream across burn-in and every thinned sample
         stream = _proposals(rng, E, burn_in + samples * thinning)
         _switch(adj, ends, islice(stream, burn_in))

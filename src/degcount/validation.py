@@ -380,13 +380,14 @@ def check_sampler() -> CheckResult:
 
 
 def check_regular_expectations() -> CheckResult:
-    """Expected matchings/triangles vs exact expectations, shrinking in n.
+    """Expected matchings/triangles/4-cycles vs exact expectations, shrinking in n.
 
     Matchings use a 0.15 bound (measured 0.113 at n=6) and must shrink up to
-    n=12, whose orbit-keyed states the oracle counts in 0.1 s.  The triangle
+    n=12, whose orbit-keyed states the oracle counts in 0.1 s.  The cycle
     bound is the oracle-confirmed 0.25: at n=10 the q-cycle formula's own
-    discarded O(q/n^2) terms contribute |dln| ~ 0.19, so a tighter bound is
-    unattainable there; the decreasing trend is what the oracle confirms.
+    discarded O(q/n^2) terms contribute |dln| ~ 0.19 for triangles and 0.21
+    for 4-cycles, so a tighter bound is unattainable there; the decreasing
+    trend is what the oracle confirms.
     """
     def matching_error(n: int) -> float:
         dv = n // 2
@@ -397,23 +398,27 @@ def check_regular_expectations() -> CheckResult:
         est = regular_graph_expectations(n, dv, "matchings")
         return abs(est.log_value - math.log(exact))
 
-    def triangle_error(n: int) -> float:
+    def cycle_error(q: int, n: int) -> float:
         dv = n // 2
         d = DegreeSequence((dv,) * n)
-        T = ForbiddenGraph.from_pairs(n, [(1, 2), (2, 3), (1, 3)])
-        exact = math.comb(n, 3) * float(exact_probability(d, T, "hit", limit=n))
-        est = regular_graph_expectations(n, dv, "cycles", q=3)
+        C = ForbiddenGraph.from_pairs(n, [(v, v % q + 1) for v in range(1, q + 1)])
+        # C(n, q) vertex sets, each carrying (q-1)!/2 distinct q-cycles
+        copies = math.comb(n, q) * math.factorial(q - 1) // 2
+        exact = copies * float(exact_probability(d, C, "hit", limit=n))
+        est = regular_graph_expectations(n, dv, "cycles", q=q)
         return abs(est.log_value - math.log(exact))
 
     errors = {"matchings": [matching_error(n) for n in (6, 8, 10, 12)],
-              "triangles": [triangle_error(n) for n in (10, 12, 14, 16)]}
+              "triangles": [cycle_error(3, n) for n in (10, 12, 14, 16)],
+              "4-cycles": [cycle_error(4, n) for n in (10, 12, 14, 16)]}
     ok = (errors["matchings"][0] < 0.15 and errors["triangles"][0] < 0.25
+          and errors["4-cycles"][0] < 0.25
           and all(b < a for e in errors.values() for a, b in zip(e, e[1:])))
+    trend = {name: " -> ".join(f"{e:.4f}" for e in values) for name, values in errors.items()}
     return CheckResult(
         "regular-expectations", ok, errors,
-        f"matchings |dln| {' -> '.join(f'{e:.4f}' for e in errors['matchings'])} "
-        f"(<0.15); triangles {' -> '.join(f'{e:.4f}' for e in errors['triangles'])} "
-        f"(<0.25, oracle-confirmed)")
+        f"matchings |dln| {trend['matchings']} (<0.15); triangles {trend['triangles']} "
+        f"and 4-cycles {trend['4-cycles']} (<0.25, oracle-confirmed)")
 
 
 def check_determinism() -> CheckResult:

@@ -13,18 +13,41 @@ from degcount.exactcount import exact_probability
 from degcount.mcsampler import (
     BATCHES,
     CHUNK,
-    LabeledGraph,
     MCEstimate,
     NonGraphicalError,
+    _cells,
+    _ends,
     _event_checker,
+    _proposals,
+    _switch,
     estimate_probability,
     realize,
-    switch_step,
 )
 
 
 def fg(n, pairs):
     return ForbiddenGraph.from_pairs(n, pairs)
+
+
+def degrees_of(adj, n):
+    """Degrees read off flat cells: the 1s of each vertex's row."""
+    row = n + 1
+    return tuple(adj[v * row:v * row + row].count(1) for v in range(1, row))
+
+
+def edges_of(adj, n):
+    """Sorted edges read off flat cells."""
+    row = n + 1
+    return [(v, u) for v in range(1, row) for u in range(v + 1, row) if adj[v * row + u] == 1]
+
+
+def switch(adj, ends, rng, steps=1):
+    """`steps` proposals drawn and applied in place, as one stretch of the
+    chain; returns the sorted edge pairs of the even end slots.  Fewer than
+    two edges admit no switch, and then nothing is drawn."""
+    if len(ends) >= 4:
+        _switch(adj, ends, _proposals(rng, len(ends) // 2, steps))
+    return [end[:2] for end in ends[::2]]
 
 
 # -------------------------------------------------------------- realization
@@ -81,13 +104,11 @@ def test_erdos_gallai_sweep_is_the_quadratic_loop():
 
 
 def test_realize_triangle_unique():
-    g = realize(DegreeSequence((2, 2, 2)))
-    assert g.edge_list() == [(1, 2), (1, 3), (2, 3)]
+    assert realize(DegreeSequence((2, 2, 2))) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_realize_k4():
-    g = realize(DegreeSequence((3, 3, 3, 3)))
-    assert len(g.edge_list()) == 6
+    assert len(realize(DegreeSequence((3, 3, 3, 3)))) == 6
 
 
 def test_realize_non_graphical_raises_distinct_error():
@@ -102,48 +123,77 @@ def test_realize_non_graphical_raises_distinct_error():
     (3, 2, 2, 2, 1), (4, 4, 4, 4, 4), (5, 3, 3, 3, 2, 2, 2, 2), (0, 0, 2, 1, 1),
 ])
 def test_realize_hits_exact_degrees(degrees):
-    g = realize(DegreeSequence(degrees))
-    assert g.degrees() == degrees
+    n = len(degrees)
+    assert degrees_of(_cells(n, realize(DegreeSequence(degrees))), n) == degrees
+
+
+def test_realize_gives_sorted_distinct_pairs_property():
+    # any simple graph on n <= 12: realize of its degrees is a list of sorted,
+    # distinct pairs, itself sorted, whose endpoints count exactly those degrees
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 12))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        degrees = tuple(sum(v in e for e in chosen) for v in range(1, n + 1))
+        edges = realize(DegreeSequence(degrees))
+        assert edges == sorted(edges)
+        assert all(j < k for j, k in edges) and len(set(edges)) == len(edges)
+        assert tuple(sum(v in e for e in edges) for v in range(1, n + 1)) == degrees
+
+    check()
+
+
+@pytest.mark.parametrize("n", [10, 2000, 10 ** 5])
+def test_non_graphical_message_does_not_grow_with_n(n):
+    # two vertices joined to all others, the rest isolated: even sum, not graphical
+    d = DegreeSequence((n - 1, n - 1) + (0,) * (n - 2))
+    with pytest.raises(NonGraphicalError) as err:
+        realize(d)
+    assert str(err.value) == f"degrees are not graphical (n={n})"
+    assert len(str(err.value)) < 40
 
 
 # -------------------------------------------------------------- switch steps
 
 def test_triangle_rejects_every_swap():
     rng = np.random.default_rng(0)
-    g = realize(DegreeSequence((2, 2, 2)))
-    edges = g.edge_list()
+    edges = realize(DegreeSequence((2, 2, 2)))
+    adj, ends = _cells(3, edges), _ends(edges, 4)
     for _ in range(300):
-        switch_step(g, rng, edges)
-    assert g.edge_list() == [(1, 2), (1, 3), (2, 3)]
+        switch(adj, ends, rng)
+    assert edges_of(adj, 3) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_four_cycle_swaps_between_cycle_structures():
     # from any 4-cycle, an accepted swap yields another 4-cycle; all three
     # structures (keyed by the vertex opposite 1) are visited
     rng = np.random.default_rng(1)
-    g = LabeledGraph(4)
-    for j, k in [(1, 2), (2, 3), (3, 4), (1, 4)]:
-        g.add_edge(j, k)
-    edges = g.edge_list()
+    edges = [(1, 2), (1, 4), (2, 3), (3, 4)]
+    adj, ends = _cells(4, edges), _ends(edges, 5)
     seen = set()
     for _ in range(500):
-        switch_step(g, rng, edges)
-        degs = g.degrees()
+        switch(adj, ends, rng)
+        degs = degrees_of(adj, 4)
         assert degs == (2, 2, 2, 2)
-        opposite = next(v for v in (2, 3, 4) if not g.has_edge(1, v))
+        opposite = next(v for v in (2, 3, 4) if adj[5 + v] != 1)
         seen.add(opposite)
     assert seen == {2, 3, 4}
 
 
 def test_degrees_invariant_along_long_run():
     rng = np.random.default_rng(2)
-    g = realize(DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2)))
-    edges = g.edge_list()
-    ref = g.degrees()
+    edges = realize(DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2)))
+    adj, ends = _cells(8, edges), _ends(edges, 9)
+    ref = degrees_of(adj, 8)
     for _ in range(10):
-        switch_step(g, rng, edges, 10 ** 4)
-    assert g.degrees() == ref
-    assert sorted(g.edge_list()) == sorted(edges)
+        edges = switch(adj, ends, rng, 10 ** 4)
+    assert degrees_of(adj, 8) == ref
+    assert sorted(edges_of(adj, 8)) == sorted(edges)
 
 
 def test_switches_preserve_degrees_property():
@@ -159,51 +209,34 @@ def test_switches_preserve_degrees_property():
         n = data.draw(st.integers(1, 12))
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        g = LabeledGraph(n)
-        for j, k in chosen:
-            g.add_edge(j, k)
-        d, edges = g.degrees(), g.edge_list()
+        edges = sorted(chosen)
+        adj, ends = _cells(n, edges), _ends(edges, n + 1)
+        d = degrees_of(adj, n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         row = n + 1
         for steps in data.draw(st.lists(st.one_of(st.integers(0, 64), st.just(CHUNK + 1)),
                                         min_size=1, max_size=5)):
-            switch_step(g, rng, edges, steps)
-            assert g.degrees() == d
-            assert all(g.adj[j * row + j] == 2 for j in range(1, row))
-            assert sum(g.adj) == 2 * len(chosen) + 2 * n
-            assert sorted(edges) == g.edge_list()
+            edges = switch(adj, ends, rng, steps)
+            assert degrees_of(adj, n) == d
+            assert all(adj[j * row + j] == 2 for j in range(1, row))
+            assert sum(adj) == 2 * len(chosen) + 2 * n
+            assert sorted(edges) == edges_of(adj, n)
             assert all(j < k for j, k in edges)
 
     check()
 
 
-@pytest.mark.parametrize("j, k", [(1, 5), (5, 1), (0, 1), (1, 0), (-1, 2), (1, 8), (4, 6)])
-def test_vertices_outside_range_are_no_edge_and_not_added(j, k):
-    # rows hold 5 cells, so an unchecked (1, 5) lands in row 2 and (1, 8) is
-    # the cell of edge (2, 3)
-    g = LabeledGraph(4)
-    g.add_edge(2, 3)
-    before = bytes(g.adj)
-    assert not g.has_edge(j, k)
-    with pytest.raises(ValueError, match=r"outside vertices 1\.\.4"):
-        g.add_edge(j, k)
-    assert bytes(g.adj) == before
-    assert g.degrees() == (0, 1, 1, 0)
-    assert g.edge_list() == [(2, 3)]
-
-
 def test_diagonal_marker_is_invisible():
     d = DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2))
-    g = realize(d)
-    row = g.n + 1
-    assert all(g.adj[j * row + j] == 2 for j in range(1, g.n + 1))
-    assert not any(g.has_edge(j, j) for j in range(g.n + 1))
-    assert g.degrees() == d.degrees
-    edges = g.edge_list()
+    edges = realize(d)
+    adj = _cells(d.n, edges)
+    row = d.n + 1
+    assert all(adj[j * row + j] == 2 for j in range(1, d.n + 1))
+    assert not any(adj[j * row + j] == 1 for j in range(d.n + 1))
+    assert degrees_of(adj, d.n) == d.degrees
+    assert edges_of(adj, d.n) == edges
     assert len(edges) == sum(d.degrees) // 2 and all(j < k for j, k in edges)
-    assert sum(g.adj) == 2 * len(edges) + 2 * g.n
-    with pytest.raises(ValueError, match="no self-loops"):
-        g.add_edge(3, 3)
+    assert sum(adj) == 2 * len(edges) + 2 * d.n
 
 
 def _reference_proposals(rng, m, steps):
@@ -252,24 +285,25 @@ def _set_adjacency(n, edges):
 @pytest.mark.parametrize("degrees", [(3,) * 8, (30,) * 60, (4, 3, 3, 2, 2, 2, 2, 2)],
                          ids=["3-regular-8", "30-regular-60", "irregular-8"])
 def test_kernel_draws_the_set_kernel_stream(degrees, seed):
-    g = realize(DegreeSequence(degrees))
-    edges = g.edge_list()
+    n = len(degrees)
+    edges = realize(DegreeSequence(degrees))
     ref_edges = list(edges)
-    ref_adj = _set_adjacency(len(degrees), ref_edges)
+    ref_adj = _set_adjacency(n, ref_edges)
+    adj, ends = _cells(n, edges), _ends(edges, n + 1)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     done, total = 0, 10 ** 5
     # mixed call sizes, one of them past a chunk boundary
     for steps in itertools.cycle((1, 7, 60, CHUNK + 1)):
         steps = min(steps, total - done)
-        switch_step(g, rng, edges, steps)
+        edges = switch(adj, ends, rng, steps)
         for proposal in _reference_proposals(ref_rng, len(ref_edges), steps):
             _set_switch(ref_adj, ref_edges, proposal)
         done += steps
         if done == total:
             break
     assert edges == ref_edges
-    assert g.edge_list() == sorted((j, k) for j in range(1, len(degrees) + 1)
-                                   for k in ref_adj[j] if j < k)
+    assert edges_of(adj, n) == sorted((j, k) for j in range(1, n + 1)
+                                      for k in ref_adj[j] if j < k)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -334,7 +368,7 @@ def test_estimate_reads_one_stream():
     est = estimate_probability(d, X, "hit", samples=samples, burn_in=burn_in,
                                thinning=thinning, seed=seed)
     assert burn_in + samples * thinning > CHUNK
-    edges = realize(d).edge_list()
+    edges = realize(d)
     adj = _set_adjacency(8, edges)
     stream = _reference_proposals(np.random.default_rng(seed), len(edges),
                                   burn_in + samples * thinning)
@@ -413,15 +447,13 @@ def test_estimate_errors():
 
 @functools.cache
 def all_graphs(n):
-    """(edge set, LabeledGraph, degrees) of every labelled simple graph on 1..n."""
+    """(edge set, flat cells, degrees) of every labelled simple graph on 1..n."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     out = []
     for mask in range(1 << len(pairs)):
         edges = frozenset(e for b, e in enumerate(pairs) if mask >> b & 1)
-        g = LabeledGraph(n)
-        for j, k in edges:
-            g.add_edge(j, k)
-        out.append((edges, g, g.degrees()))
+        adj = _cells(n, edges)
+        out.append((edges, adj, degrees_of(adj, n)))
     return out
 
 
@@ -450,7 +482,7 @@ def test_event_matches_enumeration_property():
             return {(j, k) for j, k in edges if k <= m} == X.edges
 
         test = _event_checker(X, mode, m)
-        assert all(test(g.adj) == happens(edges) for edges, g, _ in graphs)
+        assert all(test(adj) == happens(edges) for edges, adj, _ in graphs)
         d = graphs[data.draw(st.integers(0, len(graphs) - 1))][2]
         same_d = [edges for edges, _, degrees in graphs if degrees == d]
         share = Fraction(sum(map(happens, same_d)), len(same_d))
