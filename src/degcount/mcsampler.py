@@ -5,18 +5,20 @@ formulas beyond exact-count reach.
 A switch picks two edges uniformly, proposes rewiring them across, and
 rejects proposals that would create a loop or multi-edge; degrees are
 invariant along the chain.  realize(d) gives the start graph as its sorted
-edge list, and the chain runs on one flat list of (n+1)^2 cells built from
+edge list, and the chain runs on one row of n+1 cells per vertex built from
 it, so every adjacency test and edit is a single index into a list, which
-CPython indexes with a specialised instruction.  The chain keeps each edge as
-two oriented ends (x, y, x(n+1), y(n+1)), the sorted orientation first, so a
-proposal reads two ends and tests two cells with no branch on the pairing and
-no multiplication.  Proposals come from a numpy Generator in bulk: each chunk
-of at most CHUNK proposals is three arrays (edge i, edge j, pairing flip), and
-one Python loop applies them as the end slots (2i, 2j + flip).  Slot 2j + 1 is
-edge j reversed, which is the pairing the flip selects, so the draws and the
-chain of a seed are those of a kernel on sorted edge pairs.  Estimates pool
-thinned samples and report a batch-means standard error so autocorrelation is
-priced in honestly.
+CPython indexes with a specialised instruction.  The rows cost (n+1)^2 list
+slots of 8 bytes each, about 128 MB at n = 4000.  The chain keeps each edge
+as two oriented ends (x, y, rows[x], rows[y]), the sorted orientation first,
+so a proposal reads two ends and tests two cells with no branch on the
+pairing and no arithmetic on the index: the cell index is a vertex label,
+which CPython caches as a small int for n <= 256.  Proposals come from a
+numpy Generator in bulk: each chunk of at most CHUNK proposals is three
+arrays (edge i, edge j, pairing flip), and one Python loop applies them as
+the end slots (2i, 2j + flip).  Slot 2j + 1 is edge j reversed, which is the
+pairing the flip selects, so the draws and the chain of a seed are those of
+a kernel on sorted edge pairs.  Estimates pool thinned samples and report a
+batch-means standard error so autocorrelation is priced in honestly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -74,20 +75,20 @@ def realize(d: DegreeSequence) -> list[tuple[int, int]]:
     return edges
 
 
-def _cells(n: int, edges) -> list[int]:
-    """The flat adjacency of the graph on 1..n with these edges.
+def _rows(n: int, edges) -> list[list[int]]:
+    """The adjacency rows of the graph on 1..n with these edges.
 
-    Cell j(n+1) + k is 1 when {j, k} is an edge and 0 otherwise, and the
+    Cell rows[j][k] is 1 when {j, k} is an edge and 0 otherwise, and the
     diagonal cell of each vertex holds the marker 2, so a switch that would
     make a loop fails the same nonzero test as one that would double an edge.
-    Row and column 0 stay 0, so vertex labels index the list directly.
+    Row and column 0 stay 0, so vertex labels index the lists directly.
     """
-    row = n + 1
-    cells = [0] * (row * row)
-    cells[row + 1::row + 1] = [2] * n
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for v in range(1, n + 1):
+        rows[v][v] = 2
     for j, k in edges:
-        cells[j * row + k] = cells[k * row + j] = 1
-    return cells
+        rows[j][k] = rows[k][j] = 1
+    return rows
 
 
 def _proposals(rng: np.random.Generator, m: int, steps: int):
@@ -107,46 +108,45 @@ def _proposals(rng: np.random.Generator, m: int, steps: int):
     return chain.from_iterable(chunk(min(CHUNK, steps - lo)) for lo in range(0, steps, CHUNK))
 
 
-def _ends(edges: list[tuple[int, int]], row: int) -> list[tuple[int, int, int, int]]:
+def _ends(edges: list[tuple[int, int]], rows: list[list[int]]) -> list[tuple]:
     """The 2E oriented ends of the sorted edges: slot 2e holds edge e = (x, y)
-    as (x, y, x * row, y * row), slot 2e + 1 as (y, x, y * row, x * row)."""
+    as (x, y, rows[x], rows[y]), slot 2e + 1 as (y, x, rows[y], rows[x])."""
     ends = []
     for x, y in edges:
-        rx, ry = x * row, y * row
-        ends += (x, y, rx, ry), (y, x, ry, rx)
+        Rx, Ry = rows[x], rows[y]
+        ends += (x, y, Rx, Ry), (y, x, Ry, Rx)
     return ends
 
 
-def _switch(adj: list[int], ends: list[tuple[int, int, int, int]],
-            proposals) -> None:
+def _switch(ends: list[tuple], proposals) -> None:
     """Apply each proposal (p, q) that keeps the graph simple, in place.
 
-    Ends p and q are (a, b) and (c, d) with their row offsets, so the
-    proposal rewires {a, b}, {c, d} to {a, c}, {b, d}.  The diagonal marker
-    makes the two adjacency tests reject the shared endpoints too: a == c
-    and b == d hit a diagonal cell, a == d and b == c the edge {a, b}
-    itself.  An accepted switch writes both ends of each new edge, the
-    sorted orientation at the even slot."""
+    Ends p and q are (a, b) and (c, d) with their rows, so the proposal
+    rewires {a, b}, {c, d} to {a, c}, {b, d}.  The diagonal marker makes the
+    two adjacency tests reject the shared endpoints too: a == c and b == d
+    hit a diagonal cell, a == d and b == c the edge {a, b} itself.  An
+    accepted switch writes both cells of each edge through the rows and
+    both ends of each new edge, the sorted orientation at the even slot."""
     for p, q in proposals:
-        a, b, ra, rb = ends[p]
-        c, d_, rc, rd = ends[q]
-        if adj[ra + c] or adj[rb + d_]:
+        a, b, Ra, Rb = ends[p]
+        c, d_, Rc, Rd = ends[q]
+        if Ra[c] or Rb[d_]:
             continue
-        adj[ra + b] = adj[rb + a] = adj[rc + d_] = adj[rd + c] = 0
-        adj[ra + c] = adj[rc + a] = adj[rb + d_] = adj[rd + b] = 1
+        Ra[b] = Rb[a] = Rc[d_] = Rd[c] = 0
+        Ra[c] = Rc[a] = Rb[d_] = Rd[b] = 1
         if a < c:
-            ends[p] = a, c, ra, rc
-            ends[p + 1] = c, a, rc, ra
+            ends[p] = a, c, Ra, Rc
+            ends[p + 1] = c, a, Rc, Ra
         else:
-            ends[p] = c, a, rc, ra
-            ends[p + 1] = a, c, ra, rc
+            ends[p] = c, a, Rc, Ra
+            ends[p + 1] = a, c, Ra, Rc
         q &= -2
         if b < d_:
-            ends[q] = b, d_, rb, rd
-            ends[q + 1] = d_, b, rd, rb
+            ends[q] = b, d_, Rb, Rd
+            ends[q + 1] = d_, b, Rd, Rb
         else:
-            ends[q] = d_, b, rd, rb
-            ends[q + 1] = b, d_, rb, rd
+            ends[q] = d_, b, Rd, Rb
+            ends[q + 1] = b, d_, Rb, Rd
 
 
 @dataclass(frozen=True)
@@ -160,17 +160,25 @@ class MCEstimate:
 
 
 def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
-    """Test of a flat adjacency for the event graphcore.event_edges(X, mode, m):
-    one itemgetter read of the Y cells, compared with the same read of a
-    template holding 1 at the cells of S and 0 at the other cells of Y."""
+    """The event graphcore.event_edges(X, mode, m) as a binder: given the
+    adjacency rows, it returns a test of them that takes no argument.
+
+    event_edges runs now, so a bad mode or m fails before any realization.
+    The test reads each cell (j, k) of Y as rows[j][k] against 1 on S and 0
+    on the rest of Y; the rows change in place, so a bound test stays valid
+    along the chain."""
     Y, S = event_edges(X, mode, m)
-    if not Y.edge_count:
-        return lambda adj: True
-    row = X.n + 1
-    template = {j * row + k: int((j, k) in S) for j, k in Y.sorted_edges()}
-    cells = itemgetter(*template)
-    want = cells(template)
-    return lambda adj: cells(adj) == want
+    cells = [(j, k, int((j, k) in S)) for j, k in Y.sorted_edges()]
+
+    def bind(rows: list[list[int]]):
+        if not cells:
+            return lambda: True
+        wanted = [(rows[j], k, w) for j, k, w in cells]
+        if len(wanted) == 1:
+            (R, k, w), = wanted
+            return lambda: R[k] == w
+        return lambda: all(R[k] == w for R, k, w in wanted)
+    return bind
 
 
 def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
@@ -190,7 +198,7 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     X = forbidden_for(d, X)
     if samples < 1:
         raise ValueError("need samples >= 1")
-    check = _event_checker(X, mode, m)
+    bind = _event_checker(X, mode, m)
     edges = realize(d)
     E = len(edges)
     if burn_in is None:
@@ -200,18 +208,19 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     if burn_in < 0 or thinning < 1:
         raise ValueError(f"need burn_in >= 0 and thinning >= 1, got {burn_in} and {thinning}")
     rng = np.random.default_rng(seed)
-    adj = _cells(d.n, edges)
+    rows = _rows(d.n, edges)
+    check = bind(rows)
     if E < 2:
-        mixed = [check(adj)] * samples
+        mixed = [check()] * samples
     else:
-        ends = _ends(edges, d.n + 1)
+        ends = _ends(edges, rows)
         # one proposal stream across burn-in and every thinned sample
         stream = _proposals(rng, E, burn_in + samples * thinning)
-        _switch(adj, ends, islice(stream, burn_in))
+        _switch(ends, islice(stream, burn_in))
         mixed = []
         for _ in range(samples):
-            _switch(adj, ends, islice(stream, thinning))
-            mixed.append(check(adj))
+            _switch(ends, islice(stream, thinning))
+            mixed.append(check())
 
     values = np.asarray(mixed, dtype=float)
     mean = float(values.mean())

@@ -289,9 +289,10 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         while take < samples - collected and drawn < BATCH_SIZE:
             rows = min(samples - collected - take, BATCH_SIZE - drawn)
             zb = rng.normal(0.0, sigma, size=(rows, N))
-            inside = (np.abs(zb) <= bound).all(axis=1)
-            if not inside.all():
-                zb = zb[inside]
+            # one max/min pass over the batch; the per-row mask only when a
+            # row leaves the box (a NaN fails both tests, as it fails the mask)
+            if not (zb.max() <= bound and zb.min() >= -bound):
+                zb = zb[(np.abs(zb) <= bound).all(axis=1)]
             parts.append(zb)
             drawn += rows
             take += zb.shape[0]

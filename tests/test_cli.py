@@ -148,6 +148,37 @@ def test_byte_identical_reports(files):
     assert run(argv2) == run(argv2)
 
 
+# The full JSON text of seeded sample reports, as the chain on flat cells
+# wrote them: a change of kernel or representation must keep them byte for byte.
+PINNED_SAMPLE_REPORTS = [
+    (["--degrees", "d8", "--forbidden", "x", "--mode", "miss", "--samples", "500",
+      "--thinning", "3", "--seed", "11"],
+     '{\n  "burnIn": 298,\n  "mean": 0.668,\n  "mode": "miss",\n  "samples": 500,\n'
+     '  "scale": "linear",\n  "schema": "degcount-report/1",\n  "seed": 11,\n'
+     '  "stderr": 0.054529567064213205,\n  "subcommand": "sample",\n  "thinning": 3\n}\n'),
+    (["--degrees", "d8", "--forbidden", "x", "--mode", "induced", "--m", "3",
+      "--samples", "400", "--thinning", "2", "--seed", "13"],
+     '{\n  "burnIn": 298,\n  "mean": 0.2825,\n  "mode": "induced",\n  "samples": 400,\n'
+     '  "scale": "linear",\n  "schema": "degcount-report/1",\n  "seed": 13,\n'
+     '  "stderr": 0.06410055833569134,\n  "subcommand": "sample",\n  "thinning": 2\n}\n'),
+    (["--degrees", "d60", "--forbidden", "triangle", "--mode", "hit", "--samples", "80",
+      "--burn-in", "2000", "--thinning", "150", "--seed", "5"],
+     '{\n  "burnIn": 2000,\n  "mean": 0.1375,\n  "mode": "hit",\n  "samples": 80,\n'
+     '  "scale": "linear",\n  "schema": "degcount-report/1",\n  "seed": 5,\n'
+     '  "stderr": 0.07581790859129454,\n  "subcommand": "sample",\n  "thinning": 150\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, report", PINNED_SAMPLE_REPORTS,
+                         ids=["miss-8", "induced-8-m3", "triangle-hit-60"])
+def test_pinned_seeded_sample_reports(files, tmp_path, argv, report):
+    d60 = tmp_path / "d60.txt"
+    d60.write_text("30\n" * 60)
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("1 2\n2 3\n1 3\n")
+    paths = dict(files, d60=str(d60), triangle=str(triangle))
+    assert run(["sample"] + [paths.get(a, a) for a in argv]) == (0, report)
+
 def test_input_errors_exit_two(files, tmp_path, capsys):
     code, _ = run(["count", "--degrees", str(tmp_path / "missing.txt")])
     assert code == 2

@@ -15,10 +15,10 @@ from degcount.mcsampler import (
     CHUNK,
     MCEstimate,
     NonGraphicalError,
-    _cells,
     _ends,
     _event_checker,
     _proposals,
+    _rows,
     _switch,
     estimate_probability,
     realize,
@@ -29,24 +29,22 @@ def fg(n, pairs):
     return ForbiddenGraph.from_pairs(n, pairs)
 
 
-def degrees_of(adj, n):
-    """Degrees read off flat cells: the 1s of each vertex's row."""
-    row = n + 1
-    return tuple(adj[v * row:v * row + row].count(1) for v in range(1, row))
+def degrees_of(rows, n):
+    """Degrees read off the adjacency rows: the 1s of each vertex's row."""
+    return tuple(rows[v].count(1) for v in range(1, n + 1))
 
 
-def edges_of(adj, n):
-    """Sorted edges read off flat cells."""
-    row = n + 1
-    return [(v, u) for v in range(1, row) for u in range(v + 1, row) if adj[v * row + u] == 1]
+def edges_of(rows, n):
+    """Sorted edges read off the adjacency rows."""
+    return [(v, u) for v in range(1, n + 1) for u in range(v + 1, n + 1) if rows[v][u] == 1]
 
 
-def switch(adj, ends, rng, steps=1):
+def switch(ends, rng, steps=1):
     """`steps` proposals drawn and applied in place, as one stretch of the
     chain; returns the sorted edge pairs of the even end slots.  Fewer than
     two edges admit no switch, and then nothing is drawn."""
     if len(ends) >= 4:
-        _switch(adj, ends, _proposals(rng, len(ends) // 2, steps))
+        _switch(ends, _proposals(rng, len(ends) // 2, steps))
     return [end[:2] for end in ends[::2]]
 
 
@@ -124,7 +122,7 @@ def test_realize_non_graphical_raises_distinct_error():
 ])
 def test_realize_hits_exact_degrees(degrees):
     n = len(degrees)
-    assert degrees_of(_cells(n, realize(DegreeSequence(degrees))), n) == degrees
+    assert degrees_of(_rows(n, realize(DegreeSequence(degrees))), n) == degrees
 
 
 def test_realize_gives_sorted_distinct_pairs_property():
@@ -163,10 +161,11 @@ def test_non_graphical_message_does_not_grow_with_n(n):
 def test_triangle_rejects_every_swap():
     rng = np.random.default_rng(0)
     edges = realize(DegreeSequence((2, 2, 2)))
-    adj, ends = _cells(3, edges), _ends(edges, 4)
+    rows = _rows(3, edges)
+    ends = _ends(edges, rows)
     for _ in range(300):
-        switch(adj, ends, rng)
-    assert edges_of(adj, 3) == [(1, 2), (1, 3), (2, 3)]
+        switch(ends, rng)
+    assert edges_of(rows, 3) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_four_cycle_swaps_between_cycle_structures():
@@ -174,13 +173,14 @@ def test_four_cycle_swaps_between_cycle_structures():
     # structures (keyed by the vertex opposite 1) are visited
     rng = np.random.default_rng(1)
     edges = [(1, 2), (1, 4), (2, 3), (3, 4)]
-    adj, ends = _cells(4, edges), _ends(edges, 5)
+    rows = _rows(4, edges)
+    ends = _ends(edges, rows)
     seen = set()
     for _ in range(500):
-        switch(adj, ends, rng)
-        degs = degrees_of(adj, 4)
+        switch(ends, rng)
+        degs = degrees_of(rows, 4)
         assert degs == (2, 2, 2, 2)
-        opposite = next(v for v in (2, 3, 4) if adj[5 + v] != 1)
+        opposite = next(v for v in (2, 3, 4) if rows[1][v] != 1)
         seen.add(opposite)
     assert seen == {2, 3, 4}
 
@@ -188,12 +188,13 @@ def test_four_cycle_swaps_between_cycle_structures():
 def test_degrees_invariant_along_long_run():
     rng = np.random.default_rng(2)
     edges = realize(DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2)))
-    adj, ends = _cells(8, edges), _ends(edges, 9)
-    ref = degrees_of(adj, 8)
+    rows = _rows(8, edges)
+    ends = _ends(edges, rows)
+    ref = degrees_of(rows, 8)
     for _ in range(10):
-        edges = switch(adj, ends, rng, 10 ** 4)
-    assert degrees_of(adj, 8) == ref
-    assert sorted(edges_of(adj, 8)) == sorted(edges)
+        edges = switch(ends, rng, 10 ** 4)
+    assert degrees_of(rows, 8) == ref
+    assert sorted(edges_of(rows, 8)) == sorted(edges)
 
 
 def test_switches_preserve_degrees_property():
@@ -210,17 +211,17 @@ def test_switches_preserve_degrees_property():
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
         edges = sorted(chosen)
-        adj, ends = _cells(n, edges), _ends(edges, n + 1)
-        d = degrees_of(adj, n)
+        rows = _rows(n, edges)
+        ends = _ends(edges, rows)
+        d = degrees_of(rows, n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        row = n + 1
         for steps in data.draw(st.lists(st.one_of(st.integers(0, 64), st.just(CHUNK + 1)),
                                         min_size=1, max_size=5)):
-            edges = switch(adj, ends, rng, steps)
-            assert degrees_of(adj, n) == d
-            assert all(adj[j * row + j] == 2 for j in range(1, row))
-            assert sum(adj) == 2 * len(chosen) + 2 * n
-            assert sorted(edges) == edges_of(adj, n)
+            edges = switch(ends, rng, steps)
+            assert degrees_of(rows, n) == d
+            assert all(rows[j][j] == 2 for j in range(1, n + 1))
+            assert sum(map(sum, rows)) == 2 * len(chosen) + 2 * n
+            assert sorted(edges) == edges_of(rows, n)
             assert all(j < k for j, k in edges)
 
     check()
@@ -229,14 +230,15 @@ def test_switches_preserve_degrees_property():
 def test_diagonal_marker_is_invisible():
     d = DegreeSequence((4, 3, 3, 2, 2, 2, 2, 2))
     edges = realize(d)
-    adj = _cells(d.n, edges)
-    row = d.n + 1
-    assert all(adj[j * row + j] == 2 for j in range(1, d.n + 1))
-    assert not any(adj[j * row + j] == 1 for j in range(d.n + 1))
-    assert degrees_of(adj, d.n) == d.degrees
-    assert edges_of(adj, d.n) == edges
+    rows = _rows(d.n, edges)
+    assert all(rows[j][j] == 2 for j in range(1, d.n + 1))
+    assert not any(rows[j][j] == 1 for j in range(d.n + 1))
+    assert degrees_of(rows, d.n) == d.degrees
+    assert edges_of(rows, d.n) == edges
     assert len(edges) == sum(d.degrees) // 2 and all(j < k for j, k in edges)
-    assert sum(adj) == 2 * len(edges) + 2 * d.n
+    assert sum(map(sum, rows)) == 2 * len(edges) + 2 * d.n
+    # row and column 0 stay unused, so vertex labels index the rows directly
+    assert not any(rows[0]) and not any(R[0] for R in rows)
 
 
 def _reference_proposals(rng, m, steps):
@@ -282,27 +284,29 @@ def _set_adjacency(n, edges):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("degrees", [(3,) * 8, (30,) * 60, (4, 3, 3, 2, 2, 2, 2, 2)],
-                         ids=["3-regular-8", "30-regular-60", "irregular-8"])
+@pytest.mark.parametrize("degrees", [(3,) * 8, (30,) * 60, (4, 3, 3, 2, 2, 2, 2, 2), (3,) * 300],
+                         ids=["3-regular-8", "30-regular-60", "irregular-8", "3-regular-300"])
 def test_kernel_draws_the_set_kernel_stream(degrees, seed):
+    # n = 300 takes vertex labels past CPython's small-int cache (256)
     n = len(degrees)
     edges = realize(DegreeSequence(degrees))
     ref_edges = list(edges)
     ref_adj = _set_adjacency(n, ref_edges)
-    adj, ends = _cells(n, edges), _ends(edges, n + 1)
+    rows = _rows(n, edges)
+    ends = _ends(edges, rows)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     done, total = 0, 10 ** 5
     # mixed call sizes, one of them past a chunk boundary
     for steps in itertools.cycle((1, 7, 60, CHUNK + 1)):
         steps = min(steps, total - done)
-        edges = switch(adj, ends, rng, steps)
+        edges = switch(ends, rng, steps)
         for proposal in _reference_proposals(ref_rng, len(ref_edges), steps):
             _set_switch(ref_adj, ref_edges, proposal)
         done += steps
         if done == total:
             break
     assert edges == ref_edges
-    assert edges_of(adj, n) == sorted((j, k) for j in range(1, n + 1)
+    assert edges_of(rows, n) == sorted((j, k) for j in range(1, n + 1)
                                       for k in ref_adj[j] if j < k)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -445,15 +449,31 @@ def test_estimate_errors():
         estimate_probability(d, fg(4, [(1, 2)]), "miss", thinning=0)
 
 
+@pytest.mark.parametrize("mode, m, message", [
+    ("induced", None, "induced mode requires m"),
+    ("induced", 5, "m=5 outside 0..4"),
+    ("inside", 2, "unknown mode 'inside'"),
+], ids=["missing-m", "m-out-of-range", "unknown-mode"])
+def test_event_errors_come_before_non_graphical_error(mode, m, message):
+    # the event is checked before the start graph is realized: on degrees no
+    # graph has, a bad mode or m still names the event, not the degrees
+    d = DegreeSequence((3, 3, 0, 0))
+    X = fg(4, [(1, 2)])
+    with pytest.raises(ValueError, match=message) as err:
+        estimate_probability(d, X, mode, m, samples=10)
+    assert not isinstance(err.value, NonGraphicalError)
+    with pytest.raises(NonGraphicalError):
+        estimate_probability(d, X, "induced", 2, samples=10)
+
 @functools.cache
 def all_graphs(n):
-    """(edge set, flat cells, degrees) of every labelled simple graph on 1..n."""
+    """(edge set, adjacency rows, degrees) of every labelled simple graph on 1..n."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     out = []
     for mask in range(1 << len(pairs)):
         edges = frozenset(e for b, e in enumerate(pairs) if mask >> b & 1)
-        adj = _cells(n, edges)
-        out.append((edges, adj, degrees_of(adj, n)))
+        rows = _rows(n, edges)
+        out.append((edges, rows, degrees_of(rows, n)))
     return out
 
 
@@ -481,8 +501,8 @@ def test_event_matches_enumeration_property():
                 return X.edges <= edges
             return {(j, k) for j, k in edges if k <= m} == X.edges
 
-        test = _event_checker(X, mode, m)
-        assert all(test(adj) == happens(edges) for edges, adj, _ in graphs)
+        bind = _event_checker(X, mode, m)
+        assert all(bind(rows)() == happens(edges) for edges, rows, _ in graphs)
         d = graphs[data.draw(st.integers(0, len(graphs) - 1))][2]
         same_d = [edges for edges, _, degrees in graphs if degrees == d]
         share = Fraction(sum(map(happens, same_d)), len(same_d))
