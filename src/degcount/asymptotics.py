@@ -62,8 +62,6 @@ def _xlogx(t: float) -> float:
 
 
 def _log_binom(n: int, k: int) -> float:
-    if k < 0 or k > n or n < 0:
-        return NEG_INF
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
@@ -218,10 +216,10 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> di
         if not d.is_regular():
             raise ValueError("flat case requires constant degrees")
         return miss_hit_estimate(d, X)
-    p = compute_parameters(d, X)
-    lam = interior_density(p.lam)
     if case != "reg":
         raise ValueError(f"unknown case {case!r}")
+    p = compute_parameters(d, X)
+    lam = interior_density(p.lam)
     xs = set(X.row_sums)
     if len(xs) != 1:
         raise ValueError("reg case requires constant x_j")
@@ -288,12 +286,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     w = {key: float(val) for key, val in omega.items()}
 
     if model in ("full", "leading"):
-        base = 0.0
-        if Xc:
-            base += Xc * log(lam)
-        free_pairs = comb(m, 2) - Xc
-        if free_pairs:
-            base += free_pairs * log1p(-lam)
+        base = 0.0 + Xc * log(lam) + (comb(m, 2) - Xc) * log1p(-lam)
     else:
         base = 0.0
         for j in range(1, m + 1):

@@ -109,6 +109,8 @@ def _walk(classes: tuple, room: list[int], extra: tuple[int, ...], steps: list, 
 _class_steps = lru_cache(maxsize=None)(_class_choices)
 
 
+# bench/worker.py reads this table's cache_info() for the memo metrics, so it
+# stays an lru_cache under this name
 @lru_cache(maxsize=None)
 def _count_free(classes: tuple[tuple[int, int], ...]) -> int:
     """Count simple graphs on interchangeable vertices grouped by residual degree.
@@ -119,9 +121,6 @@ def _count_free(classes: tuple[tuple[int, int], ...]) -> int:
     """
     if not classes:
         return 1
-    total = sum(v * c for v, c in classes)
-    if total % 2:
-        return 0
     # peel one vertex of the highest residual degree
     r = classes[0][0]
     rest = ((r, classes[0][1] - 1),) + classes[1:] if classes[0][1] > 1 else classes[1:]
@@ -292,7 +291,7 @@ def _rec(scope: tuple, cons: tuple[tuple[int, int], ...],
             branch = 0
             for ways, free2 in _class_steps(free, need - k, moved):
                 branch += ways * _rec(scope, cons2, free2)
-            total += branch * weight ** len(marked.intersection(chosen)) if weight else branch
+            total += branch * weight ** len(marked.intersection(chosen))
             for u in chosen:
                 res[u] += 1
     states[key] = total
@@ -369,7 +368,7 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     Y = forbidden_for(d, Y)
     gd = exact_count(d, None, limit=limit)
     if gd == 0:
-        raise UndefinedProbabilityError("G(d) = 0")
+        raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
     B = gd.bit_length()
     packed = _weighted_count(d, Y, 1 << B, limit)
     fields = [(packed >> (k * B)) & ((1 << B) - 1) for k in range(Y.edge_count + 1)]

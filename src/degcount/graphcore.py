@@ -90,7 +90,8 @@ class ForbiddenGraph:
     """Simple graph X whose edges the counted graphs must avoid.
 
     Edges are stored once each as (j, k) pairs with 1 <= j < k <= n; no
-    self-loops.  row_sums gives x_j, the X-degree of each vertex.  Neighbour
+    self-loops.  Endpoints are integers, read with operator.index as
+    DegreeSequence reads degrees.  row_sums gives x_j, the X-degree of each vertex.  Neighbour
     sets are kept only for the vertices of supp(X); every other vertex shares
     one empty frozenset, so a few edges on n vertices hold O(|X|) objects.
     """
@@ -103,7 +104,10 @@ class ForbiddenGraph:
             raise ValueError("n must be positive")
         norm = set()
         for e in self.edges:
-            j, k = e
+            try:
+                j, k = map(operator.index, e)
+            except TypeError:
+                raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
             if j == k:
                 raise ValueError(f"self-loop ({j},{k}) not allowed")
             if not (1 <= j <= self.n and 1 <= k <= self.n):
@@ -126,7 +130,7 @@ class ForbiddenGraph:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Sequence[int]]) -> "ForbiddenGraph":
-        return cls(n, frozenset((int(j), int(k)) for j, k in pairs))
+        return cls(n, frozenset((j, k) for j, k in pairs))
 
     @classmethod
     def clique(cls, n: int, m: int) -> "ForbiddenGraph":

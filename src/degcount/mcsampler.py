@@ -171,8 +171,6 @@ def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
     cells = [(j, k, int((j, k) in S)) for j, k in Y.sorted_edges()]
 
     def bind(rows: list[list[int]]):
-        if not cells:
-            return lambda: True
         wanted = [(rows[j], k, w) for j, k, w in cells]
         if len(wanted) == 1:
             (R, k, w), = wanted
@@ -210,17 +208,15 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     rng = np.random.default_rng(seed)
     rows = _rows(d.n, edges)
     check = bind(rows)
-    if E < 2:
-        mixed = [check()] * samples
-    else:
-        ends = _ends(edges, rows)
-        # one proposal stream across burn-in and every thinned sample
-        stream = _proposals(rng, E, burn_in + samples * thinning)
-        _switch(ends, islice(stream, burn_in))
-        mixed = []
-        for _ in range(samples):
-            _switch(ends, islice(stream, thinning))
-            mixed.append(check())
+    ends = _ends(edges, rows)
+    # one proposal stream across burn-in and every thinned sample, empty when
+    # fewer than two edges leave no switch to propose
+    stream = _proposals(rng, E, burn_in + samples * thinning if E > 1 else 0)
+    _switch(ends, islice(stream, burn_in))
+    mixed = []
+    for _ in range(samples):
+        _switch(ends, islice(stream, thinning))
+        mixed.append(check())
 
     values = np.asarray(mixed, dtype=float)
     mean = float(values.mean())

@@ -76,6 +76,22 @@ def test_forbidden_graph_validation():
     assert sum(X.row_sums) == 2 * X.edge_count
 
 
+def test_forbidden_graph_takes_integer_endpoints_only():
+    X = ForbiddenGraph.from_pairs(5, [(np.int64(2), np.uint8(1)), (3, np.int32(4))])
+    assert X.edges == frozenset({(1, 2), (3, 4)})
+    assert all(type(v) is int for edge in X.edges for v in edge)
+    assert X.neighbors(4) == frozenset({3})
+    # int() once built (1.9, 2) as the edge (1, 2) and ("3", 4) as (3, 4), and
+    # the constructor failed on a float with a TypeError from the row sums
+    for build, bad in [(lambda: ForbiddenGraph.from_pairs(5, [(1.9, 2)]), (1.9, 2)),
+                       (lambda: ForbiddenGraph.from_pairs(5, [("3", 4)]), ("3", 4)),
+                       (lambda: ForbiddenGraph(5, frozenset({(1.5, 2)})), (1.5, 2)),
+                       (lambda: fg(5, [(1, 2), (2, np.float64(3.0))]), (2, np.float64(3.0)))]:
+        with pytest.raises(ValueError,
+                           match=f"^edge {re.escape(repr(bad))} has an endpoint that is not an integer$"):
+            build()
+
+
 def test_forbidden_graph_holds_objects_only_for_its_support():
     # a few edges on many vertices: neighbour sets for supp(X) only, so the
     # young generation gains O(|X|) tracked objects instead of O(n)
