@@ -16,8 +16,10 @@ violate asymptotic hypotheses, so validity is reported, never enforced.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb, lgamma, log, log1p
 
 from .graphcore import (DegreeSequence, ForbiddenGraph, Parameters, compute_parameters,
@@ -76,9 +78,9 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph) -> tuple[HypothesisFl
     X = forbidden_for(d, X)
     n = d.n
     d_avg = 2 * d.edge_count / n
-    x_max = max(X.row_sums)
+    x_max = max((X.row_sums[j - 1] for j in X.support), default=0)
     flags: list[HypothesisFlag] = []
-    dev = max(abs(dj - d_avg) for dj in d.degrees)
+    dev = max(abs(dj - d_avg) for dj in d.histogram)
     if dev > math.sqrt(n):
         flags.append(HypothesisFlag("max|d_j - d| <= n^(1/2)", dev, math.sqrt(n)))
     if x_max > math.sqrt(n):
@@ -98,7 +100,9 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
 
     ln of (1-lambda)^(-X) (lambda^lambda (1-lambda)^(1-lambda))^C(n,2)
     prod_j C(n-1-x_j, d_j).  Infeasible degrees signal a zero count with a
-    log value of -inf.  Only p.lam is read; p must be the record of d.
+    log value of -inf.  Only p.lam is read; p must be the record of d.  The
+    vertices outside supp(X) give one binomial per degree class, repeated
+    under fsum, so the sum is the per-vertex one bit for bit.
     """
     X = forbidden_for(d, X)
     if p.n != d.n or p.lam * d.n * (d.n - 1) != 2 * d.edge_count:
@@ -110,7 +114,12 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     Xc = X.edge_count
     t_forbidden = 0.0 if Xc == 0 else -Xc * log1p(-lam)
     t_entropy = comb(n, 2) * (_xlogx(lam) + _xlogx(1.0 - lam))
-    t_binom = math.fsum(_log_binom(n - 1 - xj, dj) for dj, xj in zip(d.degrees, X.row_sums))
+    deg, x = d.degrees, X.row_sums
+    free = Counter(d.histogram)
+    free.subtract(deg[j - 1] for j in X.support)
+    t_binom = math.fsum(chain(
+        chain.from_iterable(repeat(_log_binom(n - 1, dj), c) for dj, c in free.items()),
+        (_log_binom(n - 1 - x[j - 1], deg[j - 1]) for j in X.support)))
     total = t_forbidden + t_entropy + t_binom
     return LogEstimate(log_value=total, base_log=total, correction=0.0,
                        error_order="heuristic (independent-degree guess)",
@@ -344,9 +353,10 @@ def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEst
     if which == "perth":
         if E < 1:
             raise ValueError("need E >= 1")
+        classes = d.histogram.items()
         base = (lgamma(2 * E + 1) - lgamma(E + 1) - E * log(2.0)
-                - math.fsum(lgamma(dj + 1) for dj in d.degrees))
-        s = sum(dj * (dj - 1) for dj in d.degrees)
+                - math.fsum(chain.from_iterable(repeat(lgamma(dj + 1), c) for dj, c in classes)))
+        s = sum(c * dj * (dj - 1) for dj, c in classes)
         forb = sum(d.degrees[j - 1] * d.degrees[k - 1] for j, k in X.edges)
         terms = (
             ("degree_pairs", -s / (4.0 * E)),
@@ -360,8 +370,9 @@ def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEst
             raise ValueError("need X <= E")
         if impossible(d, *event_edges(X, "hit")):
             return LogEstimate(NEG_INF, NEG_INF, 0.0, "ratio is zero", ())
-        base = math.fsum(lgamma(dj + 1) - lgamma(dj - xj + 1)
-                         for dj, xj in zip(d.degrees, x))
+        # a vertex outside supp(X) adds lgamma(d_j + 1) - lgamma(d_j + 1) = 0.0
+        base = math.fsum(lgamma(d.degrees[j - 1] + 1) - lgamma(d.degrees[j - 1] - x[j - 1] + 1)
+                         for j in X.support)
         base -= Xc * log(2.0)
         base -= lgamma(E + 1) - lgamma(E - Xc + 1)
         return LogEstimate(base, base, 0.0, "O(Delta*X/E)", ())

@@ -8,6 +8,12 @@ the test suite bit-for-bit; they are summed as integers over a common
 denominator and turned into Fractions once.  Evaluators convert to float at
 the point of use.
 
+The instance is read at class cost: symmetric sums run over the k distinct
+degrees of DegreeSequence.histogram and over supp(X), in O(k + |supp X|)
+Python steps; only C-level passes touch every vertex.  Integer sums over
+classes are exact, and math.fsum is correctly rounded, so fsum over
+repeat(v, c) per class equals the per-vertex fsum bit for bit.
+
 Vertices are 1-indexed throughout the public API, including edge lists and
 the file formats parsed here.
 """
@@ -54,32 +60,50 @@ def integer_degrees(values: Iterable) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Target degrees d = (d_1, ..., d_n) with even sum, 0 <= d_j <= n-1."""
+    """Target degrees d = (d_1, ..., d_n) with even sum, 0 <= d_j <= n-1.
+
+    histogram maps each distinct degree to its vertex count.  It is counted
+    once, at C level, and is not a field (it stays out of ==, hash and repr).
+    The checks, edge_count and is_regular read it at class cost, O(k) for k
+    distinct degrees; a float sum over it is fsum over repeat(value, count),
+    bit for bit the per-vertex fsum.  Only the message for an out-of-range
+    degree walks the vertices, to name the first one.
+    """
 
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", integer_degrees(self.degrees))
-        n = len(self.degrees)
+        degrees = integer_degrees(self.degrees)
+        object.__setattr__(self, "degrees", degrees)
+        n = len(degrees)
         if n < 1:
             raise ValueError("degree sequence must be non-empty")
-        for j, dj in enumerate(self.degrees, start=1):
-            if dj < 0 or dj > n - 1:
-                raise ValueError(f"degree d_{j}={dj} outside [0, {n - 1}]")
-        if sum(self.degrees) % 2 != 0:
+        histogram = dict(Counter(degrees))
+        if min(histogram) < 0 or max(histogram) > n - 1:
+            j, dj = next((j, dj) for j, dj in enumerate(degrees, start=1) if not 0 <= dj <= n - 1)
+            raise ValueError(f"degree d_{j}={dj} outside [0, {n - 1}]")
+        object.__setattr__(self, "_histogram", histogram)
+        if self._degree_sum() % 2 != 0:
             raise ValueError("degree sum must be even")
+
+    def _degree_sum(self) -> int:
+        return sum(map(operator.mul, self.histogram, self.histogram.values()))
 
     @property
     def n(self) -> int:
         return len(self.degrees)
 
     @property
+    def histogram(self) -> dict[int, int]:
+        return self._histogram  # type: ignore[attr-defined]
+
+    @property
     def edge_count(self) -> int:
         """Number of edges E of any realization."""
-        return sum(self.degrees) // 2
+        return self._degree_sum() // 2
 
     def is_regular(self) -> bool:
-        return len(set(self.degrees)) == 1
+        return len(self.histogram) == 1
 
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
@@ -144,6 +168,11 @@ class ForbiddenGraph:
         return self._row_sums  # type: ignore[attr-defined]
 
     @property
+    def support(self):
+        """supp(X): the vertices j with x_j > 0, in no set order."""
+        return self._neighbors.keys()  # type: ignore[attr-defined]
+
+    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -193,7 +222,9 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
 
     Every sum is taken over integers scaled by a common denominator:
     delta_j * n(n-1) and dev_j * n = n d_j - 2E are integers.  Each field then
-    becomes one exact Fraction (the per-vertex fields one per distinct value).
+    becomes one exact Fraction (dev one per distinct degree).  R sums over
+    the degree classes; X2, X3 and the C moments over supp(X), since x_j = 0
+    elsewhere; D, L and K over X's edges.
     Pure and deterministic; raises on dimension mismatch or n < 2.
     """
     X = forbidden_for(d, X)
@@ -204,28 +235,28 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     N = n * (n - 1)                     # denominator of lam and of every delta_j
     lam = Fraction(S, N)
 
-    x = X.row_sums
-    # scaled integers: delta_j = dl[j] / N, dev_j = dv[j] / n
-    dl = [dj * N - S * (n - 1) + S * xj for dj, xj in zip(d.degrees, x)]
-    dv = [n * dj - S for dj in d.degrees]
-    fr_dv = {v: Fraction(v, n) for v in set(dv)}
+    deg, x = d.degrees, X.row_sums
+    # scaled integers: delta_j = dl[j] / N on supp(X), dev_j = (n d_j - S) / n
+    dl = {j: deg[j - 1] * N - S * (n - 1) + S * x[j - 1] for j in X.support}
+    fr_dev = {dj: Fraction(n * dj - S, n) for dj in d.histogram}
 
     D = L = K = 0
     for j, k in X.edges:
-        dj, dk, xj, xk = dl[j - 1], dl[k - 1], x[j - 1], x[k - 1]
+        dj, dk, xj, xk = dl[j], dl[k], x[j - 1], x[k - 1]
         D += dj * dk
         L += (dj - xj * N) * (dk - xk * N)
-        K += dv[j - 1] * dv[k - 1]
+        K += (n * deg[j - 1] - S) * (n * deg[k - 1] - S)
 
+    supp = [(v, x[j - 1]) for j, v in dl.items()]
     return Parameters(
         n=n, lam=lam, A=lam * (1 - lam) / 2,
-        dev=tuple(fr_dv[v] for v in dv),
-        R=Fraction(sum(v * v for v in dv), n * n),
-        X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
+        dev=tuple(map(fr_dev.__getitem__, deg)),
+        R=Fraction(sum(c * (n * dj - S) ** 2 for dj, c in d.histogram.items()), n * n),
+        X2=sum(xj * xj for _, xj in supp), X3=sum(xj ** 3 for _, xj in supp),
         D=Fraction(D, N * N), L=Fraction(L, N * N), K=Fraction(K, n * n),
-        C11=Fraction(sum(v * xj for v, xj in zip(dl, x)), N),
-        C12=Fraction(sum(v * xj * xj for v, xj in zip(dl, x)), N),
-        C21=Fraction(sum(v * v * xj for v, xj in zip(dl, x)), N * N),
+        C11=Fraction(sum(v * xj for v, xj in supp), N),
+        C12=Fraction(sum(v * xj * xj for v, xj in supp), N),
+        C21=Fraction(sum(v * v * xj for v, xj in supp), N * N),
     )
 
 
@@ -243,9 +274,9 @@ def check_support(X: ForbiddenGraph, m: int) -> None:
     if not 0 <= m <= X.n:
         raise ValueError(f"m={m} outside 0..{X.n}")
     x = X.row_sums
-    for j in range(m, X.n):
-        if x[j] != 0:
-            raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
+    if any(x[m:]):
+        j = next(j for j in range(m, X.n) if x[j])
+        raise ValueError(f"support violation: x_{j + 1}={x[j]} but m={m}")
 
 
 MODES = ("miss", "hit", "induced")
@@ -374,15 +405,21 @@ def parse_degrees(text: str, path: str | None = None) -> DegreeSequence:
             raise InputFormatError("JSON degree input must be an array of integers", path)
         degrees = values
     else:
-        degrees = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                degrees.append(int(token))
-            except ValueError as exc:
-                raise InputFormatError(f"expected one integer, got {token!r}", path, lineno) from exc
+        lines = text.splitlines()
+        try:
+            # int() strips what str.strip() does; a blank line or bad token takes the loop
+            degrees = tuple(map(int, lines))
+        except ValueError:
+            degrees = []
+            for lineno, line in enumerate(lines, start=1):
+                token = line.strip()
+                if not token:
+                    continue
+                try:
+                    degrees.append(int(token))
+                except ValueError as exc:
+                    raise InputFormatError(f"expected one integer, got {token!r}",
+                                           path, lineno) from exc
         if not degrees:
             raise InputFormatError("no degrees found", path)
     try:

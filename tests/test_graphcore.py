@@ -53,6 +53,18 @@ def test_degree_sequence_takes_integers_only():
             DegreeSequence(degrees)
 
 
+def test_degree_histogram_is_not_a_field():
+    # counted once from the degrees, and kept out of ==, hash and repr
+    d = DegreeSequence((0, 2, 1, 2, 1, 0))
+    assert d.histogram == {0: 2, 2: 2, 1: 2}
+    assert d.edge_count == 3 and not d.is_regular()
+    e = DegreeSequence((0, 2, 1, 2, 1, 0))
+    assert d == e and hash(d) == hash(e) and d != DegreeSequence((2, 2, 1, 1, 0, 0))
+    assert repr(d) == "DegreeSequence(degrees=(0, 2, 1, 2, 1, 0))"
+    with pytest.raises(ValueError, match=r"^degree d_4=6 outside \[0, 5\]$"):
+        DegreeSequence((1, 1, 1, 6, -1, 0))
+
+
 def test_graphicality_has_one_home():
     # realize, validation's sequence generator and the package export all
     # read the one Erdos-Gallai test of graphcore
@@ -244,6 +256,58 @@ def test_integer_parameters_match_fraction_reference(seed, forbidden):
         if not forbidden:
             X = ForbiddenGraph.empty(n)
         assert compute_parameters(d, X) == fraction_parameters(d, X)
+
+
+def test_class_sums_match_per_vertex_references():
+    # compute_parameters and the naive and sparse displays sum over degree
+    # classes and supp(X); on instances of up to 2,000 vertices in 1-3
+    # classes, with support vertices that share a degree with free ones and
+    # degree-0 vertices, they equal the per-vertex references exactly
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from math import fsum, lgamma, log, log1p
+
+    from degcount.asymptotics import (_log_binom, _xlogx, naive_estimate, sparse_estimates)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 2000))
+        values = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, n - 1)),
+                                    min_size=1, max_size=3, unique=True))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        degrees = values + [rng.choice(values) for _ in range(n - len(values))]
+        rng.shuffle(degrees)
+        hyp.assume(sum(degrees) % 2 == 0)
+        pairs = {tuple(rng.sample(range(1, n + 1), 2))
+                 for _ in range(data.draw(st.integers(0, min(8, n * (n - 1) // 2))))}
+        d, X = DegreeSequence(degrees), fg(n, pairs)
+        assert d.histogram == {v: degrees.count(v) for v in set(degrees)}
+        p = compute_parameters(d, X)
+        assert p == fraction_parameters(d, X)
+
+        est = naive_estimate(p, d, X)
+        if est.log_value != float("-inf"):
+            lam = float(p.lam)
+            per_vertex = fsum(_log_binom(n - 1 - xj, dj) for dj, xj in zip(degrees, X.row_sums))
+            forbidden = 0.0 if not X.edge_count else -X.edge_count * log1p(-lam)
+            entropy = n * (n - 1) // 2 * (_xlogx(lam) + _xlogx(1.0 - lam))
+            assert est.log_value == forbidden + entropy + per_vertex
+        if d.edge_count:
+            E = d.edge_count
+            base = (lgamma(2 * E + 1) - lgamma(E + 1) - E * log(2.0)
+                    - fsum(lgamma(dj + 1) for dj in degrees))
+            assert sparse_estimates(d, X, "perth").base_log == base
+            if X.edge_count <= E:
+                mk = sparse_estimates(d, X, "mckay81")
+                if mk.log_value != float("-inf"):
+                    ref = fsum(lgamma(dj + 1) - lgamma(dj - xj + 1)
+                               for dj, xj in zip(degrees, X.row_sums))
+                    ref -= X.edge_count * log(2.0)
+                    ref -= lgamma(E + 1) - lgamma(E - X.edge_count + 1)
+                    assert mk.log_value == ref
+
+    check()
 
 
 # ------------------------------------------------------------- induced spec

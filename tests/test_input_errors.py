@@ -108,3 +108,66 @@ def test_no_graph_has_one_message():
             call()
         messages.add(str(err.value))
     assert messages == {"G(d) = 0: no graph has these degrees"}
+
+
+def reference_parse_degrees(text, path="d.txt"):
+    """The line branch of parse_degrees and DegreeSequence's checks as they
+    read before the one C-level conversion: a line loop and a vertex walk."""
+    degrees = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        try:
+            degrees.append(int(token))
+        except ValueError as exc:
+            raise InputFormatError(f"expected one integer, got {token!r}", path, lineno) from exc
+    if not degrees:
+        raise InputFormatError("no degrees found", path)
+    n = len(degrees)
+    for j, dj in enumerate(degrees, start=1):
+        if dj < 0 or dj > n - 1:
+            raise InputFormatError(f"degree d_{j}={dj} outside [0, {n - 1}]", path)
+    if sum(degrees) % 2 != 0:
+        raise InputFormatError("degree sum must be even", path)
+    return tuple(degrees)
+
+
+def outcome(parse, text):
+    try:
+        return tuple(parse(text, "d.txt"))
+    except Exception as exc:     # compared by type, message and line
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_line_parse_matches_the_line_loop():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pieces = st.sampled_from(list("0123456789") + [" ", "\t", "\n", "\r\n", "+", "-", ".", "x"])
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(text=st.lists(pieces, max_size=24).map("".join))
+    def check(text):
+        new = outcome(lambda t, p: parse_degrees(t, p).degrees, text)
+        assert new == outcome(reference_parse_degrees, text)
+
+    check()
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("1\n1\n1 2\n", 3, "expected one integer, got '1 2'"),
+    (" \t\n  \n\t", None, "no degrees found"),
+    ("1.5", 1, "expected one integer, got '1.5'"),
+    ("1\r\n1\r\nx\r\n", 3, "expected one integer, got 'x'"),
+])
+def test_degree_line_errors(text, line, message):
+    with pytest.raises(InputFormatError) as err:
+        parse_degrees(text, "d.txt")
+    assert err.value.line == line
+    assert str(err.value) == ("d.txt:" if line is None else f"d.txt:{line}:") + " " + message
+    assert outcome(reference_parse_degrees, text) == (InputFormatError, str(err.value), line)
+
+
+def test_degree_lines_with_crlf_endings():
+    for text in ("2\r\n2\r\n2\r\n", "2\r\n\r\n 2\t\r\n2"):
+        assert parse_degrees(text).degrees == (2, 2, 2) == reference_parse_degrees(text)
