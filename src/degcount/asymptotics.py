@@ -253,19 +253,19 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> di
     return {"num": LogEstimate.build(0.0, num, ERROR_ORDER), **_miss_and_hit(p, d, X, miss_terms)}
 
 
-def lambda_jk_expansion(p: Parameters, j: int, k: int) -> float:
+def lambda_jk_expansion(d: DegreeSequence, j: int, k: int) -> float:
     """Pairwise edge weight of the independent-edge model matching d.
 
     lambda + (d_j-d)/n + (d_k-d)/n + (1-2 lambda)(d_j-d)(d_k-d)/(2 A n^2),
-    vertices 1-indexed.
+    vertices 1-indexed; lambda, A and d_j - d = (n d_j - 2E)/n are exact Fractions.
     """
-    n = p.n
+    n = d.n
     if j == k or not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"need distinct vertices in 1..{n}, got ({j}, {k})")
-    lam = float(p.lam)
-    A = float(p.A)
-    dj = float(p.dev[j - 1])
-    dk = float(p.dev[k - 1])
+    S = 2 * d.edge_count
+    lam = Fraction(S, n * (n - 1))
+    A, lam = float(lam * (1 - lam) / 2), float(lam)
+    dj, dk = (float(Fraction(n * d.degrees[v - 1] - S, n)) for v in (j, k))
     # grouped so the value is bit-for-bit symmetric in (j, k)
     return lam + (dj + dk) / n + (1.0 - 2.0 * lam) * (dj * dk) / (2.0 * A * n * n)
 
@@ -300,7 +300,7 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
         base = 0.0
         for j in range(1, m + 1):
             for k in range(j + 1, m + 1):
-                ljk = lambda_jk_expansion(p, j, k)
+                ljk = lambda_jk_expansion(d, j, k)
                 base += log(ljk) if X.has_edge(j, k) else log1p(-ljk)
 
     if model == "lambda-model":

@@ -7,11 +7,11 @@ json.dumps(report, sort_keys=True, indent=2) writes it: 2-space indent, keys
 sorted, non-string keys written as strings.  An identical run configuration,
 seed included, reproduces byte-identical output.  JSON is strict: non-finite
 values are written as null.  The writer hands every innermost list and object
-to json's C encoder, so a report's n-vectors (the saddle's a and radii) cost
-no per-element Python, and it formats each repeated value of such a vector
-once: a class solve gives n vertices a handful of distinct floats.  CSV is
-the same report flattened into key,value rows, quoted where needed.  Vertices
-are 1-indexed in all files.
+to json's C encoder, with one exception: the saddle's n-vectors a and radii
+come from the record's class values, and the JSON and text reports format
+each class value once and write its text for every vertex of the class.
+CSV is the same report flattened into key,value rows, quoted where needed.
+Vertices are 1-indexed in all files.
 
 Exit codes: 0 success, 1 failed validation, 2 input errors and unreadable
 paths (with line-numbered diagnostics where applicable).  A saddle solve
@@ -64,23 +64,13 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
-def _repeated_floats(items) -> dict[float, str] | None:
-    """Each distinct value's text, as json writes it, when items are exact,
-    finite, non-zero floats with at most half as many distinct values as
-    items; otherwise None.
+class _ClassFloats(list):
+    """The per-vertex floats values[cls[j]], keeping the class values and cls
+    so that the JSON writer formats each class value once."""
 
-    A class solve expands a handful of values to n vertices, so formatting
-    each value once beats one repr per item.  0.0 and -0.0 are one dict key
-    but two texts; non-finite values must reach json to raise its error; and
-    an int or bool equal to a float would share that float's key.
-    """
-    if {*map(type, items)} != {float}:
-        return None
-    distinct = {*items}
-    if (2 * len(distinct) > len(items) or 0.0 in distinct
-            or not all(map(math.isfinite, distinct))):
-        return None
-    return {value: float.__repr__(value) for value in distinct}
+    def __init__(self, values: np.ndarray, cls: np.ndarray):
+        super().__init__(values[cls].tolist())
+        self.values, self.cls = values.tolist(), cls
 
 
 def _dumps(obj, indent: str = "\n") -> str:
@@ -90,10 +80,9 @@ def _dumps(obj, indent: str = "\n") -> str:
     The indented stdlib encoder is pure Python.  Here Python walks only the
     containers that hold containers; each innermost one is a single call of
     the C encoder, whose item separator carries the line break and indent, so
-    only its brackets need re-indenting; an innermost list of repeated floats
-    is joined from one text per distinct value instead.  Nested objects sort
-    by the original key, as json does, before their keys are written as
-    strings.
+    only its brackets need re-indenting; a _ClassFloats list is joined from
+    one text per class instead.  Nested objects sort by the original key, as
+    json does, before their keys are written as strings.
     """
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
@@ -104,13 +93,12 @@ def _dumps(obj, indent: str = "\n") -> str:
     if not values:
         return brackets
     inner = indent + "  "
-    if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-        texts = brackets == "[]" and _repeated_floats(obj)
-        if texts:
-            body = ("," + inner).join(map(texts.__getitem__, obj))
-        else:
-            body = json.dumps(obj, sort_keys=True, allow_nan=False,
-                              separators=("," + inner, ": "))[1:-1]
+    if isinstance(obj, _ClassFloats):
+        texts = [*map(_dumps, obj.values)]
+        body = ("," + inner).join(map(texts.__getitem__, obj.cls.tolist()))
+    elif not any(map(isinstance, values, repeat((dict, list, tuple)))):
+        body = json.dumps(obj, sort_keys=True, allow_nan=False,
+                          separators=("," + inner, ": "))[1:-1]
     elif brackets == "{}":
         body = ("," + inner).join(_key(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
     else:
@@ -241,19 +229,19 @@ def _cmd_saddle(args, out) -> int:
     d, X = _load_instance(args)
     sp = saddle.solve_saddle(d, X, mode=args.mode)
     ln_p = saddle.log_prefactor(sp, d, X)
-    payload = {
-        "schema": SCHEMA, "subcommand": "saddle", "mode": sp.mode,
-        "a": sp.a.tolist(), "radii": sp.radii.tolist(),
-        "residualMax": sp.max_residual, "iterations": sp.iterations,
-        "converged": sp.converged, "logPrefactor": ln_p, "scale": "log",
-    }
     if args.format == "text":
-        for j, (aj, rj) in enumerate(zip(sp.a, sp.radii), start=1):
-            out.write(f"a_{j} = {aj:.15g}   r_{j} = {rj:.15g}\n")
+        a, r = ([f"{v:.15g}" for v in values.tolist()] for values in (sp.class_a, sp.class_radii))
+        out.writelines(f"a_{j} = {a[c]}   r_{j} = {r[c]}\n"
+                       for j, c in enumerate(sp.cls.tolist(), start=1))
         out.write(f"residual max = {sp.max_residual:.3e}  iterations = {sp.iterations}\n")
         out.write(f"ln P = {ln_p:.15g}\n")
     else:
-        _emit(out, payload, args.format)
+        _emit(out, {
+            "schema": SCHEMA, "subcommand": "saddle", "mode": sp.mode,
+            "a": _ClassFloats(sp.class_a, sp.cls), "radii": _ClassFloats(sp.class_radii, sp.cls),
+            "residualMax": sp.max_residual, "iterations": sp.iterations,
+            "converged": sp.converged, "logPrefactor": ln_p, "scale": "log",
+        }, args.format)
     return 0
 
 

@@ -3,7 +3,7 @@
 Holds the target degree sequence, the forbidden graph, and every derived
 scalar parameter the estimate evaluators consume.  Averages, densities and
 the moment-style parameters are kept as exact rationals so that algebraic
-identities between them (for example sum(dev) = 0) survive into
+identities between them (for example A = lam(1-lam)/2) survive into
 the test suite bit-for-bit; they are summed as integers over a common
 denominator and turned into Fractions once.  Evaluators convert to float at
 the point of use.
@@ -196,7 +196,6 @@ class Parameters:
     n: int
     lam: Fraction
     A: Fraction
-    dev: tuple[Fraction, ...]
     R: Fraction
     X2: int
     X3: int
@@ -221,8 +220,8 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     """Populate a Parameters record from a degree sequence and forbidden graph.
 
     Every sum is taken over integers scaled by a common denominator:
-    delta_j * n(n-1) and dev_j * n = n d_j - 2E are integers.  Each field then
-    becomes one exact Fraction (dev one per distinct degree).  R sums over
+    delta_j * n(n-1) and (d_j - d) * n = n d_j - 2E are integers.  Each field
+    then becomes one exact Fraction.  R sums over
     the degree classes; X2, X3 and the C moments over supp(X), since x_j = 0
     elsewhere; D, L and K over X's edges.
     Pure and deterministic; raises on dimension mismatch or n < 2.
@@ -236,9 +235,8 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     lam = Fraction(S, N)
 
     deg, x = d.degrees, X.row_sums
-    # scaled integers: delta_j = dl[j] / N on supp(X), dev_j = (n d_j - S) / n
+    # scaled integers: delta_j = dl[j] / N on supp(X), d_j - d = (n d_j - S) / n
     dl = {j: deg[j - 1] * N - S * (n - 1) + S * x[j - 1] for j in X.support}
-    fr_dev = {dj: Fraction(n * dj - S, n) for dj in d.histogram}
 
     D = L = K = 0
     for j, k in X.edges:
@@ -250,7 +248,6 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     supp = [(v, x[j - 1]) for j, v in dl.items()]
     return Parameters(
         n=n, lam=lam, A=lam * (1 - lam) / 2,
-        dev=tuple(map(fr_dev.__getitem__, deg)),
         R=Fraction(sum(c * (n * dj - S) ** 2 for dj, c in d.histogram.items()), n * n),
         X2=sum(xj * xj for _, xj in supp), X3=sum(xj ** 3 for _, xj in supp),
         D=Fraction(D, N * N), L=Fraction(L, N * N), K=Fraction(K, n * n),

@@ -10,12 +10,11 @@ number of contraction sweeps), and verifies the factorization by direct
 tensor quadrature at tiny n.
 
 Vertices outside the support of the forbidden graph that share a degree
-share a radius, so both solver modes and the log prefactor work on vertex
-classes and cost O(k^2 + n) for k classes.  The O(n) part runs in numpy and
-C-level iteration, not per-vertex Python: classes are keyed only on supp(X)
-and the distinct free degrees, and the prefactor's sum d_j ln r_j is one
-fsum over map.  The n x n weight matrix is built only on demand, for the
-tiny-n consumers.
+share a radius, so the solver works on vertex classes, at O(k^2 + n) for k
+classes, and its SaddlePoint keeps them: the vertex -> class map and one
+value per class, with no per-vertex float array.  The log prefactor sums one
+term per class; a reader that needs an n-vector takes values[sp.cls].  The
+n x n weight matrix is built only on demand, for the tiny-n consumers.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,28 +39,32 @@ class QuadratureError(ValueError):
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Solution state of the radius equations, one entry per vertex.
+    """Solution state of the radius equations on the vertex classes.
 
-    residual[j] is the row sum of lambda_jk over non-forbidden partners minus
-    d_j; a vanishing residual means an exact saddle.  The n x n matrix
-    lambda_jk is not stored: the property builds it from the radii.
+    Vertex j (0-indexed) is in class cls[j] (see _classes), whose values are
+    class_a[cls[j]], class_radii[cls[j]] and class_residual[cls[j]].  The
+    residual is the row sum of lambda_jk over non-forbidden partners minus
+    d_j; a vanishing residual means an exact saddle.  lambda_jk is not
+    stored: the property builds it from the radii.
     """
 
-    a: np.ndarray
-    radii: np.ndarray
-    residual: np.ndarray
+    cls: np.ndarray
+    class_a: np.ndarray
+    class_radii: np.ndarray
+    class_residual: np.ndarray
     iterations: int
     mode: str
     converged: bool
 
     @property
     def max_residual(self) -> float:
-        return float(np.abs(self.residual).max()) if self.residual.size else 0.0
+        return float(np.abs(self.class_residual).max()) if self.class_residual.size else 0.0
 
     @property
     def lambda_jk(self) -> np.ndarray:
         """Pair weights r_j r_k/(1+r_j r_k) with a zero diagonal."""
-        rr = np.outer(self.radii, self.radii)
+        radii = self.class_radii[self.cls]
+        rr = np.outer(radii, radii)
         lam_jk = rr / (1.0 + rr)
         np.fill_diagonal(lam_jk, 0.0)
         return lam_jk
@@ -144,8 +148,8 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
 
     Both modes solve for one a per vertex class (see _classes), so a Newton
     step or sweep costs O(k^2) for k classes: the distinct degrees outside
-    supp(X) plus one per vertex of supp(X).  The class values are expanded to
-    the per-vertex a, radii and residual in O(n).
+    supp(X) plus one per vertex of supp(X).  The record keeps the class
+    values and the vertex -> class map; nothing is expanded to n vertices.
 
     The density lambda = 2E/(n(n-1)) and the class deltas are read from
     integer sums (_class_deltas), not from compute_parameters' record with
@@ -230,13 +234,13 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
         iters += 1
 
     radii = r * (1.0 + a) / (1.0 - r2 * a)
-    return SaddlePoint(a=a[cls], radii=radii[cls], residual=res[cls],
+    return SaddlePoint(cls=cls, class_a=a, class_radii=radii, class_residual=res,
                        iterations=iters, mode=mode, converged=bool(m < RESIDUAL_TOL))
 
 
 def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
                       radius: float = 1.0) -> SaddlePoint:
-    """Contour record with every radius equal to `radius`.
+    """Contour record with every radius equal to `radius`, on solve_saddle's classes.
 
     Not a saddle: the factorization count = P * I holds for any positive
     radii, so this serves degenerate densities (lambda in {0, 1}) where the
@@ -248,10 +252,12 @@ def fixed_radii_point(d: DegreeSequence, X: ForbiddenGraph | None = None,
     if radius <= 0:
         raise ValueError("radius must be positive")
     lam = radius * radius / (1.0 + radius * radius)
-    residual = (lam * (n - 1.0 - np.asarray(X.row_sums, dtype=float))
-                - np.asarray(d.degrees, dtype=float))
-    return SaddlePoint(a=np.zeros(n), radii=np.full(n, float(radius)),
-                       residual=residual, iterations=0,
+    cls, first = _classes(d, X)[:2]
+    residual = (lam * (n - 1.0 - np.asarray(X.row_sums, dtype=float)[first])
+                - np.asarray(d.degrees, dtype=float)[first])
+    return SaddlePoint(cls=cls, class_a=np.zeros(first.size),
+                       class_radii=np.full(first.size, float(radius)),
+                       class_residual=residual, iterations=0,
                        mode="fixed-radii", converged=False)
 
 
@@ -267,28 +273,36 @@ def contour_point(d: DegreeSequence, X: ForbiddenGraph | None = None) -> SaddleP
 
 def _contour_for(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph:
     """forbidden_for(d, X), after checking that sp has one radius per vertex of d."""
-    if sp.radii.size != d.n:
-        raise ValueError(f"dimension mismatch: degrees n={d.n}, radii n={sp.radii.size}")
+    if sp.cls.size != d.n:
+        raise ValueError(f"dimension mismatch: degrees n={d.n}, radii n={sp.cls.size}")
     return forbidden_for(d, X)
 
 
 def log_prefactor(sp: SaddlePoint, d: DegreeSequence, X: ForbiddenGraph | None = None) -> float:
     """ln P = sum over non-forbidden pairs of ln(1 + r_j r_k) - n ln 2pi - sum d_j ln r_j.
 
-    The pair sum runs over groups of equal radius, with m_c vertices of radius
-    r_c: 1/2 [sum m_c m_c' L_cc' - sum m_c L_cc] with L = ln(1 + r r'), minus
-    one term per X-edge.  It is accumulated with compensated summation, and
-    so is sum d_j ln r_j, with math.log on each radius.
+    The pair sum runs over groups of equal radius (the classes merged by
+    radius), with m_g vertices of radius r_g: 1/2 [sum m_g m_g' L_gg' - sum
+    m_g L_gg] with L = ln(1 + r r'), minus one term per X-edge.  sum d_j ln r_j
+    repeats one term per class over its members, who share a degree.  Both
+    are correctly rounded fsums, so they keep the bits of per-vertex sums.
     """
     X = _contour_for(sp, d, X)
     n = d.n
-    r, m = np.unique(sp.radii, return_counts=True)
+    cls, radii = sp.cls, sp.class_radii
+    sizes = np.bincount(cls)
+    r, group = np.unique(radii, return_inverse=True)
+    m = np.bincount(group, weights=sizes).astype(np.intp)
     pairs = 0.5 * (np.outer(m, m) - np.diag(m))
     edges = np.array(list(X.edges), dtype=np.intp).reshape(-1, 2) - 1
-    forbidden = np.log1p(sp.radii[edges[:, 0]] * sp.radii[edges[:, 1]])
+    forbidden = np.log1p(radii[cls[edges]].prod(axis=1))
     acc = math.fsum((pairs * np.log1p(np.outer(r, r))).ravel().tolist() + (-forbidden).tolist())
     acc -= n * math.log(2.0 * math.pi)
-    acc -= math.fsum(map(operator.mul, d.degrees, map(math.log, sp.radii.tolist())))
+    member = np.empty(radii.size, dtype=np.intp)
+    member[cls] = np.arange(n)     # some vertex of each class
+    terms = map(operator.mul, map(d.degrees.__getitem__, member.tolist()),
+                map(math.log, radii.tolist()))
+    acc -= math.fsum(chain.from_iterable(map(repeat, terms, sizes.tolist())))
     return acc
 
 

@@ -442,31 +442,31 @@ def test_induced_support_violation():
 # -------------------------------------------------------- pairwise expansion
 
 def test_lambda_jk_regular_is_density():
-    _, _, p = params((3,) * 8)
-    assert lambda_jk_expansion(p, 1, 2) == float(p.lam)
+    d, _, p = params((3,) * 8)
+    assert lambda_jk_expansion(d, 1, 2) == float(p.lam)
 
 
 def test_lambda_jk_example_value():
-    _, _, p = params((3, 2, 2, 2, 1))
+    d, _, _ = params((3, 2, 2, 2, 1))
     # lam = 1/2 makes the quadratic term vanish: 1/2 + 1/5 - 1/5
-    assert lambda_jk_expansion(p, 1, 5) == pytest.approx(0.5, abs=1e-14)
+    assert lambda_jk_expansion(d, 1, 5) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_lambda_jk_symmetry():
-    _, _, p = params((4, 3, 3, 2, 2, 2, 2, 2))
+    d, _, _ = params((4, 3, 3, 2, 2, 2, 2, 2))
     for j in range(1, 8):
         for k in range(j + 1, 9):
-            assert lambda_jk_expansion(p, j, k) == lambda_jk_expansion(p, k, j)
+            assert lambda_jk_expansion(d, j, k) == lambda_jk_expansion(d, k, j)
     with pytest.raises(ValueError):
-        lambda_jk_expansion(p, 2, 2)
+        lambda_jk_expansion(d, 2, 2)
 
 
 @pytest.mark.parametrize("j,k", [(0, 1), (1, 0), (7, 2), (2, 7)])
 def test_lambda_jk_vertex_outside_range(j, k):
     # without the check, j = 0 would wrap round to vertex n's weight
-    _, _, p = params((4, 3, 3, 2, 2, 2))
+    d, _, _ = params((4, 3, 3, 2, 2, 2))
     with pytest.raises(ValueError, match=r"^need distinct vertices in 1\.\.6"):
-        lambda_jk_expansion(p, j, k)
+        lambda_jk_expansion(d, j, k)
 
 
 # ------------------------------------------------------ overlap distribution

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from degcount import cli
-from degcount.graphcore import DegreeSequence
+from degcount.graphcore import DegreeSequence, ForbiddenGraph
 from degcount.mcsampler import realize
+from degcount.saddle import log_prefactor, solve_saddle
 
 THRESHOLDS = gc.get_threshold()
 
@@ -584,9 +585,9 @@ def test_json_writer_is_the_stdlib_layout():
         return st.one_of(items, items.map(tuple),
                          *(st.dictionaries(keys, children, max_size=4) for keys in key_kinds))
 
-    # long lists drawn from at most 3 values, which the writer formats once
-    # each: 0.0 and -0.0, and ints and bools equal to a float, must keep their
-    # own text, and np.float64 items must keep json's
+    # long lists drawn from at most 3 values: 0.0 and -0.0, and ints and
+    # bools equal to a float, must keep their own text, and np.float64 items
+    # must keep json's
     specials = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-05])
     floats = st.lists(finite | specials, min_size=1, max_size=3)
     np_floats = st.lists(finite | specials, min_size=1, max_size=3).map(
@@ -637,6 +638,55 @@ def test_saddle_report_is_the_stdlib_layout_at_n_1000(tmp_path, mode):
     assert code == 0 and len(report["a"]) == 1000
     assert len(set(report["a"])) <= 5 and len(set(report["radii"])) <= 5
     assert text == stdlib_json(report)
+
+
+# name: (degrees, forbidden edges); the regular instance's a is all 0.0
+CLASS_VALUED = {
+    "n3": ([2, 1, 1], [(2, 3)]),
+    "n1000": ([501] * 500 + [499] * 500, [(1, 2), (2, 3)]),
+    "n1000-regular": ([500] * 1000, []),
+}
+
+
+@pytest.mark.parametrize("mode", ["converge", "fixed"])
+@pytest.mark.parametrize("name", list(CLASS_VALUED))
+def test_saddle_reports_are_the_per_vertex_rendering(tmp_path, name, mode):
+    # the writer formats each class value once; every format must still be
+    # the report rendered vertex by vertex from the expanded record
+    degrees, edges = CLASS_VALUED[name]
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(map(str, degrees)) + "\n")
+    argv = ["saddle", "--degrees", str(path), "--mode", mode]
+    if edges:
+        (tmp_path / "x.txt").write_text("".join(f"{j} {k}\n" for j, k in edges))
+        argv += ["--forbidden", str(tmp_path / "x.txt")]
+    d = DegreeSequence(degrees)
+    X = ForbiddenGraph.from_pairs(d.n, edges)
+    sp = solve_saddle(d, X, mode=mode)
+    a, radii = sp.class_a[sp.cls].tolist(), sp.class_radii[sp.cls].tolist()
+    ln_p = log_prefactor(sp, d, X)
+    report = {"schema": cli.SCHEMA, "subcommand": "saddle", "mode": mode, "a": a,
+              "radii": radii, "residualMax": sp.max_residual, "iterations": sp.iterations,
+              "converged": sp.converged, "logPrefactor": ln_p, "scale": "log"}
+    rows = []
+    for key in sorted(report):
+        value = report[key]
+        rows += ([(f"{key}.{j}", v) for j, v in enumerate(value)] if isinstance(value, list)
+                 else [(key, value)])
+    want_csv = io.StringIO()
+    csv.writer(want_csv, lineterminator="\n").writerows((key, str(v)) for key, v in rows)
+    want_text = "".join(f"a_{j} = {aj:.15g}   r_{j} = {rj:.15g}\n"
+                        for j, (aj, rj) in enumerate(zip(a, radii), start=1))
+    want_text += (f"residual max = {sp.max_residual:.3e}  iterations = {sp.iterations}\n"
+                  f"ln P = {ln_p:.15g}\n")
+
+    code, text = run(argv)
+    assert code == 0 and text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert strict_json(text) == report
+    if name == "n1000-regular":
+        assert set(a) == {0.0}
+    assert run(["--format", "csv"] + argv) == (0, want_csv.getvalue())
+    assert run(["--format", "text"] + argv) == (0, want_text)
 
 
 def test_json_writer_writes_int_keys_as_strings_in_numeric_order():

@@ -236,7 +236,7 @@ def fraction_parameters(d, X):
         L += (dj - x[j - 1]) * (dk - x[k - 1])
         K += dev[j - 1] * dev[k - 1]
     return Parameters(
-        n=n, lam=lam, A=lam * (1 - lam) / 2, dev=dev,
+        n=n, lam=lam, A=lam * (1 - lam) / 2,
         R=sum((t * t for t in dev), start=Fraction(0)),
         X2=sum(xj * xj for xj in x), X3=sum(xj ** 3 for xj in x),
         D=D, L=L, K=K,

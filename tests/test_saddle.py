@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ def newton_radii_oracle(d, X, tol=1e-13, iters=200):
 
 def test_regular_empty_is_exact_fixed_point():
     sp = solve_saddle(DegreeSequence((3,) * 6))
-    assert np.all(sp.a == 0.0)
+    assert np.all(sp.class_a == 0.0)
     assert sp.max_residual == 0.0
     assert sp.converged and sp.iterations == 0
 
@@ -105,7 +106,7 @@ def test_well_posed_instance_matches_newton_oracle(degrees, pairs):
     sp = solve_saddle(d, X)
     assert sp.converged
     r_oracle = newton_radii_oracle(d, X)
-    assert np.abs(sp.radii - r_oracle).max() < 1e-8
+    assert np.abs(sp.class_radii[sp.cls] - r_oracle).max() < 1e-8
 
 
 def test_one_edge_symmetry_pattern():
@@ -113,11 +114,12 @@ def test_one_edge_symmetry_pattern():
     X = fg(6, [(1, 2)])
     sp = solve_saddle(d, X)
     assert sp.max_residual < 1e-10
-    assert sp.a[0] == pytest.approx(sp.a[1], abs=1e-13)
-    assert sp.a[0] > 0
-    assert np.allclose(sp.a[2:], sp.a[2])
+    a = sp.class_a[sp.cls]
+    assert a[0] == pytest.approx(a[1], abs=1e-13)
+    assert a[0] > 0
+    assert np.allclose(a[2:], a[2])
     r_oracle = newton_radii_oracle(d, X)
-    assert np.abs(sp.radii - r_oracle).max() < 1e-8
+    assert np.abs(sp.class_radii[sp.cls] - r_oracle).max() < 1e-8
 
 
 def test_solver_error_conditions():
@@ -187,7 +189,8 @@ def dense_residual(sp, d, X):
     xbar = 1.0 - np.eye(n)
     for j, k in X.edges:
         xbar[j - 1, k - 1] = xbar[k - 1, j - 1] = 0.0
-    rr = np.outer(sp.radii, sp.radii)
+    radii = sp.class_radii[sp.cls]
+    rr = np.outer(radii, radii)
     return (rr / (1 + rr) * xbar).sum(axis=1) - np.asarray(d.degrees, float)
 
 
@@ -220,9 +223,9 @@ def test_class_solve_residual_matches_dense_recompute(seed):
         assert sp.converged
         dense = dense_residual(sp, d, X)
         assert np.abs(dense).max() < 1e-10
-        assert np.abs(dense - sp.residual).max() < 1e-12
+        assert np.abs(dense - sp.class_residual[sp.cls]).max() < 1e-12
     # in the last instance most vertices have a radius of their own
-    assert np.unique(sp.radii).size > 0.6 * n
+    assert np.unique(sp.class_radii).size > 0.6 * n
 
 
 def per_vertex_classes(d, X):
@@ -264,14 +267,15 @@ def test_class_solve_at_ten_thousand_vertices():
     d, X = near_regular(random.Random(1), n, 2)
     sp = solve_saddle(d, X)
     assert sp.converged and sp.iterations <= 3
-    assert sp.radii.shape == sp.a.shape == sp.residual.shape == (n,)
+    assert sp.cls.shape == (n,)
+    assert sp.class_radii.shape == sp.class_a.shape == sp.class_residual.shape == (sp.cls.max() + 1,)
 
 
 def test_fixed_radii_residual_is_closed_form():
     d = DegreeSequence((3, 2, 2, 2, 1))
     X = fg(5, [(1, 2), (2, 3)])
     sp = fixed_radii_point(d, X, radius=0.7)
-    assert np.abs(sp.residual - dense_residual(sp, d, X)).max() < 1e-14
+    assert np.abs(sp.class_residual[sp.cls] - dense_residual(sp, d, X)).max() < 1e-14
 
 
 def test_relabelling_permutes_radii_and_keeps_log_prefactor():
@@ -296,9 +300,64 @@ def test_relabelling_permutes_radii_and_keeps_log_prefactor():
         sp2 = solve_saddle(d2, X2)
         assert sp.converged == sp2.converged
         idx = np.asarray(perm) - 1
-        assert np.allclose(sp2.radii[idx], sp.radii, rtol=1e-12, atol=0.0)
+        assert np.allclose(sp2.class_radii[sp2.cls][idx], sp.class_radii[sp.cls],
+                           rtol=1e-12, atol=0.0)
         lp, lp2 = log_prefactor(sp, d, X), log_prefactor(sp2, d2, X2)
         assert abs(lp2 - lp) <= 1e-12 * abs(lp)
+
+    check()
+
+
+def per_vertex_log_prefactor(sp, d, X):
+    """log_prefactor as it was written per vertex: np.unique over the n radii
+    and one fsum term d_j ln r_j per vertex."""
+    radii = sp.class_radii[sp.cls]
+    r, m = np.unique(radii, return_counts=True)
+    pairs = 0.5 * (np.outer(m, m) - np.diag(m))
+    edges = np.array(list(X.edges), dtype=np.intp).reshape(-1, 2) - 1
+    forbidden = np.log1p(radii[edges[:, 0]] * radii[edges[:, 1]])
+    acc = math.fsum((pairs * np.log1p(np.outer(r, r))).ravel().tolist() + (-forbidden).tolist())
+    acc -= d.n * math.log(2.0 * math.pi)
+    acc -= math.fsum(map(operator.mul, d.degrees, map(math.log, radii.tolist())))
+    return acc
+
+
+def regular_with_forbidden(rng, n):
+    """Constant degrees and a forbidden edge or triangle: its ends are one-vertex
+    classes with equal keys but for the label, so they share a radius."""
+    dv = n // 2 - (n * (n // 2)) % 2
+    pairs = [(1, 2), (2, 3), (1, 3)][:rng.choice((1, 3))]
+    return DegreeSequence((dv,) * n), fg(n, pairs)
+
+
+def test_log_prefactor_is_the_per_vertex_sum_bit_for_bit():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    families = (regular_with_forbidden, lambda rng, n: near_regular(rng, n, rng.randint(0, 3)),
+                lambda rng, n: spread_degrees(rng, n, rng.randint(0, 3)))
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(seed=st.integers(0, 10 ** 6), family=st.sampled_from(range(3)),
+               source=st.sampled_from(("converge", "fixed", "fixed-radii")),
+               radius=st.floats(0.2, 5.0), relabelled=st.booleans())
+    @hyp.example(seed=1, family=0, source="converge", radius=1.0, relabelled=False)
+    @hyp.example(seed=2, family=0, source="fixed", radius=1.0, relabelled=True)
+    @hyp.example(seed=3, family=0, source="fixed-radii", radius=0.7, relabelled=True)
+    def check(seed, family, source, radius, relabelled):
+        rng = random.Random(seed)
+        n = rng.randint(3, 40)
+        try:
+            d, X = families[family](rng, n)
+            if relabelled:
+                d, X = relabel(d, X, rng.sample(range(1, n + 1), n))
+            sp = (fixed_radii_point(d, X, radius) if source == "fixed-radii"
+                  else solve_saddle(d, X, mode=source))
+        except ValueError:
+            return   # degrees out of range or infeasible, or a fixed sweep hit a pole
+        assert repr(log_prefactor(sp, d, X)) == repr(per_vertex_log_prefactor(sp, d, X))
+        if sp.converged or source != "converge":
+            # a stalled solve's extreme radii leave the dense recompute to cancellation
+            assert np.abs(sp.class_residual[sp.cls] - dense_residual(sp, d, X)).max() < 1e-12
 
     check()
 
@@ -373,7 +432,7 @@ def test_integer_densities_match_parameters_solve():
                 parameters_solve(d, X, mode)
             return
         ref = parameters_solve(d, X, mode)
-        for name in ("a", "radii", "residual"):
+        for name in ("cls", "class_a", "class_radii", "class_residual"):
             assert np.array_equal(getattr(sp, name), getattr(ref, name)), name
         assert (sp.iterations, sp.converged) == (ref.iterations, ref.converged)
 
@@ -397,7 +456,7 @@ def test_solver_errors_keep_their_order():
         elif any(dj > n - 1 - xj for dj, xj in zip(d.degrees, X.row_sums)):
             expected = "infeasible degrees"
         else:
-            assert solve_saddle(d, X).a.shape == (n,)
+            assert solve_saddle(d, X).cls.shape == (n,)
             return
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
             solve_saddle(d, X)
@@ -412,7 +471,7 @@ def test_lambda_reconstruction_from_a_and_z():
     d = DegreeSequence((3, 3, 2, 2, 2, 2))
     X = fg(6, [(1, 4)])
     sp = solve_saddle(d, X)
-    a, lam = sp.a, density(d)
+    a, lam = sp.class_a[sp.cls], density(d)
     r2 = lam / (1 - lam)
     outer = np.outer(a, a)
     Z = outer * (1 - r2 - r2 * a[:, None] - r2 * a[None, :]) / (1 + r2 * outer)
@@ -429,7 +488,7 @@ def test_summed_saddle_identity(mode):
     X = fg(8, [(1, 2), (3, 7)])
     sp = solve_saddle(d, X, mode=mode)
     n = d.n
-    a, lam = sp.a, density(d)
+    a, lam = sp.class_a[sp.cls], density(d)
     r2 = lam / (1 - lam)
     x = np.asarray(X.row_sums, float)
     adj = np.zeros((n, n))
@@ -441,7 +500,7 @@ def test_summed_saddle_identity(mode):
     np.fill_diagonal(Z, 0.0)
     z_cc = (Z * xbar).sum() / 2
     expr = ((n - 1) * a - a * x).sum() + z_cc
-    slack = np.abs(sp.residual).sum() / (2 * lam) + 1e-9
+    slack = np.abs(sp.class_residual[sp.cls]).sum() / (2 * lam) + 1e-9
     assert abs(X.edge_count - expr) <= slack
 
 
@@ -454,7 +513,7 @@ def test_four_sweep_point_tracks_leading_term():
         sp = solve_saddle(d, X, mode="fixed")
         p = compute_parameters(d, X)
         lead = np.array([float(v) for v in exact_deltas(d, X)]) / (float(p.lam) * n)
-        gaps.append(np.abs(sp.a - lead).max())
+        gaps.append(np.abs(sp.class_a[sp.cls] - lead).max())
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -530,14 +589,15 @@ def test_log_prefactor_extended_precision():
     mpmath = pytest.importorskip("mpmath")
     d = DegreeSequence((3,) * 6)
     sp = solve_saddle(d)
+    radii = sp.class_radii[sp.cls]
     mpmath.mp.dps = 50
     total = mpmath.mpf(0)
     for j in range(6):
         for k in range(j + 1, 6):
-            total += mpmath.log(1 + mpmath.mpf(sp.radii[j]) * mpmath.mpf(sp.radii[k]))
+            total += mpmath.log(1 + mpmath.mpf(radii[j]) * mpmath.mpf(radii[k]))
     total -= 6 * mpmath.log(2 * mpmath.pi)
     for j in range(6):
-        total -= 3 * mpmath.log(mpmath.mpf(sp.radii[j]))
+        total -= 3 * mpmath.log(mpmath.mpf(radii[j]))
     assert abs(log_prefactor(sp, d) - float(total)) < 1e-12
 
 
@@ -640,8 +700,8 @@ def test_contour_point_prefers_fixed_saddle():
     X = fg(5, [(1, 5)])
     got, want = contour_point(d, X), solve_saddle(d, X, mode="fixed")
     assert got.mode == "fixed"
-    assert np.array_equal(got.radii, want.radii)
-    assert np.array_equal(got.residual, want.residual)
+    for name in ("cls", "class_radii", "class_residual"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("degrees", [(0, 0, 0, 0), (3, 3, 3, 3)])
@@ -649,8 +709,8 @@ def test_contour_point_falls_back_at_degenerate_density(degrees):
     d = DegreeSequence(degrees)
     got, want = contour_point(d), fixed_radii_point(d)
     assert got.mode == "fixed-radii"
-    assert np.array_equal(got.radii, want.radii)
-    assert np.array_equal(got.residual, want.residual)
+    for name in ("cls", "class_radii", "class_residual"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_factorization_for_any_radii():
