@@ -16,14 +16,14 @@ violate asymptotic hypotheses, so validity is reported, never enforced.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, lgamma, log, log1p
 
 from .graphcore import (DegreeSequence, ForbiddenGraph, Parameters, compute_parameters,
-                        event_edges, forbidden_for, impossible, induced_spec, interior_density)
+                        event_edges, forbidden_for, free_classes, impossible, induced_spec,
+                        interior_density)
 
 NEG_INF = float("-inf")
 HYPOTHESIS_A = 0.3           # the constant a of the density window n/(3a log n)
@@ -77,7 +77,7 @@ def check_hypotheses(d: DegreeSequence, X: ForbiddenGraph) -> tuple[HypothesisFl
     """
     X = forbidden_for(d, X)
     n = d.n
-    d_avg = 2 * d.edge_count / n
+    d_avg = float(d.density * (n - 1))
     x_max = max((X.row_sums[j - 1] for j in X.support), default=0)
     flags: list[HypothesisFlag] = []
     dev = max(abs(dj - d_avg) for dj in d.histogram)
@@ -101,11 +101,12 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     ln of (1-lambda)^(-X) (lambda^lambda (1-lambda)^(1-lambda))^C(n,2)
     prod_j C(n-1-x_j, d_j).  Infeasible degrees signal a zero count with a
     log value of -inf.  Only p.lam is read; p must be the record of d.  The
-    vertices outside supp(X) give one binomial per degree class, repeated
-    under fsum, so the sum is the per-vertex one bit for bit.
+    vertices outside supp(X) give one binomial per free degree class
+    (graphcore.free_classes), repeated under fsum, so the sum is the
+    per-vertex one bit for bit.
     """
     X = forbidden_for(d, X)
-    if p.n != d.n or p.lam * d.n * (d.n - 1) != 2 * d.edge_count:
+    if p.n != d.n or p.lam != d.density:
         raise ValueError(f"parameters of another instance: n={p.n}, lambda={p.lam}")
     if impossible(d, X):
         return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
@@ -115,10 +116,9 @@ def naive_estimate(p: Parameters, d: DegreeSequence, X: ForbiddenGraph) -> LogEs
     t_forbidden = 0.0 if Xc == 0 else -Xc * log1p(-lam)
     t_entropy = comb(n, 2) * (_xlogx(lam) + _xlogx(1.0 - lam))
     deg, x = d.degrees, X.row_sums
-    free = Counter(d.histogram)
-    free.subtract(deg[j - 1] for j in X.support)
     t_binom = math.fsum(chain(
-        chain.from_iterable(repeat(_log_binom(n - 1, dj), c) for dj, c in free.items()),
+        chain.from_iterable(repeat(_log_binom(n - 1, dj), c)
+                            for dj, c in free_classes(d, X).items()),
         (_log_binom(n - 1 - x[j - 1], deg[j - 1]) for j in X.support)))
     total = t_forbidden + t_entropy + t_binom
     return LogEstimate(log_value=total, base_log=total, correction=0.0,
@@ -257,15 +257,15 @@ def lambda_jk_expansion(d: DegreeSequence, j: int, k: int) -> float:
     """Pairwise edge weight of the independent-edge model matching d.
 
     lambda + (d_j-d)/n + (d_k-d)/n + (1-2 lambda)(d_j-d)(d_k-d)/(2 A n^2),
-    vertices 1-indexed; lambda, A and d_j - d = (n d_j - 2E)/n are exact Fractions.
+    vertices 1-indexed; lambda = d.density, A and d_j - d = d_j - lambda(n-1)
+    are exact Fractions.
     """
     n = d.n
     if j == k or not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"need distinct vertices in 1..{n}, got ({j}, {k})")
-    S = 2 * d.edge_count
-    lam = Fraction(S, n * (n - 1))
+    lam = d.density
+    dj, dk = (float(d.degrees[v - 1] - lam * (n - 1)) for v in (j, k))
     A, lam = float(lam * (1 - lam) / 2), float(lam)
-    dj, dk = (float(Fraction(n * d.degrees[v - 1] - S, n)) for v in (j, k))
     # grouped so the value is bit-for-bit symmetric in (j, k)
     return lam + (dj + dk) / n + (1.0 - 2.0 * lam) * (dj * dk) / (2.0 * A * n * n)
 
@@ -340,7 +340,7 @@ def overlap_distribution_estimate(d: DegreeSequence, Y: ForbiddenGraph, k: int) 
         raise ValueError(f"k={k} outside 0..{Yc}")
     if d.n < 2:
         raise ValueError("need n >= 2")
-    lam = 2 * d.edge_count / (d.n * (d.n - 1))
+    lam = float(d.density)
     return comb(Yc, k) * lam ** k * (1.0 - lam) ** (Yc - k)
 
 

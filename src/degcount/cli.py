@@ -81,8 +81,9 @@ def _dumps(obj, indent: str = "\n") -> str:
     containers that hold containers; each innermost one is a single call of
     the C encoder, whose item separator carries the line break and indent, so
     only its brackets need re-indenting; a _ClassFloats list is joined from
-    one text per class instead.  Nested objects sort by the original key, as
-    json does, before their keys are written as strings.
+    one text per class instead.  Each container's text is one "".join, so a
+    level copies its children's text once.  Nested objects sort by the
+    original key, as json does, before their keys are written as strings.
     """
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
@@ -93,17 +94,17 @@ def _dumps(obj, indent: str = "\n") -> str:
     if not values:
         return brackets
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(obj, _ClassFloats):
         texts = [*map(_dumps, obj.values)]
-        body = ("," + inner).join(map(texts.__getitem__, obj.cls.tolist()))
+        parts = [sep.join(map(texts.__getitem__, obj.cls.tolist()))]
     elif not any(map(isinstance, values, repeat((dict, list, tuple)))):
-        body = json.dumps(obj, sort_keys=True, allow_nan=False,
-                          separators=("," + inner, ": "))[1:-1]
-    elif brackets == "{}":
-        body = ("," + inner).join(_key(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+        parts = [json.dumps(obj, sort_keys=True, allow_nan=False, separators=(sep, ": "))[1:-1]]
     else:
-        body = ("," + inner).join(_dumps(v, inner) for v in obj)
-    return brackets[0] + inner + body + indent + brackets[1]
+        keyed = (((_key(k) + ": ", v) for k, v in sorted(obj.items())) if brackets == "{}"
+                 else (("", v) for v in obj))
+        parts = [t for head, v in keyed for t in (sep, head, _dumps(v, inner))][1:]
+    return "".join((brackets[0], inner, *parts, indent, brackets[1]))
 
 
 def _emit(out, payload: dict, fmt: str) -> None:
@@ -192,8 +193,7 @@ def _cmd_estimate(args, out) -> int:
         raise InputFormatError(f"formula {formula} needs --m")
     d, X = _load_instance(args)
     if formula == "naive":
-        p = compute_parameters(d, X)
-        est = asymptotics.naive_estimate(p, d, X)
+        est = asymptotics.naive_estimate(compute_parameters(d, X), d, X)
         payload.update(_estimate_payload(est))
     elif formula == "dense":
         est, flags = asymptotics.dense_count_estimate(d, X)
@@ -216,11 +216,9 @@ def _cmd_estimate(args, out) -> int:
             raise InputFormatError("overlap needs --k")
         prob = asymptotics.overlap_distribution_estimate(d, X, args.k)
         payload.update({"probability": prob, "k": args.k, "scale": "linear"})
-    elif formula in ("perth", "mckay81"):
+    else:  # perth or mckay81, the formulas left of argparse's choices=FORMULAS
         est = asymptotics.sparse_estimates(d, X, formula)
         payload.update(_estimate_payload(est))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputFormatError(f"unknown formula {formula}")
     _emit(out, payload, args.format)
     return 0
 
@@ -293,8 +291,7 @@ def _cmd_sample(args, out) -> int:
                                          seed=args.seed)
     if args.dump_graph:
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            for j, k in mcsampler.realize(d):
-                fh.write(f"{j} {k}\n")
+            fh.writelines(f"{j} {k}\n" for j, k in mcsampler.realize(d))
     payload = {
         "schema": SCHEMA, "subcommand": "sample", "mode": args.mode,
         "mean": est.mean, "stderr": _finite(est.stderr), "samples": est.samples,

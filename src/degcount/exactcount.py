@@ -339,6 +339,14 @@ def complement_degrees(d: DegreeSequence, X: ForbiddenGraph) -> tuple[int, ...]:
     return tuple(d.n - 1 - dj - xj for dj, xj in zip(d.degrees, X.row_sums))
 
 
+def _graph_total(d: DegreeSequence, limit: int | None) -> int:
+    """G(d), every exact probability's denominator; raises when it is 0."""
+    gd = exact_count(d, None, limit=limit)
+    if gd == 0:
+        raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
+    return gd
+
+
 def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
                       m: int | None = None, limit: int | None = None) -> Fraction:
     """Exact probability, as a Fraction, that a uniform graph with degrees d
@@ -347,9 +355,7 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     counted, so a bad mode or m fails fast; after G(d), an event
     graphcore.impossible marks is 0 with no count under Y's limit."""
     Y, S = event_edges(forbidden_for(d, X), mode, m)
-    gd = exact_count(d, None, limit=limit)
-    if gd == 0:
-        raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
+    gd = _graph_total(d, limit)
     if impossible(d, Y, S):
         return Fraction(0)
     s = ForbiddenGraph(d.n, S).row_sums
@@ -366,9 +372,7 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     edges with Y.  Each N_k <= G(d) < t, so the N_k are its B-bit fields.
     """
     Y = forbidden_for(d, Y)
-    gd = exact_count(d, None, limit=limit)
-    if gd == 0:
-        raise UndefinedProbabilityError("G(d) = 0: no graph has these degrees")
+    gd = _graph_total(d, limit)
     B = gd.bit_length()
     packed = _weighted_count(d, Y, 1 << B, limit)
     fields = [(packed >> (k * B)) & ((1 << B) - 1) for k in range(Y.edge_count + 1)]

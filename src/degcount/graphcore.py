@@ -1,12 +1,14 @@
 """Domain types for degree-constrained graph counting.
 
 Holds the target degree sequence, the forbidden graph, and every derived
-scalar parameter the estimate evaluators consume.  Averages, densities and
-the moment-style parameters are kept as exact rationals so that algebraic
-identities between them (for example A = lam(1-lam)/2) survive into
-the test suite bit-for-bit; they are summed as integers over a common
-denominator and turned into Fractions once.  Evaluators convert to float at
-the point of use.
+scalar parameter the estimate evaluators consume; every route reads the
+instance's exact DegreeSequence.density, delta_numerators and free_classes
+here.  Averages, densities and the moment-style parameters are kept as exact
+rationals so that algebraic identities between them (for example
+A = lam(1-lam)/2) survive into the test suite bit-for-bit; they are summed as
+integers over a common denominator and turned into Fractions once.
+Evaluators convert to float at the point of use, where float(Fraction) and
+int/int division agree bit for bit.
 
 The instance is read at class cost: symmetric sums run over the k distinct
 degrees of DegreeSequence.histogram and over supp(X), in O(k + |supp X|)
@@ -101,6 +103,13 @@ class DegreeSequence:
     def edge_count(self) -> int:
         """Number of edges E of any realization."""
         return self._degree_sum() // 2
+
+    @property
+    def density(self) -> Fraction:
+        """lambda = 2E/(n(n-1)); lambda (n-1) is the mean degree.  0 at n = 1,
+        which has no pairs: callers guard n (e.g. "need n >= 2") first."""
+        n = self.n
+        return Fraction(self._degree_sum(), n * (n - 1)) if n > 1 else Fraction(0)
 
     def is_regular(self) -> bool:
         return len(self.histogram) == 1
@@ -216,12 +225,27 @@ def forbidden_for(d: DegreeSequence, X: ForbiddenGraph | None) -> ForbiddenGraph
     return X
 
 
+def delta_numerators(d: DegreeSequence, X: ForbiddenGraph,
+                     vertices: Iterable[int]) -> tuple[list[int], int]:
+    """(N delta_j for the 1-indexed vertices, N): N = n(n-1), delta_j =
+    d_j - lambda(n-1-x_j), so N delta_j = d_j N - S(n-1) + S x_j, S = 2E."""
+    n, S, x = d.n, 2 * d.edge_count, X.row_sums
+    N = n * (n - 1)
+    return [d.degrees[j - 1] * N - S * (n - 1) + S * x[j - 1] for j in vertices], N
+
+
+def free_classes(d: DegreeSequence, X: ForbiddenGraph) -> Counter:
+    """degree -> count of the vertices outside supp(X): d.histogram less the
+    degrees of supp(X), emptied classes left out, at O(k + |supp X|)."""
+    return Counter(d.histogram) - Counter(d.degrees[j - 1] for j in X.support)
+
+
 def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     """Populate a Parameters record from a degree sequence and forbidden graph.
 
     Every sum is taken over integers scaled by a common denominator:
-    delta_j * n(n-1) and (d_j - d) * n = n d_j - 2E are integers.  Each field
-    then becomes one exact Fraction.  R sums over
+    delta_j * n(n-1) (delta_numerators) and (d_j - d) * n = n d_j - 2E are
+    integers.  Each field then becomes one exact Fraction.  R sums over
     the degree classes; X2, X3 and the C moments over supp(X), since x_j = 0
     elsewhere; D, L and K over X's edges.
     Pure and deterministic; raises on dimension mismatch or n < 2.
@@ -230,13 +254,11 @@ def compute_parameters(d: DegreeSequence, X: ForbiddenGraph) -> Parameters:
     n = d.n
     if n < 2:
         raise ValueError("need n >= 2")
-    S = 2 * d.edge_count
-    N = n * (n - 1)                     # denominator of lam and of every delta_j
-    lam = Fraction(S, N)
-
+    S, lam = 2 * d.edge_count, d.density
     deg, x = d.degrees, X.row_sums
-    # scaled integers: delta_j = dl[j] / N on supp(X), d_j - d = (n d_j - S) / n
-    dl = {j: deg[j - 1] * N - S * (n - 1) + S * x[j - 1] for j in X.support}
+    # delta_j = dl[j] / N on supp(X), d_j - d = (n d_j - S) / n
+    numerators, N = delta_numerators(d, X, X.support)
+    dl = dict(zip(X.support, numerators))
 
     D = L = K = 0
     for j, k in X.edges:
@@ -345,16 +367,14 @@ def impossible(d: DegreeSequence, Y: ForbiddenGraph,
 def induced_spec(d: DegreeSequence, X: ForbiddenGraph, m: int) -> dict[tuple[int, int], Fraction]:
     """Mixed moments over the support vertices 1..m of the forbidden graph:
     omega[(k, l)] = sum_{j<=m} (d_j - d_avg)^k (x_j - lambda*(m-1))^l,
-    tabulated for all 0 <= k + l <= 3, with d_avg = 2E/n and
-    lambda = 2E/(n(n-1)).
+    tabulated for all 0 <= k + l <= 3, with lambda = d.density and
+    d_avg = lambda(n-1).
 
     Raises if some x_j != 0 for j > m (the support condition).
     """
     X = forbidden_for(d, X)
     check_support(X, m)
-    n, S = d.n, 2 * d.edge_count
-    d_avg = Fraction(S, n)
-    shift = Fraction(S * (m - 1), n * (n - 1)) if m > 1 else Fraction(0)
+    d_avg, shift = d.density * (d.n - 1), d.density * (m - 1)
     x = X.row_sums
     omega: dict[tuple[int, int], Fraction] = {}
     for k in range(0, 4):
@@ -375,11 +395,9 @@ def relabel(d: DegreeSequence, X: ForbiddenGraph, perm: Sequence[int]) -> tuple[
     n = d.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("perm must be a bijection of 1..n")
-    deg2 = [0] * n
-    for j in range(1, n + 1):
-        deg2[perm[j - 1] - 1] = d.degrees[j - 1]
+    deg2 = tuple(d.degrees[j] for j in sorted(range(n), key=perm.__getitem__))
     edges2 = [(perm[j - 1], perm[k - 1]) for j, k in X.edges]
-    return DegreeSequence(tuple(deg2)), ForbiddenGraph.from_pairs(n, edges2)
+    return DegreeSequence(deg2), ForbiddenGraph.from_pairs(n, edges2)
 
 
 # ---------------------------------------------------------------------------

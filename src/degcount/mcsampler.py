@@ -24,12 +24,13 @@ batch-means standard error so autocorrelation is priced in honestly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, is_graphical
+from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for
 
 DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
@@ -42,13 +43,12 @@ class NonGraphicalError(ValueError):
 
 def realize(d: DegreeSequence) -> list[tuple[int, int]]:
     """The sorted edges (j, k), j < k, of one simple graph with degrees
-    exactly d (largest-first greedy build).
+    exactly d (largest-first greedy build, Havel-Hakimi).
 
-    Raises NonGraphicalError when no simple graph exists; any later
-    structural failure would be an internal error and raises RuntimeError.
+    The greedy fails, reaching a residual 0, exactly when no simple graph
+    has degrees d (graphcore.is_graphical is the reference), and then raises
+    NonGraphicalError; a wrong built graph would raise RuntimeError.
     """
-    if not is_graphical(d.degrees):
-        raise NonGraphicalError(f"degrees are not graphical (n={d.n})")
     edges = []
     residual = [(dj, v) for v, dj in enumerate(d.degrees, start=1)]
     while True:
@@ -56,21 +56,16 @@ def realize(d: DegreeSequence) -> list[tuple[int, int]]:
         r, v = residual[0]
         if r == 0:
             break
-        if r > len(residual) - 1:
-            raise RuntimeError("internal realization failure")
         targets = residual[1:r + 1]
-        if any(rv == 0 for rv, _ in targets):
-            raise RuntimeError("internal realization failure")
+        if targets[-1][0] == 0:
+            raise NonGraphicalError(f"degrees are not graphical (n={d.n})")
         residual[0] = (0, v)
         for idx, (ru, u) in enumerate(targets, start=1):
             edges.append((v, u) if v < u else (u, v))
             residual[idx] = (ru - 1, u)
     edges.sort()
-    count = [0] * (d.n + 1)
-    for j, k in edges:
-        count[j] += 1
-        count[k] += 1
-    if len(set(edges)) < len(edges) or tuple(count[1:]) != d.degrees:
+    count = Counter(chain.from_iterable(edges))
+    if len(set(edges)) < len(edges) or tuple(count[v] for v in range(1, d.n + 1)) != d.degrees:
         raise RuntimeError("internal realization failure")
     return edges
 

@@ -11,10 +11,12 @@ tensor quadrature at tiny n.
 
 Vertices outside the support of the forbidden graph that share a degree
 share a radius, so the solver works on vertex classes, at O(k^2 + n) for k
-classes, and its SaddlePoint keeps them: the vertex -> class map and one
-value per class, with no per-vertex float array.  The log prefactor sums one
-term per class; a reader that needs an n-vector takes values[sp.cls].  The
-n x n weight matrix is built only on demand, for the tiny-n consumers.
+classes: graphcore's free degree classes and one per vertex of supp(X).
+graphcore also owns the density and the deltas the equations read.  The
+SaddlePoint keeps the classes: the vertex -> class map and one value per
+class, with no per-vertex float array.  The log prefactor sums one term per
+class; a reader that needs an n-vector takes values[sp.cls].  The n x n
+weight matrix is built only on demand, for the tiny-n consumers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, forbidden_for, impossible, interior_density
+from .graphcore import (DegreeSequence, ForbiddenGraph, delta_numerators, forbidden_for,
+                        free_classes, impossible, interior_density)
 
 
 class SaddlePoleError(ValueError):
@@ -81,42 +84,26 @@ def _classes(d: DegreeSequence, X: ForbiddenGraph):
     first[c] the first vertex of class c, m[c] its size, and F[c, c'] = 1
     where an X-edge joins c and c' (both ends are one-vertex classes).
 
-    Keys are built only for the vertices of supp(X) and the distinct free
-    degrees; the free vertices take their class from a degree -> class
-    array, so the O(n) part is numpy.
+    Keys are built only for the vertices of supp(X) and the free degree
+    classes (graphcore.free_classes); the free vertices take their class from
+    a degree -> class array, so the O(n) part is numpy.
     """
     degrees, x = d.degrees, X.row_sums
-    supp = sorted({j - 1 for edge in X.edges for j in edge})
+    supp = sorted(j - 1 for j in X.support)
     supp_keys = [(degrees[j], x[j],
                   tuple(sorted((degrees[k - 1], x[k - 1]) for k in X.neighbors(j + 1))), j)
                  for j in supp]
-    deg = np.fromiter(degrees, dtype=np.intp, count=d.n)
-    free = np.ones(d.n, dtype=bool)
-    free[supp] = False
-    free_degrees = np.flatnonzero(np.bincount(deg[free]))
-    free_keys = [(dj, 0) for dj in free_degrees.tolist()]
+    free_keys = [(dj, 0) for dj in free_classes(d, X)]
     index = {key: c for c, key in enumerate(sorted(supp_keys + free_keys))}
     by_degree = np.zeros(d.n, dtype=np.intp)
-    by_degree[free_degrees] = [index[key] for key in free_keys]
-    cls = by_degree[deg]
+    by_degree[[dj for dj, _ in free_keys]] = [index[key] for key in free_keys]
+    cls = by_degree[np.fromiter(degrees, dtype=np.intp, count=d.n)]
     cls[supp] = [index[key] for key in supp_keys]
     first, m = np.unique(cls, return_index=True, return_counts=True)[1:]
     F = np.zeros((len(m), len(m)))
     for j, k in X.edges:
         F[cls[j - 1], cls[k - 1]] = F[cls[k - 1], cls[j - 1]] = 1.0
     return cls, first, m.astype(float), F
-
-
-def _class_deltas(d: DegreeSequence, X: ForbiddenGraph, first: np.ndarray) -> np.ndarray:
-    """compute_parameters' delta_j = (d_j N - S(n-1) + S x_j)/N, with S = 2E and
-    N = n(n-1), at the 0-indexed vertices `first`.
-
-    Each is one int/int division, which rounds correctly, so it equals
-    float(delta_j) bit for bit without the per-vertex Fraction record.
-    """
-    n, S, x = d.n, 2 * d.edge_count, X.row_sums
-    N = n * (n - 1)
-    return np.array([(d.degrees[j] * N - S * (n - 1) + S * x[j]) / N for j in first])
 
 
 def _state_valid(a: np.ndarray, r2: float) -> bool:
@@ -151,10 +138,8 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     supp(X) plus one per vertex of supp(X).  The record keeps the class
     values and the vertex -> class map; nothing is expanded to n vertices.
 
-    The density lambda = 2E/(n(n-1)) and the class deltas are read from
-    integer sums (_class_deltas), not from compute_parameters' record with
-    its Fraction per vertex, so the setup keeps O(k^2 + |supp X|) objects
-    alive beyond d and the returned arrays.
+    d.density and delta_numerators over N, one correctly rounded division per
+    class, keep the setup at O(k^2 + |supp X|) live objects beyond d.
 
     Intended for interior instances 0 < d_j < n-1-x_j.  Boundary instances
     are accepted (the factorization holds for any positive radii) but cannot
@@ -164,7 +149,7 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     n = d.n
     if n < 3:
         raise ValueError("need n >= 3")
-    lam = interior_density(2 * d.edge_count / (n * (n - 1)))
+    lam = interior_density(d.density)
     if impossible(d, X):
         raise ValueError("infeasible degrees: some d_j > n-1-x_j")
 
@@ -172,7 +157,8 @@ def solve_saddle(d: DegreeSequence, X: ForbiddenGraph | None = None, *,
     r = math.sqrt(r2)
     cls, first, mult, F = _classes(d, X)
     W = mult[None, :] - np.eye(mult.size) - F   # non-forbidden partners per class
-    delta = _class_deltas(d, X, first)
+    numerators, N = delta_numerators(d, X, (first + 1).tolist())
+    delta = np.array([v / N for v in numerators])
     xs = np.asarray(X.row_sums, dtype=float)[first]
     Xc = float(X.edge_count)
 

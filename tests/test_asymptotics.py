@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters
+from degcount.graphcore import DegreeSequence, ForbiddenGraph, compute_parameters, relabel
 from degcount.exactcount import exact_count, exact_probability
 from degcount.asymptotics import (
     NEG_INF,
@@ -198,6 +198,37 @@ def test_hit_is_miss_at_the_complement_degrees():
         assert complement_fields(p) == {k: getattr(pc, k) for k in complement_fields(p)}
         for name in ("R", "K", "A", "X2", "X3"):
             assert getattr(pc, name) == getattr(p, name), name
+
+    check()
+
+
+def test_log_values_are_relabelling_invariant():
+    # a vertex permutation of (d, X) keeps every log value to the bit: each
+    # sum is exact (integers, Fractions) or a correctly rounded fsum, so no
+    # value depends on the order in which the labels list the vertices
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def log_values(d, X):
+        mh = miss_hit_estimate(d, X)
+        return [repr(est.log_value) for est in (
+            naive_estimate(compute_parameters(d, X), d, X), dense_count_estimate(d, X)[0],
+            mh["miss"], mh["hit"], mh["num"],
+            sparse_estimates(d, X, "perth"), sparse_estimates(d, X, "mckay81"))]
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(6, 60))
+        base = data.draw(st.integers(1, n - 2))
+        spread = st.integers(-3, 3).map(lambda s: min(max(base + s, 1), n - 2))
+        degrees = data.draw(st.lists(spread, min_size=n, max_size=n))
+        degrees[0] += sum(degrees) % 2
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                                   .filter(lambda e: e[0] < e[1]), max_size=3, unique=True))
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        d, X = DegreeSequence(degrees), fg(n, pairs)
+        assert log_values(*relabel(d, X, perm)) == log_values(d, X)
 
     check()
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,8 @@ from degcount.graphcore import (
     InputFormatError,
     Parameters,
     compute_parameters,
+    delta_numerators,
+    free_classes,
     induced_spec,
     is_graphical,
     parse_degrees,
@@ -66,12 +69,14 @@ def test_degree_histogram_is_not_a_field():
 
 
 def test_graphicality_has_one_home():
-    # realize, validation's sequence generator and the package export all
-    # read the one Erdos-Gallai test of graphcore
+    # validation's sequence generator and the package export read the one
+    # Erdos-Gallai test of graphcore; realize's greedy decides graphicality
+    # itself, with no pre-pass, and is tested against it (test_mcsampler)
     import degcount
     from degcount import mcsampler, validation
     assert is_graphical.__module__ == "degcount.graphcore"
-    assert degcount.is_graphical is mcsampler.is_graphical is validation.is_graphical is is_graphical
+    assert degcount.is_graphical is validation.is_graphical is is_graphical
+    assert not hasattr(mcsampler, "is_graphical")
 
 
 def test_forbidden_graph_validation():
@@ -192,6 +197,27 @@ def test_identity_sum_delta(seed):
     delta = [Fraction(dj * N - S * (n - 1) + S * xj, N) for dj, xj in zip(d.degrees, X.row_sums)]
     assert sum(delta) == 2 * p.lam * X.edge_count
     assert p.C11 == sum(dj * xj for dj, xj in zip(delta, X.row_sums))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_density_deltas_and_free_classes_match_their_definitions(seed):
+    # the instance arithmetic graphcore owns, against per-vertex Fractions:
+    # lambda = 2E/(n(n-1)) with lambda(n-1) the mean degree (0 at n = 1),
+    # N delta_j = N (d_j - lambda(n-1-x_j)), and the degrees with x_j = 0
+    rng = random.Random(700 + seed)
+    for _ in range(25):
+        n = rng.randint(1, 40)
+        d, X = random_instance(rng, n)
+        lam = Fraction(2 * d.edge_count, n * (n - 1)) if n > 1 else Fraction(0)
+        assert d.density == lam and d.density * (n - 1) == Fraction(2 * d.edge_count, n)
+        free = free_classes(d, X)
+        assert dict(free) == Counter(dj for dj, xj in zip(d.degrees, X.row_sums) if xj == 0)
+        assert all(c > 0 for c in free.values())
+        if n > 1:
+            numerators, N = delta_numerators(d, X, range(n, 0, -1))
+            assert N == n * (n - 1)
+            assert numerators == [N * (d.degrees[j - 1] - lam * (n - 1 - X.row_sums[j - 1]))
+                                  for j in range(n, 0, -1)]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -146,6 +146,56 @@ def test_realize_gives_sorted_distinct_pairs_property():
     check()
 
 
+def assert_realize_decides(degrees):
+    """realize raises NonGraphicalError, with its one message, exactly when
+    the Erdos-Gallai reference says no graph exists, and otherwise returns
+    sorted distinct pairs with degrees exactly d."""
+    d = DegreeSequence(degrees)
+    if not is_graphical(degrees):
+        with pytest.raises(NonGraphicalError, match=rf"^degrees are not graphical \(n={d.n}\)$"):
+            realize(d)
+        return
+    edges = realize(d)
+    assert all(j < k for j, k in edges) and edges == sorted(set(edges))
+    assert tuple(sum(v in e for e in edges) for v in range(1, d.n + 1)) == d.degrees
+
+
+def test_realize_decides_graphicality_exhaustive():
+    # every even-sum sequence with n <= 6 and 0 <= d_j <= n-1, in every label
+    # order; 1 + 2 + 8 + 54 + 533 + 6944 of them are graphical (OEIS A005155)
+    seen = {True: 0, False: 0}
+    for n in range(1, 7):
+        for degrees in itertools.product(range(n), repeat=n):
+            if sum(degrees) % 2 == 0:
+                assert_realize_decides(degrees)
+                seen[is_graphical(degrees)] += 1
+    assert seen == {True: 7542, False: 17494}
+
+
+def test_realize_decides_graphicality_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 12))
+        if data.draw(st.booleans()):
+            # the degrees of a simple graph: graphical
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                               else st.just([]))
+            degrees = [sum(v in e for e in chosen) for v in range(1, n + 1)]
+        else:
+            # any degrees in range, one moved to make the sum even: mostly not graphical
+            degrees = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            if sum(degrees) % 2:
+                degrees[0] += 1 if degrees[0] < n - 1 else -1
+        assert_realize_decides(tuple(degrees))
+
+    check()
+
+
 @pytest.mark.parametrize("n", [10, 2000, 10 ** 5])
 def test_non_graphical_message_does_not_grow_with_n(n):
     # two vertices joined to all others, the rest isolated: even sum, not graphical

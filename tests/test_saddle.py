@@ -4,6 +4,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,19 +402,27 @@ def test_support_only_impossible_matches_every_vertex():
     check()
 
 
+def exact_density(d):
+    """lambda = 2E/(n(n-1)) as a Fraction, apart from DegreeSequence.density."""
+    return Fraction(2 * d.edge_count, d.n * (d.n - 1))
+
+
 def exact_deltas(d, X):
     """delta_j = d_j - lambda (n-1) + lambda x_j in Fraction arithmetic."""
-    lam = compute_parameters(d, X).lam
+    lam = exact_density(d)
     return [dj - lam * (d.n - 1) + lam * xj for dj, xj in zip(d.degrees, X.row_sums)]
 
 
 def parameters_solve(d, X, mode):
-    """solve_saddle with lambda from compute_parameters and Fraction class deltas."""
+    """solve_saddle with lambda and the class deltas from Fraction arithmetic,
+    in place of graphcore's density and integer delta numerators."""
+    def fraction_deltas(d, X, vertices):
+        deltas = exact_deltas(d, X)
+        return [float(deltas[j - 1]) for j in vertices], 1
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(saddle, "interior_density",
-                   lambda lam: interior_density(compute_parameters(d, X).lam))
-        mp.setattr(saddle, "_class_deltas", lambda d, X, first: np.array(
-            [float(v) for v in exact_deltas(d, X)])[first])
+        mp.setattr(saddle, "interior_density", lambda lam: interior_density(exact_density(d)))
+        mp.setattr(saddle, "delta_numerators", fraction_deltas)
         return solve_saddle(d, X, mode=mode)
 
 
