@@ -258,12 +258,14 @@ def lambda_jk_expansion(d: DegreeSequence, j: int, k: int) -> float:
 
     lambda + (d_j-d)/n + (d_k-d)/n + (1-2 lambda)(d_j-d)(d_k-d)/(2 A n^2),
     vertices 1-indexed; lambda = d.density, A and d_j - d = d_j - lambda(n-1)
-    are exact Fractions.
+    are exact Fractions.  Raises ValueError at the degenerate densities
+    lambda in {0, 1}, where A = 0.
     """
     n = d.n
     if j == k or not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"need distinct vertices in 1..{n}, got ({j}, {k})")
     lam = d.density
+    interior_density(lam)
     dj, dk = (float(d.degrees[v - 1] - lam * (n - 1)) for v in (j, k))
     A, lam = float(lam * (1 - lam) / 2), float(lam)
     # grouped so the value is bit-for-bit symmetric in (j, k)

@@ -15,10 +15,14 @@ pairing and no arithmetic on the index: the cell index is a vertex label,
 which CPython caches as a small int for n <= 256.  Proposals come from a
 numpy Generator in bulk: each chunk of at most CHUNK proposals is three
 arrays (edge i, edge j, pairing flip), and one Python loop applies them as
-the end slots (2i, 2j + flip).  Slot 2j + 1 is edge j reversed, which is the
-pairing the flip selects, so the draws and the chain of a seed are those of
-a kernel on sorted edge pairs.  Estimates pool thinned samples and report a
-batch-means standard error so autocorrelation is priced in honestly.
+the end slots (2i, 2j + flip).  The slots run up to 2E - 1, past the
+small-int cache once E > 128, so each stream keeps one object table of the
+ints 0..2E-1 and a chunk reads its slots from it: the kernel gets ints that
+already exist, and no proposal allocates one.  Slot 2j + 1 is edge j
+reversed, which is the pairing the flip selects, so the draws and the chain
+of a seed are those of a kernel on sorted edge pairs.  Estimates pool
+thinned samples and report a batch-means standard error so autocorrelation
+is priced in honestly.
 """
 
 from __future__ import annotations
@@ -91,7 +95,11 @@ def _proposals(rng: np.random.Generator, m: int, steps: int):
 
     A chunk of k <= CHUNK proposals is drawn as k edges i, then k edges j
     from the other m - 1 (shifted past i), then k pairing flips, and yields
-    them as the end slots the kernel reads: 2i, and 2j + 1 when flipped."""
+    them as the end slots the kernel reads: 2i, and 2j + 1 when flipped.
+    The slots are read from one object table of the ints 0..2m-1, so every
+    proposal hands the kernel ints that already exist."""
+    slots = np.array(range(2 * m), dtype=object)
+
     def chunk(k: int):
         i = rng.integers(m, size=k)
         j = rng.integers(m - 1, size=k)
@@ -99,7 +107,7 @@ def _proposals(rng: np.random.Generator, m: int, steps: int):
         j <<= 1
         j += rng.random(k) < 0.5
         i <<= 1
-        return zip(i.tolist(), j.tolist())
+        return zip(slots[i].tolist(), slots[j].tolist())
     return chain.from_iterable(chunk(min(CHUNK, steps - lo)) for lo in range(0, steps, CHUNK))
 
 
@@ -160,17 +168,19 @@ def _event_checker(X: ForbiddenGraph, mode: str, m: int | None):
 
     event_edges runs now, so a bad mode or m fails before any realization.
     The test reads each cell (j, k) of Y as rows[j][k] against 1 on S and 0
-    on the rest of Y; the rows change in place, so a bound test stays valid
-    along the chain."""
+    on the rest of Y, several cells as one list comparison; the rows change
+    in place, so a bound test stays valid along the chain."""
     Y, S = event_edges(X, mode, m)
     cells = [(j, k, int((j, k) in S)) for j, k in Y.sorted_edges()]
 
     def bind(rows: list[list[int]]):
-        wanted = [(rows[j], k, w) for j, k, w in cells]
-        if len(wanted) == 1:
-            (R, k, w), = wanted
+        if len(cells) == 1:
+            (j, k, w), = cells
+            R = rows[j]
             return lambda: R[k] == w
-        return lambda: all(R[k] == w for R, k, w in wanted)
+        at = [(rows[j], k) for j, k, _ in cells]
+        wanted = [w for _, _, w in cells]
+        return lambda: [R[k] for R, k in at] == wanted
     return bind
 
 

@@ -492,6 +492,25 @@ def test_lambda_jk_symmetry():
         lambda_jk_expansion(d, 2, 2)
 
 
+@pytest.mark.parametrize("degrees", [(0,) * 4, (3,) * 4], ids=["empty", "complete"])
+def test_lambda_jk_degenerate_density_is_a_value_error(degrees):
+    # lambda in {0, 1} makes A = 0, which once divided by zero
+    with pytest.raises(ValueError, match=r"^degenerate density lambda="):
+        lambda_jk_expansion(DegreeSequence(degrees), 1, 2)
+
+
+@pytest.mark.parametrize("degrees, j, k, value", [
+    ((4, 3, 3, 2, 2, 2, 2, 2), 1, 2, 0.6217261904761905),
+    ((4, 3, 3, 2, 2, 2, 2, 2), 2, 8, 0.35228174603174606),
+    ((1, 1, 1, 1), 1, 2, 0.3333333333333333),
+    ((2, 2, 2, 1, 1), 1, 5, 0.35200000000000004),
+    ((6,) * 10, 3, 4, 0.6666666666666666),
+])
+def test_lambda_jk_interior_values_are_pinned(degrees, j, k, value):
+    # the density guard leaves every interior value's bits as they were
+    assert lambda_jk_expansion(DegreeSequence(degrees), j, k) == value
+
+
 @pytest.mark.parametrize("j,k", [(0, 1), (1, 0), (7, 2), (2, 7)])
 def test_lambda_jk_vertex_outside_range(j, k):
     # without the check, j = 0 would wrap round to vertex n's weight

@@ -180,6 +180,50 @@ def test_pinned_seeded_sample_reports(files, tmp_path, argv, report):
     paths = dict(files, d60=str(d60), triangle=str(triangle))
     assert run(["sample"] + [paths.get(a, a) for a in argv]) == (0, report)
 
+
+def mw3_tables_document():
+    """D, H and I tables at N = 6 with entries 0.05 z, z standard normal."""
+    gen = np.random.default_rng(6)
+    doc = {"N": 6, "A": 1.0}
+    for name, rank in (("D", 3), ("H", 3), ("I", 4)):
+        doc[name] = (0.05 * gen.standard_normal((6,) * rank)).tolist()
+    return doc
+
+
+def mw3_report(mean, stderr, samples, seed, box_mass, theta1):
+    return (
+        '{\n  "mc": {\n    "acceptanceRate": 1.0,\n'
+        f'    "boxMass": {box_mass},\n    "mean": [\n      {mean},\n      0.0\n    ],\n'
+        f'    "samples": {samples},\n    "seed": {seed},\n    "stderr": {stderr}\n  }},\n'
+        '  "scale": {\n    "mc.mean": "linear",\n    "theta1": "log-correction",\n'
+        '    "zFactor": "linear"\n  },\n  "schema": "degcount-report/1",\n'
+        f'  "subcommand": "mw3",\n  "theta1": [\n    {theta1},\n    0.0\n  ],\n'
+        '  "zFactor": 1.0\n}\n')
+
+
+# The full JSON text of seeded mw3 reports in the benchmark's two shapes: a-only
+# coefficients at N = 8 over 100,000 samples (two batches, the second trimmed)
+# and D, H and I tables at N = 6 over 20,000 samples.  A change of draw or
+# contraction must keep them byte for byte.
+PINNED_MW3_REPORTS = [
+    ({"N": 8, "A": 1.0, "a": [0.031, 0.038, 0.045, 0.052, 0.059, 0.066, 0.041, 0.063]},
+     100_000, 17,
+     mw3_report("0.02551967308714624", "2.9473720898231447e-06", 100000, 17, "1.0",
+                "0.07047120089217157")),
+    (mw3_tables_document(), 20_000, 23,
+     mw3_report("0.14355016876418025", "3.7128713209985297e-06", 20000, 23,
+                "0.9999999999921456", "0.0")),
+]
+
+
+@pytest.mark.parametrize("doc, samples, seed, report", PINNED_MW3_REPORTS,
+                         ids=["a-only-8", "DHI-6"])
+def test_pinned_seeded_mw3_reports(tmp_path, doc, samples, seed, report):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    argv = ["mw3", "--coefficients", str(path), "--samples", str(samples), "--seed", str(seed)]
+    assert run(argv) == (0, report)
+
 def test_input_errors_exit_two(files, tmp_path, capsys):
     code, _ = run(["count", "--degrees", str(tmp_path / "missing.txt")])
     assert code == 2

@@ -361,6 +361,48 @@ def test_kernel_draws_the_set_kernel_stream(degrees, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+
+def _tolist_proposals(rng, m, steps):
+    # the proposal stream as first written, fresh ints from two tolist() calls
+    # a chunk; the slot table must yield the same pairs for the same seed
+    def chunk(k):
+        i = rng.integers(m, size=k)
+        j = rng.integers(m - 1, size=k)
+        j += j >= i
+        j <<= 1
+        j += rng.random(k) < 0.5
+        i <<= 1
+        return zip(i.tolist(), j.tolist())
+    return itertools.chain.from_iterable(
+        chunk(min(CHUNK, steps - lo)) for lo in range(0, steps, CHUNK))
+
+
+def test_slot_table_keeps_the_draw_order_property():
+    # m = 2..2000 edges, read in islice cuts as the estimate reads them, some
+    # cuts crossing a chunk boundary: pair for pair the tolist() stream, every
+    # slot a Python int, and the Generator left in the same state
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(m=st.integers(2, 2000), seed=st.integers(0, 2 ** 32 - 1),
+               cuts=st.lists(st.one_of(st.integers(1, 70), st.integers(CHUNK - 3, CHUNK + 3)),
+                             min_size=1, max_size=4))
+    @hyp.example(m=2, seed=0, cuts=[CHUNK, 1])
+    @hyp.example(m=2000, seed=1, cuts=[CHUNK - 1, 2, CHUNK])
+    def check(m, seed, cuts):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps = sum(cuts)
+        stream, ref = _proposals(rng, m, steps), _tolist_proposals(ref_rng, m, steps)
+        for cut in cuts:
+            got = list(itertools.islice(stream, cut))
+            assert got == list(itertools.islice(ref, cut))
+            assert all(type(p) is int and type(q) is int for p, q in got)
+        assert next(stream, None) is None and next(ref, None) is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    check()
+
 # ---------------------------------------------------------------- estimates
 
 def test_empty_forbidden_miss_is_exactly_one():
@@ -560,6 +602,45 @@ def test_event_matches_enumeration_property():
 
     check()
 
+
+
+def test_bound_event_test_reads_every_cell_property():
+    # random simple graphs on n <= 12 and events of 1 to 6 cells: the bound
+    # test is the per-cell comparison rows[j][k] == w, before and after the
+    # rows are edited in place
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        mode = data.draw(st.sampled_from(MODES))
+        if mode == "induced":
+            m = data.draw(st.sampled_from((2, 3, 4)))        # 1, 3 or 6 cells
+            n = data.draw(st.integers(m, 12))
+            support = list(itertools.combinations(range(1, m + 1), 2))
+            X = fg(n, data.draw(st.lists(st.sampled_from(support), unique=True)))
+            cells = [(j, k, int((j, k) in X.edges)) for j, k in support]
+        else:
+            m = None
+            n = data.draw(st.integers(2, 12))
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            X = fg(n, data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                         max_size=min(6, len(pairs)), unique=True)))
+            cells = [(j, k, int(mode == "hit")) for j, k in sorted(X.edges)]
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        rows = _rows(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        test = _event_checker(X, mode, m)(rows)
+        assert 1 <= len(cells) <= 6
+        for _ in range(4):
+            assert test() == all(rows[j][k] == w for j, k, w in cells)
+            # edit the rows in place: toggle some cells, mostly the event's own
+            for j, k in data.draw(st.lists(st.one_of(st.sampled_from(pairs),
+                                                     st.sampled_from([c[:2] for c in cells])),
+                                           max_size=4)):
+                rows[j][k] = rows[k][j] = 1 - rows[j][k]
+
+    check()
 
 @pytest.mark.parametrize("mode, m, message", [
     ("induced", -1, "m=-1 outside 0..8"),
