@@ -16,6 +16,12 @@ Vertices are 1-indexed in all files.
 Exit codes: 0 success, 1 failed validation, 2 input errors and unreadable
 paths (with line-numbered diagnostics where applicable).  A saddle solve
 that finds no saddle exits 0 and reports "converged": false.
+
+Each subcommand imports only the route it runs: at module level this file
+imports the standard library and graphcore alone, and each handler imports
+its own route module.  So `count` (exactcount) and `estimate` (asymptotics)
+never import numpy, while `saddle`, `sample`, `mw3`, `verify-start` and
+`validate` do, through the routes they run.
 """
 
 from __future__ import annotations
@@ -29,9 +35,8 @@ import math
 import sys
 from itertools import repeat
 
-import numpy as np
-
 from .graphcore import (
+    DEFAULT_SEED,
     DegreeSequence,
     ForbiddenGraph,
     InputFormatError,
@@ -40,10 +45,8 @@ from .graphcore import (
     read_degrees,
     read_edges,
 )
-from . import asymptotics, exactcount, mcsampler, mvintegral, saddle, validation
 
 SCHEMA = "degcount-report/1"
-DEFAULT_SEED = mcsampler.DEFAULT_SEED
 
 FORMULAS = ("naive", "dense", "miss", "hit", "num", "flat", "reg", "induced",
             "lambda-model", "overlap", "perth", "mckay81", "matchings",
@@ -65,10 +68,11 @@ def _key(key) -> str:
 
 
 class _ClassFloats(list):
-    """The per-vertex floats values[cls[j]], keeping the class values and cls
-    so that the JSON writer formats each class value once."""
+    """The per-vertex floats values[cls[j]] of the numpy arrays values and cls,
+    keeping the class values and cls so that the JSON writer formats each
+    class value once."""
 
-    def __init__(self, values: np.ndarray, cls: np.ndarray):
+    def __init__(self, values, cls):
         super().__init__(values[cls].tolist())
         self.values, self.cls = values.tolist(), cls
 
@@ -136,7 +140,8 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def _estimate_payload(est: asymptotics.LogEstimate) -> dict:
+def _estimate_payload(est) -> dict:
+    """The report fields of an asymptotics.LogEstimate."""
     payload = {
         "logValue": _finite(est.log_value),
         "baseLog": _finite(est.base_log),
@@ -144,7 +149,7 @@ def _estimate_payload(est: asymptotics.LogEstimate) -> dict:
         "errorOrder": est.error_order,
         "terms": [{"name": name, "value": value} for name, value in est.terms],
     }
-    if est.log_value == asymptotics.NEG_INF:
+    if est.log_value == -math.inf:
         payload["zero"] = True
     return payload
 
@@ -156,6 +161,8 @@ def _load_instance(args) -> tuple[DegreeSequence, ForbiddenGraph]:
 
 
 def _cmd_count(args, out) -> int:
+    from . import exactcount
+
     d, X = _load_instance(args)
     count = exactcount.exact_count(d, X, limit=args.limit)
     if args.format == "text":
@@ -167,6 +174,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_estimate(args, out) -> int:
+    from . import asymptotics
+
     formula = args.formula
     payload: dict = {"schema": SCHEMA, "subcommand": "estimate", "formula": formula,
                      "scale": "log", "validity": []}
@@ -224,6 +233,8 @@ def _cmd_estimate(args, out) -> int:
 
 
 def _cmd_saddle(args, out) -> int:
+    from . import saddle
+
     d, X = _load_instance(args)
     sp = saddle.solve_saddle(d, X, mode=args.mode)
     ln_p = saddle.log_prefactor(sp, d, X)
@@ -244,6 +255,8 @@ def _cmd_saddle(args, out) -> int:
 
 
 def _cmd_verify_start(args, out) -> int:
+    from . import validation
+
     if args.degrees:
         G, product, I, err, ok = validation.contour_factorization(*_load_instance(args))
         _emit(out, {"schema": SCHEMA, "subcommand": "verify-start",
@@ -255,6 +268,10 @@ def _cmd_verify_start(args, out) -> int:
 
 
 def _cmd_mw3(args, out) -> int:
+    import numpy as np
+
+    from . import mvintegral
+
     try:
         with open(args.coefficients, "r", encoding="utf-8") as fh:
             coeffs = mvintegral.CoefficientSet.from_dict(json.load(fh))
@@ -285,6 +302,8 @@ def _cmd_mw3(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    from . import mcsampler
+
     d, X = _load_instance(args)
     est = mcsampler.estimate_probability(d, X, args.mode, args.m, samples=args.samples,
                                          burn_in=args.burn_in, thinning=args.thinning,
@@ -320,6 +339,8 @@ def _emit_results(out, fmt: str, subcommand: str, results, **fields) -> int:
 
 
 def _cmd_validate(args, out) -> int:
+    from . import validation
+
     results = validation.run_suite(args.suite)
     return _emit_results(out, args.format, "validate", results, suite=args.suite)
 

@@ -42,8 +42,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, impossible
 
 DEFAULT_LIMIT_EMPTY = 12
@@ -311,6 +309,8 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
 
 def enumerate_count(d: DegreeSequence, X: ForbiddenGraph | None = None) -> int:
     """Brute-force count over all 2^C(n,2) graphs; independent checker, n <= 6."""
+    import numpy as np    # here, so that exact counting imports no numpy
+
     X = forbidden_for(d, X)
     n = d.n
     if n > ENUMERATION_LIMIT:

@@ -30,6 +30,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
+DEFAULT_SEED = 1729     # the seed of seeded runs (`sample`, `mw3`) when none is given
+
 
 class InputFormatError(ValueError):
     """Malformed input; carries the source path and 1-based line number."""

@@ -34,9 +34,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for
+from .graphcore import DEFAULT_SEED, DegreeSequence, ForbiddenGraph, event_edges, forbidden_for
 
-DEFAULT_SEED = 1729
 BATCHES = 20   # batch count for the batch-means standard error
 CHUNK = 1 << 14   # most switch proposals drawn in one set of arrays
 

@@ -1,5 +1,8 @@
 """Cross-module validation harness: one callable per acceptance check,
 shared by the CLI `validate` subcommand and the acceptance test module.
+The exact oracle and the saddle are imported here; each check imports the
+other routes it compares against, so `verify-start` loads neither the
+closed-form estimates nor the samplers.
 
 Every check is deterministic, returns a CheckResult with measured
 magnitudes, and never mutates global state.  Seeds, sizes and bounds are
@@ -29,14 +32,6 @@ from .exactcount import (
     exact_probability,
 )
 from .saddle import contour_point, integral_quadrature, log_prefactor, solve_saddle
-from .asymptotics import (
-    dense_count_estimate,
-    miss_hit_estimate,
-    regular_graph_expectations,
-    specialized_estimates,
-)
-from .mvintegral import CoefficientSet, gaussian_reference, mc_box_integral, theta1
-from .mcsampler import estimate_probability
 
 ORACLE_SEED = 101
 COMPLEMENT_SEED = 202
@@ -245,6 +240,8 @@ def check_saddle_residual() -> CheckResult:
 
 def check_dense_count_trend(ns=(8, 10, 12, 14, 16, 18)) -> CheckResult:
     """|ln G_exact - estimate| non-increasing on regular d = n/2, final < 0.05."""
+    from .asymptotics import dense_count_estimate
+
     errors = []
     for n in ns:
         d = DegreeSequence((n // 2,) * n)
@@ -276,6 +273,8 @@ def check_subgraph_probability() -> CheckResult:
     edge, grows slightly from n=8 to n=10 because the density moves from 3/7
     to 5/9; the aggregate is the oracle-confirmed trend.)
     """
+    from .asymptotics import miss_hit_estimate
+
     tables = {}
     aggregates = []
     worst = 0.0
@@ -311,6 +310,8 @@ def check_subgraph_probability() -> CheckResult:
 def check_box_integral() -> CheckResult:
     """Gaussian box-integral cases: zero coefficients, a-only, and the
     linear-term coefficient decision at N=4."""
+    from .mvintegral import CoefficientSet, gaussian_reference, mc_box_integral, theta1
+
     details = []
     ok = True
 
@@ -354,6 +355,9 @@ def check_box_integral() -> CheckResult:
 
 def check_sampler() -> CheckResult:
     """Switch-chain estimates vs exact (n=8) and the flat containment value (n=60)."""
+    from .asymptotics import specialized_estimates
+    from .mcsampler import estimate_probability
+
     d8 = DegreeSequence((3,) * 8)
     X8 = ForbiddenGraph.from_pairs(8, [(1, 2)])
     est8 = estimate_probability(d8, X8, "miss", samples=20_000, thinning=12, seed=SAMPLER_SEED)
@@ -388,6 +392,8 @@ def check_regular_expectations() -> CheckResult:
     for 4-cycles, so a tighter bound is unattainable there; the decreasing
     trend is what the oracle confirms.
     """
+    from .asymptotics import regular_graph_expectations
+
     def matching_error(n: int) -> float:
         dv = n // 2
         d = DegreeSequence((dv,) * n)
