@@ -354,14 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default json)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_instance(p, forbidden_help="forbidden graph edge list (1-indexed 'j k' lines)"):
+    def add_instance(p):
         p.add_argument("--degrees", required=True,
                        help="degree file: one integer per line or a JSON array")
-        p.add_argument("--forbidden", help=forbidden_help)
+        p.add_argument("--forbidden", help="forbidden graph edge list (1-indexed 'j k' lines)")
 
     p = sub.add_parser("count", help="exact count")
     add_instance(p)
-    p.add_argument("--limit", type=int, help="override the exact-count size limit")
+    p.add_argument("--limit", type=int,
+                   help="largest n counted exactly (default 12, with or without --forbidden)")
 
     p = sub.add_parser("estimate", help="closed-form estimates")
     p.add_argument("--formula", choices=FORMULAS, required=True)

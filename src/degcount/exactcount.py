@@ -30,8 +30,8 @@ at n = 20, with a forbidden perfect matching 0.01 s at n = 10, 0.11 s at
 n = 12 and 0.7 s at n = 14 (3,898 states; 125 s with labelled keys).
 Overlap laws take 0.03 s for a perfect matching (5-regular, n = 10), 0.05 s
 for two triangles and 5.6 s for an 8-cycle (6-regular, n = 12; 78,873
-states), 0.01 s for K10.  A brute-force enumeration over all 2^C(n,2)
-graphs checks n <= 6.
+states), 0.01 s for K10.  A query with no limit runs at n <= DEFAULT_LIMIT
+whatever Y is.  A brute-force enumeration over all 2^C(n,2) graphs checks n <= 6.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from math import comb
 
 from .graphcore import DegreeSequence, ForbiddenGraph, event_edges, forbidden_for, impossible
 
-DEFAULT_LIMIT_EMPTY = 12
-DEFAULT_LIMIT_FORBIDDEN = 10
+DEFAULT_LIMIT = 12    # the n-limit of every exact query that passes no limit
 ENUMERATION_LIMIT = 6
 FREE_MEMO_SIZE = 1 << 15  # kept between counts; a cold regular n = 20 count fills 24,216
 STEP_MEMO_SIZE = 1 << 12  # ~1 KB a key; a cold 7-regular n = 14 matching count fills 3,565
@@ -149,8 +148,7 @@ def _weighted_count(d: DegreeSequence, Y: ForbiddenGraph, weight: int,
     n = d.n
     if not weight and impossible(d, Y):
         return 0
-    if limit is None:
-        limit = DEFAULT_LIMIT_EMPTY if Y.edge_count == 0 else DEFAULT_LIMIT_FORBIDDEN
+    limit = DEFAULT_LIMIT if limit is None else limit
     if n > limit:
         raise CountLimitError(f"n={n} exceeds exact-count limit {limit}")
     for table, bound in ((_count_free, FREE_MEMO_SIZE), (_class_steps, STEP_MEMO_SIZE)):
@@ -301,8 +299,8 @@ def exact_count(d: DegreeSequence, X: ForbiddenGraph | None = None,
     """Exact number of simple graphs with degrees d and no edge of X.
 
     An instance graphcore.impossible marks (some d_j > n-1-x_j) counts 0 at
-    any n; otherwise exceeding the size limit raises CountLimitError
-    (default limit 12 for empty X, 10 otherwise).
+    any n; otherwise n > limit raises CountLimitError, with the one default
+    limit DEFAULT_LIMIT = 12 whatever X is.
     """
     return _weighted_count(d, forbidden_for(d, X), 0, limit)
 
@@ -352,8 +350,8 @@ def exact_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
     """Exact probability, as a Fraction, that a uniform graph with degrees d
     has exactly the edges S inside Y, (Y, S) = graphcore.event_edges(X, mode,
     m): exact_count(d - x(S), Y) / G(d).  The event is decoded before G(d) is
-    counted, so a bad mode or m fails fast; after G(d), an event
-    graphcore.impossible marks is 0 with no count under Y's limit."""
+    counted, so a bad mode or m fails fast; G(d) and the event count read one
+    limit, and an event graphcore.impossible marks is 0 with no count of its own."""
     Y, S = event_edges(forbidden_for(d, X), mode, m)
     gd = _graph_total(d, limit)
     if impossible(d, Y, S):
@@ -368,7 +366,7 @@ def exact_overlap_distribution(d: DegreeSequence, Y: ForbiddenGraph,
     """Exact distribution of the number of edges shared with Y, indexed 0..|Y|.
 
     One weighted pass with t = 2^B, B = G(d).bit_length(), under the limit of
-    exact_count(d, Y) gives sum_k N_k t^k, N_k the graphs sharing exactly k
+    G(d) gives sum_k N_k t^k, N_k the graphs sharing exactly k
     edges with Y.  Each N_k <= G(d) < t, so the N_k are its B-bit fields.
     """
     Y = forbidden_for(d, Y)

@@ -224,7 +224,7 @@ def estimate_probability(d: DegreeSequence, X: ForbiddenGraph, mode: str,
 
     values = np.asarray(mixed, dtype=float)
     mean = float(values.mean())
-    nb = max(1, min(BATCHES, samples))
+    nb = min(BATCHES, samples)
     batch_means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
     if nb > 1 and values.min() < values.max():
         stderr = float(batch_means.std(ddof=1) / math.sqrt(nb))

@@ -61,7 +61,7 @@ class SaddlePoint:
 
     @property
     def max_residual(self) -> float:
-        return float(np.abs(self.class_residual).max()) if self.class_residual.size else 0.0
+        return float(np.abs(self.class_residual).max())
 
     @property
     def lambda_jk(self) -> np.ndarray:

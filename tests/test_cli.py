@@ -537,10 +537,10 @@ def test_too_deep_count_exits_two(tmp_path, capsys):
 
 
 def test_impossible_count_past_the_limit_is_zero(tmp_path):
-    # no graph with d_1 = n-1 avoids the edge 12: at n = 11, past the default
-    # limit of 10 with a forbidden graph, the count is 0, not a limit error
+    # no graph with d_1 = n-1 avoids the edge 12: at n = 13, past the default
+    # limit of 12, the count is 0, not a limit error
     d, x = tmp_path / "d.txt", tmp_path / "x.txt"
-    d.write_text("10\n" + "5\n" * 10)
+    d.write_text("12\n" + "6\n" * 12)
     x.write_text("1 2\n")
     code, out = run(["count", "--degrees", str(d), "--forbidden", str(x)])
     assert code == 0 and strict_json(out)["count"] == 0

@@ -133,12 +133,13 @@ def test_free_classes_past_their_room_count_zero(degrees):
 
 
 def test_limits():
+    # one default limit, 12, with or without a forbidden graph
     with pytest.raises(CountLimitError):
         exact_count(DegreeSequence((0,) * 13))
     with pytest.raises(CountLimitError):
-        exact_count(DegreeSequence((0,) * 11), fg(11, [(1, 2)]))
+        exact_count(DegreeSequence((0,) * 13), fg(13, [(1, 2)]))
     # override allows larger instances
-    assert exact_count(DegreeSequence((0,) * 11), fg(11, [(1, 2)]), limit=11) == 1
+    assert exact_count(DegreeSequence((0,) * 13), fg(13, [(1, 2)]), limit=13) == 1
     with pytest.raises(CountLimitError):
         enumerate_count(DegreeSequence((0,) * 7))
 
@@ -510,31 +511,122 @@ def test_hit_with_infeasible_shift_is_zero():
     assert exact_probability(d, X, "hit") == 0
 
 
-@pytest.mark.parametrize("n", [11, 50])
+@pytest.mark.parametrize("n", [13, 50])
 def test_impossible_instance_counts_zero_at_any_n(n):
     # d_1 = n-1 cannot avoid the edge 12, so the count is 0 before the
-    # n-limit is checked (this raised CountLimitError at n = 11 before)
+    # n-limit is checked
     d = DegreeSequence((n - 1,) + (n // 2,) * (n - 1))
     assert exact_count(d, fg(n, [(1, 2)])) == 0
-    with pytest.raises(CountLimitError, match=f"^n={n} exceeds exact-count limit 10$"):
+    with pytest.raises(CountLimitError, match=f"^n={n} exceeds exact-count limit 12$"):
         exact_count(d, fg(n, [(2, 3)]))
 
 
-def test_impossible_event_is_zero_past_the_forbidden_limit():
-    # G(d) counts under the empty-graph limit 12, and an impossible event
-    # needs no count of its own under the limit 10 of a non-empty Y
+def test_impossible_event_is_zero_under_the_one_limit():
+    # G(d) and the event count read one limit: once G(d) is counted, an
+    # impossible event is 0 with no count of its own
     d11 = DegreeSequence((10,) + (5,) * 10)
     assert exact_probability(d11, fg(11, [(1, 2)]), "miss") == 0        # d_1 = 10 > 11-1-1
     assert exact_probability(DegreeSequence((0,) + (6,) * 10),
                              fg(11, [(1, 2)]), "hit") == 0              # d_1 = 0 < s_1 = 1
     assert exact_probability(DegreeSequence((11,) + (5,) * 11),
                              fg(12, []), "induced", m=2) == 0           # d_1 = 11 > 12-1-1+0
-    # a possible event still needs its count, under the limit
-    with pytest.raises(CountLimitError, match="^n=11 exceeds exact-count limit 10$"):
-        exact_probability(d11, fg(11, [(1, 2)]), "hit")
-    # G(d) is counted first, so its limit still comes before the rule
+    # a possible event is counted under the same default limit
+    assert (exact_probability(d11, fg(11, [(1, 2)]), "hit")
+            == exact_probability(d11, fg(11, [(1, 2)]), "hit", limit=12) > 0)
+    # past the limit G(d) refuses first, even for an event the rule marks
     with pytest.raises(CountLimitError, match="^n=13 exceeds exact-count limit 12$"):
         exact_probability(DegreeSequence((12,) + (6,) * 12), fg(13, [(1, 2)]), "miss")
+
+
+TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+
+
+def memo_tables():
+    """What every exact-count table holds, with its lookup counts."""
+    return _count_free.cache_info(), _class_steps.cache_info(), state_tables()
+
+
+def test_one_limit_refuses_before_any_count():
+    # with no limit, G(d) and every event or overlap count read the one limit
+    # 12: at n = 13 each query raises before any table gains an entry
+    d = DegreeSequence((6,) * 13)
+    T = fg(13, TRIANGLE)
+    before = memo_tables()
+    for query in (lambda: exact_count(d, T), lambda: exact_probability(d, T, "hit"),
+                  lambda: exact_overlap_distribution(d, T)):
+        with pytest.raises(CountLimitError, match="^n=13 exceeds exact-count limit 12$"):
+            query()
+    assert memo_tables() == before
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_forbidden_queries_run_to_the_one_limit(n):
+    # a forbidden graph runs to the same default limit as none
+    d, T = DegreeSequence((6,) * n), fg(n, TRIANGLE)
+    assert exact_count(d, T) == exact_count(d, T, limit=12) > 0
+    assert exact_probability(d, T, "hit") == exact_probability(d, T, "hit", limit=12) > 0
+    assert exact_overlap_distribution(d, T) == exact_overlap_distribution(d, T, limit=12)
+
+
+def test_zero_rule_is_sound_against_the_oracle_property(monkeypatch):
+    # graphcore.impossible only skips counts that come to 0: with the rule
+    # switched off in exactcount, the recursion alone finds no graph for an
+    # event or a count the rule marks
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def event_count(d, Y, S):
+        """Graphs with degrees d with exactly the edges S inside Y."""
+        shifted = [dj - sj for dj, sj in zip(d.degrees, ForbiddenGraph(d.n, S).row_sums)]
+        # no vertex can take more edges of S than its degree
+        return min(shifted) >= 0 and exact_count(DegreeSequence(tuple(shifted)), Y)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(data=st.data())
+    def check(data):
+        # d is the degree sequence of a graph, so G(d) > 0
+        n = data.draw(st.integers(2, 8))
+        pairs = list(combinations(range(1, n + 1), 2))
+        ys = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+        d, Y = draw_degrees(st, data, n, ys), fg(n, ys)
+        mode = data.draw(st.sampled_from(MODES))
+        m = data.draw(st.integers(max(j for e in ys for j in e), n))
+        event = event_edges(Y, mode, m)
+        marked, counted = impossible(d, *event), impossible(d, Y)
+        if marked:
+            assert exact_probability(d, Y, mode, m=m) == 0
+        if counted:
+            assert exact_count(d, Y) == 0
+        with monkeypatch.context() as rule_off:
+            rule_off.setattr(exactcount, "impossible", lambda *args: False)
+            if marked:
+                assert event_count(d, *event) == 0
+            if counted:
+                assert exact_count(d, Y) == 0
+
+    check()
+
+
+@pytest.mark.parametrize("degrees,pairs", [
+    ((3, 2, 2, 4, 1), [(1, 5), (2, 4)]),    # d_4 = n-1 joins 4 to 5, so d_5 = 1 has no room for 1-5
+    ((4, 4, 2, 4, 2, 2), [(2, 4), (5, 6)]),
+])
+def test_zero_rule_misses_hit_events_the_oracle_counts_zero(degrees, pairs):
+    # graphcore.impossible bounds each vertex on its own, so it misses a 0
+    # that only several degrees together force; a stronger rule flips this
+    d, X = DegreeSequence(degrees), fg(len(degrees), pairs)
+    assert not impossible(d, *event_edges(X, "hit", None))
+    assert exact_probability(d, X, "hit") == 0
+
+
+def test_zero_rule_misses_a_path_the_oracle_counts_zero():
+    # 7^5 3^5 has 2,040 graphs, none avoiding the path 1-2-10-9, though no
+    # vertex alone rules it out; a stronger rule flips this
+    d = DegreeSequence((7,) * 5 + (3,) * 5)
+    X = fg(10, [(1, 2), (2, 10), (10, 9)])
+    assert not impossible(d, X)
+    assert exact_count(d, X) == 0
+    assert exact_count(d) == 2040
 
 
 def test_impossible_matches_every_vertex_reference_property():
@@ -657,13 +749,13 @@ def test_overlap_limits():
     d = DegreeSequence((2, 2, 2, 2, 2))
     Y = ForbiddenGraph.clique(5, 5)
     assert exact_overlap_distribution(d, Y) == subset_overlap(d, Y)
-    # the pass runs under exact_count(d, Y)'s n-limit: 10 by default with Y non-empty
-    d = DegreeSequence((1,) * 12)
+    # the pass runs under G(d)'s n-limit: 12 by default, Y or no Y
+    d = DegreeSequence((2,) * 13)
     with pytest.raises(CountLimitError):
-        exact_overlap_distribution(d, fg(12, [(1, 2)]))
+        exact_overlap_distribution(d, fg(13, [(1, 2)]))
     with pytest.raises(CountLimitError):
-        exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=11)
-    assert sum(exact_overlap_distribution(d, fg(12, [(1, 2)]), limit=12)) == 1
+        exact_overlap_distribution(d, fg(13, [(1, 2)]), limit=12)
+    assert sum(exact_overlap_distribution(d, fg(13, [(1, 2)]), limit=13)) == 1
 
 
 def test_shared_tables_carry_no_state_between_instances():
