@@ -21,9 +21,9 @@ _EXPORTS = {    # the public names, by the module that defines them
     "saddle": ("QuadratureError", "SaddlePoint", "SaddlePoleError", "contour_point",
                "fixed_radii_point", "integral_quadrature", "log_prefactor", "solve_saddle"),
     "asymptotics": ("HypothesisFlag", "LogEstimate", "check_hypotheses", "dense_count_estimate",
-                    "induced_estimate", "lambda_jk_expansion", "miss_hit_estimate",
-                    "naive_estimate", "overlap_distribution_estimate",
-                    "regular_graph_expectations", "sparse_estimates", "specialized_estimates"),
+                    "induced_estimate", "miss_hit_estimate", "naive_estimate",
+                    "overlap_distribution_estimate", "regular_graph_expectations",
+                    "sparse_estimates", "specialized_estimates"),
     "mvintegral": ("CoefficientSet", "DegenerateProposalError", "MCBoxResult",
                    "gaussian_reference", "mc_box_integral", "theta1", "theta1_terms",
                    "z_factor", "z_factor_terms"),

@@ -6,8 +6,8 @@ Every estimate is returned in log space as a LogEstimate carrying the factor
 outside the exponential (base_log), the exponent (correction) broken into
 named terms, and an error-order annotation.  Each hit expansion is its miss
 expansion at the complement degrees n-1-d (complement_fields), "flat" is
-the general tables at constant degrees, the leading induced form is the
-full one's first term, and a side no graph realizes is -inf.
+the general tables at constant degrees, the one induced expansion carries
+its leading display as its first term, and a side no graph realizes is -inf.
 Exponentiation is caller-side: the linear values overflow doubles around
 n = 40.  Hypothesis checking is advisory only; desk-scale instances always
 violate asymptotic hypotheses, so validity is reported, never enforced.
@@ -253,37 +253,15 @@ def specialized_estimates(d: DegreeSequence, X: ForbiddenGraph, case: str) -> di
     return {"num": LogEstimate.build(0.0, num, ERROR_ORDER), **_miss_and_hit(p, d, X, miss_terms)}
 
 
-def lambda_jk_expansion(d: DegreeSequence, j: int, k: int) -> float:
-    """Pairwise edge weight of the independent-edge model matching d.
-
-    lambda + (d_j-d)/n + (d_k-d)/n + (1-2 lambda)(d_j-d)(d_k-d)/(2 A n^2),
-    vertices 1-indexed; lambda = d.density, A and d_j - d = d_j - lambda(n-1)
-    are exact Fractions.  Raises ValueError at the degenerate densities
-    lambda in {0, 1}, where A = 0.
-    """
-    n = d.n
-    if j == k or not (1 <= j <= n and 1 <= k <= n):
-        raise ValueError(f"need distinct vertices in 1..{n}, got ({j}, {k})")
-    lam = d.density
-    interior_density(lam)
-    dj, dk = (float(d.degrees[v - 1] - lam * (n - 1)) for v in (j, k))
-    A, lam = float(lam * (1 - lam) / 2), float(lam)
-    # grouped so the value is bit-for-bit symmetric in (j, k)
-    return lam + (dj + dk) / n + (1.0 - 2.0 * lam) * (dj * dk) / (2.0 * A * n * n)
-
-
-def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
-                     model: str = "full") -> LogEstimate:
+def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int) -> LogEstimate:
     """Probability that the restriction to vertices 1..m equals X exactly.
 
-    model "full" evaluates the complete omega expansion, "leading" its first
-    term only (error o(1)), and "lambda-model" the reduced expansion over the
-    pairwise edge-weight base product.  Every model returns ZERO_PROBABILITY
-    when the event is impossible: a support vertex j has d_j < x_j or
-    d_j > n - m + x_j (it must miss the other m - 1 - x_j support vertices).
+    The base is the independent-edge product lambda^X (1-lambda)^(C(m,2)-X);
+    the correction is the omega expansion, whose first term w11_w02 alone is
+    the leading display (error o(1)).  ZERO_PROBABILITY when the event is
+    impossible: a support vertex j has d_j < x_j or d_j > n - m + x_j (it
+    must miss the other m - 1 - x_j support vertices).
     """
-    if model not in ("full", "leading", "lambda-model"):
-        raise ValueError(f"unknown model {model!r}")
     p = compute_parameters(d, X)
     omega = induced_spec(d, X, m)
     if m == 0:
@@ -295,39 +273,17 @@ def induced_estimate(d: DegreeSequence, X: ForbiddenGraph, m: int,
     A = float(p.A)
     Xc = X.edge_count
     w = {key: float(val) for key, val in omega.items()}
-
-    if model in ("full", "leading"):
-        base = 0.0 + Xc * log(lam) + (comb(m, 2) - Xc) * log1p(-lam)
-    else:
-        base = 0.0
-        for j in range(1, m + 1):
-            for k in range(j + 1, m + 1):
-                ljk = lambda_jk_expansion(d, j, k)
-                base += log(ljk) if X.has_edge(j, k) else log1p(-ljk)
-
-    if model == "lambda-model":
-        terms = (
-            ("w02", -w[(0, 2)] / (4.0 * A * n)),
-            ("m2", m * m / (2.0 * n)),
-            ("w01", (1.0 - 2.0 * lam) * w[(0, 1)] / (4.0 * A * n)),
-            ("w10_w01", (4.0 * w[(1, 0)] * w[(0, 1)] - w[(0, 1)] ** 2) / (8.0 * A * n * n)),
-            ("mixed_m", (2.0 * w[(1, 1)] - w[(0, 2)]) * m / (4.0 * A * n * n)),
-            ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] - 3.0 * w[(1, 2)])
-                / (24.0 * A * A * n * n)),
-        )
-    else:
-        terms = (
-            ("w11_w02", (2.0 * w[(1, 1)] - w[(0, 2)]) / (4.0 * A * n)),
-            ("m2", m * m / (2.0 * n)),
-            ("w01", (1.0 - 2.0 * lam) * w[(0, 1)] / (4.0 * A * n)),
-            ("w10_w01", (4.0 * w[(1, 0)] * w[(0, 1)] - w[(0, 1)] ** 2 - 2.0 * w[(1, 0)] ** 2)
-                / (8.0 * A * n * n)),
-            ("mixed_m", (2.0 * w[(1, 1)] - w[(2, 0)] - w[(0, 2)]) * m / (4.0 * A * n * n)),
-            ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] + 3.0 * w[(2, 1)] - 3.0 * w[(1, 2)])
-                / (24.0 * A * A * n * n)),
-        )
-        if model == "leading":
-            return LogEstimate.build(base, terms[:1], "o(1)")
+    base = 0.0 + Xc * log(lam) + (comb(m, 2) - Xc) * log1p(-lam)
+    terms = (
+        ("w11_w02", (2.0 * w[(1, 1)] - w[(0, 2)]) / (4.0 * A * n)),
+        ("m2", m * m / (2.0 * n)),
+        ("w01", (1.0 - 2.0 * lam) * w[(0, 1)] / (4.0 * A * n)),
+        ("w10_w01", (4.0 * w[(1, 0)] * w[(0, 1)] - w[(0, 1)] ** 2 - 2.0 * w[(1, 0)] ** 2)
+            / (8.0 * A * n * n)),
+        ("mixed_m", (2.0 * w[(1, 1)] - w[(2, 0)] - w[(0, 2)]) * m / (4.0 * A * n * n)),
+        ("third", -(1.0 - 2.0 * lam) * (w[(0, 3)] + 3.0 * w[(2, 1)] - 3.0 * w[(1, 2)])
+            / (24.0 * A * A * n * n)),
+    )
     return LogEstimate.build(base, terms, ERROR_ORDER)
 
 

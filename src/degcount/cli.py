@@ -49,8 +49,7 @@ from .graphcore import (
 SCHEMA = "degcount-report/1"
 
 FORMULAS = ("naive", "dense", "miss", "hit", "num", "flat", "reg", "induced",
-            "lambda-model", "overlap", "perth", "mckay81", "matchings",
-            "cycles", "sptrees")
+            "overlap", "perth", "mckay81", "matchings", "cycles", "sptrees")
 
 
 def _finite(value: float) -> float | None:
@@ -198,8 +197,8 @@ def _cmd_estimate(args, out) -> int:
 
     if not args.degrees:
         raise InputFormatError(f"formula {formula} needs --degrees")
-    if formula in ("induced", "lambda-model") and args.m is None:
-        raise InputFormatError(f"formula {formula} needs --m")
+    if formula == "induced" and args.m is None:
+        raise InputFormatError("formula induced needs --m")
     d, X = _load_instance(args)
     if formula == "naive":
         est = asymptotics.naive_estimate(compute_parameters(d, X), d, X)
@@ -216,10 +215,8 @@ def _cmd_estimate(args, out) -> int:
     elif formula in ("flat", "reg"):
         triple = asymptotics.specialized_estimates(d, X, formula)
         payload.update({key: _estimate_payload(val) for key, val in triple.items()})
-    elif formula in ("induced", "lambda-model"):
-        model = args.model if formula == "induced" else formula
-        est = asymptotics.induced_estimate(d, X, args.m, model=model)
-        payload.update(_estimate_payload(est))
+    elif formula == "induced":
+        payload.update(_estimate_payload(asymptotics.induced_estimate(d, X, args.m)))
     elif formula == "overlap":
         if args.k is None:
             raise InputFormatError("overlap needs --k")
@@ -365,12 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest n counted exactly (default 12, with or without --forbidden)")
 
     p = sub.add_parser("estimate", help="closed-form estimates")
-    p.add_argument("--formula", choices=FORMULAS, required=True)
+    p.add_argument("--formula", choices=FORMULAS, required=True,
+                   help="flat is an alias reporting num, miss and hit at once, for constant degrees")
     p.add_argument("--degrees", help="degree file")
     p.add_argument("--forbidden", help="forbidden graph edge list (Y for overlap)")
     p.add_argument("--m", type=int, help="induced support order")
-    p.add_argument("--model", choices=("full", "leading"), default="full",
-                   help="induced evaluator variant")
     p.add_argument("--k", type=int, help="overlap count")
     p.add_argument("--q", type=int, help="cycle length")
     p.add_argument("--n", type=int, help="vertex count for regular-graph formulas")

@@ -394,24 +394,22 @@ def check_regular_expectations() -> CheckResult:
     """
     from .asymptotics import regular_graph_expectations
 
-    def matching_error(n: int) -> float:
-        dv = n // 2
-        d = DegreeSequence((dv,) * n)
-        M = ForbiddenGraph.from_pairs(n, [(2 * i + 1, 2 * i + 2) for i in range(n // 2)])
-        count = math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2))
-        exact = count * float(exact_probability(d, M, "hit", limit=n))
-        est = regular_graph_expectations(n, dv, "matchings")
+    def error(n: int, Y: ForbiddenGraph, copies: int, target: str, q: int | None = None) -> float:
+        # copies of Y in K_n, each present with the exact hit probability of Y
+        d = DegreeSequence((n // 2,) * n)
+        exact = copies * float(exact_probability(d, Y, "hit", limit=n))
+        est = regular_graph_expectations(n, n // 2, target, q=q)
         return abs(est.log_value - math.log(exact))
 
+    def matching_error(n: int) -> float:
+        M = ForbiddenGraph.from_pairs(n, [(2 * i + 1, 2 * i + 2) for i in range(n // 2)])
+        return error(n, M, math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2)),
+                     "matchings")
+
     def cycle_error(q: int, n: int) -> float:
-        dv = n // 2
-        d = DegreeSequence((dv,) * n)
         C = ForbiddenGraph.from_pairs(n, [(v, v % q + 1) for v in range(1, q + 1)])
         # C(n, q) vertex sets, each carrying (q-1)!/2 distinct q-cycles
-        copies = math.comb(n, q) * math.factorial(q - 1) // 2
-        exact = copies * float(exact_probability(d, C, "hit", limit=n))
-        est = regular_graph_expectations(n, dv, "cycles", q=q)
-        return abs(est.log_value - math.log(exact))
+        return error(n, C, math.comb(n, q) * math.factorial(q - 1) // 2, "cycles", q=q)
 
     errors = {"matchings": [matching_error(n) for n in (6, 8, 10, 12, 14)],
               "triangles": [cycle_error(3, n) for n in (10, 12, 14, 16)],

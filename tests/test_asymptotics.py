@@ -14,7 +14,6 @@ from degcount.asymptotics import (
     complement_fields,
     dense_count_estimate,
     induced_estimate,
-    lambda_jk_expansion,
     miss_hit_estimate,
     naive_estimate,
     overlap_distribution_estimate,
@@ -387,57 +386,43 @@ def test_induced_m_one_reports_order_correction():
 def test_induced_vs_exact_oracle():
     d = DegreeSequence((5,) * 10)
     X = fg(10, [(1, 2), (2, 3), (1, 3)])
-    est = induced_estimate(d, X, 3, model="full")
+    est = induced_estimate(d, X, 3)
     exact = float(exact_probability(d, X, "induced", m=3))
     assert abs(est.log_value - math.log(exact)) < 0.2   # measured 0.09 at n=10
 
 
 def test_induced_leading_is_the_first_full_term():
+    # the leading display is the independent-edge base plus w11_w02 alone
     d = DegreeSequence((6, 5, 5, 4, 5, 5, 5, 5, 5, 5))
     X = fg(10, [(1, 2), (2, 3)])
-    full = induced_estimate(d, X, 3, model="full")
-    lead = induced_estimate(d, X, 3, model="leading")
-    assert lead == LogEstimate.build(full.base_log, full.terms[:1], "o(1)")
-    assert [name for name, _ in lead.terms] == ["w11_w02"]
+    full = induced_estimate(d, X, 3)
+    lam = float(d.density)
+    assert full.base_log == pytest.approx(2 * math.log(lam) + math.log1p(-lam), abs=1e-15)
+    assert [name for name, _ in full.terms] == ["w11_w02", "m2", "w01", "w10_w01",
+                                                 "mixed_m", "third"]
 
 
 def test_induced_full_vs_leading_sweep():
+    # what the terms after the leading one add shrinks with n
     diffs = []
     for n in (100, 200, 400):
         d = DegreeSequence((n // 2,) * n)
         X = fg(n, [(1, 2), (2, 3), (3, 4)])
-        full = induced_estimate(d, X, 4, model="full")
-        lead = induced_estimate(d, X, 4, model="leading")
-        diffs.append(abs(full.log_value - lead.log_value))
+        full = induced_estimate(d, X, 4)
+        diffs.append(abs(full.log_value - (full.base_log + full.terms[0][1])))
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 0.75 * diffs[1] < 0.6 * diffs[0]
-
-
-def test_induced_lambda_model_matches_full_for_regular():
-    # regular degrees: the pairwise-weight base equals the flat base and all
-    # deviation moments vanish, so the two displays coincide
-    d = DegreeSequence((3,) * 8)
-    X = fg(8, [(1, 2), (2, 3)])
-    full = induced_estimate(d, X, 3, model="full")
-    lm = induced_estimate(d, X, 3, model="lambda-model")
-    assert lm.log_value == pytest.approx(full.log_value, abs=1e-12)
 
 
 @pytest.mark.parametrize("degrees,pairs,m", [
     ((3, 1, 1, 1), [], 2),                  # d_1 = 3 > n-m+x_1 = 2: edge 12 is absent
     ((1, 1, 0, 0), [(1, 2), (2, 3)], 3),    # d_2 = 1 < x_2 = 2
 ])
-@pytest.mark.parametrize("model", ["full", "leading", "lambda-model"])
-def test_impossible_induced_event_is_zero(degrees, pairs, m, model):
+def test_impossible_induced_event_is_zero(degrees, pairs, m):
     d, X = DegreeSequence(degrees), fg(len(degrees), pairs)
     assert exact_probability(d, X, "induced", m=m) == 0
     zero = LogEstimate(NEG_INF, NEG_INF, 0.0, "probability is zero", ())
-    assert induced_estimate(d, X, m, model=model) == zero
-
-
-def test_induced_unknown_model_fails_before_the_zero_test():
-    with pytest.raises(ValueError, match="unknown model"):
-        induced_estimate(DegreeSequence((3, 1, 1, 1)), fg(4, []), 2, model="trailing")
+    assert induced_estimate(d, X, m) == zero
 
 
 def test_zero_induced_estimate_is_exactly_zero_property():
@@ -468,55 +453,6 @@ def test_induced_support_violation():
     d = DegreeSequence((3,) * 8)
     with pytest.raises(ValueError):
         induced_estimate(d, fg(8, [(5, 6)]), 3)
-
-
-# -------------------------------------------------------- pairwise expansion
-
-def test_lambda_jk_regular_is_density():
-    d, _, p = params((3,) * 8)
-    assert lambda_jk_expansion(d, 1, 2) == float(p.lam)
-
-
-def test_lambda_jk_example_value():
-    d, _, _ = params((3, 2, 2, 2, 1))
-    # lam = 1/2 makes the quadratic term vanish: 1/2 + 1/5 - 1/5
-    assert lambda_jk_expansion(d, 1, 5) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_lambda_jk_symmetry():
-    d, _, _ = params((4, 3, 3, 2, 2, 2, 2, 2))
-    for j in range(1, 8):
-        for k in range(j + 1, 9):
-            assert lambda_jk_expansion(d, j, k) == lambda_jk_expansion(d, k, j)
-    with pytest.raises(ValueError):
-        lambda_jk_expansion(d, 2, 2)
-
-
-@pytest.mark.parametrize("degrees", [(0,) * 4, (3,) * 4], ids=["empty", "complete"])
-def test_lambda_jk_degenerate_density_is_a_value_error(degrees):
-    # lambda in {0, 1} makes A = 0, which once divided by zero
-    with pytest.raises(ValueError, match=r"^degenerate density lambda="):
-        lambda_jk_expansion(DegreeSequence(degrees), 1, 2)
-
-
-@pytest.mark.parametrize("degrees, j, k, value", [
-    ((4, 3, 3, 2, 2, 2, 2, 2), 1, 2, 0.6217261904761905),
-    ((4, 3, 3, 2, 2, 2, 2, 2), 2, 8, 0.35228174603174606),
-    ((1, 1, 1, 1), 1, 2, 0.3333333333333333),
-    ((2, 2, 2, 1, 1), 1, 5, 0.35200000000000004),
-    ((6,) * 10, 3, 4, 0.6666666666666666),
-])
-def test_lambda_jk_interior_values_are_pinned(degrees, j, k, value):
-    # the density guard leaves every interior value's bits as they were
-    assert lambda_jk_expansion(DegreeSequence(degrees), j, k) == value
-
-
-@pytest.mark.parametrize("j,k", [(0, 1), (1, 0), (7, 2), (2, 7)])
-def test_lambda_jk_vertex_outside_range(j, k):
-    # without the check, j = 0 would wrap round to vertex n's weight
-    d, _, _ = params((4, 3, 3, 2, 2, 2))
-    with pytest.raises(ValueError, match=r"^need distinct vertices in 1\.\.6"):
-        lambda_jk_expansion(d, j, k)
 
 
 # ------------------------------------------------------ overlap distribution

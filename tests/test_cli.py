@@ -280,9 +280,8 @@ def test_negative_seed_is_an_input_error(files, capsys):
     ("3\n1\n1\n1\n", "1 2\n", ["estimate", "--formula", "miss"]),
     ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "hit"]),
     ("3\n1\n1\n1\n", "", ["estimate", "--formula", "induced", "--m", "2"]),
-    ("3\n1\n1\n1\n", "", ["estimate", "--formula", "lambda-model", "--m", "2"]),
-    ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "induced", "--m", "3",
-                                      "--model", "leading"]),
+    ("3\n1\n1\n1\n", "", ["estimate", "--formula", "induced", "--m", "3"]),
+    ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "induced", "--m", "3"]),
 ])
 def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     d = tmp_path / "d.txt"
@@ -295,12 +294,27 @@ def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     assert doc["logValue"] is None and doc["baseLog"] is None
 
 
+@pytest.mark.parametrize("formula", cli.FORMULAS)
+def test_every_formula_reports_strict_json(files, tmp_path, formula):
+    # the CI instance: 3-regular n = 8 and the edge 12, with reg on the perfect matching
+    x = files["x"]
+    if formula == "reg":
+        x = tmp_path / "pm.txt"
+        x.write_text("1 2\n3 4\n5 6\n7 8\n")
+    code, out = run(["estimate", "--formula", formula, "--degrees", files["d8"],
+                     "--forbidden", str(x), "--m", "2", "--k", "1", "--q", "3"])
+    assert code == 0
+    assert strict_json(out)["formula"] == formula
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--a", "0.3"],
     ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--b", "0.1"],
     ["validate", "--threads", "2"],
     ["saddle", "--degrees", "{d8}", "--tol", "1e-12"],
     ["saddle", "--degrees", "{d8}", "--max-iter", "100"],
+    ["estimate", "--formula", "lambda-model", "--degrees", "{d8}", "--m", "2"],
+    ["estimate", "--formula", "induced", "--degrees", "{d8}", "--m", "2", "--model", "leading"],
 ])
 def test_removed_options_exit_two(files, argv):
     code, out = run([arg.format(**files) for arg in argv])

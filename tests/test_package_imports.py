@@ -19,8 +19,7 @@ from degcount import cli, graphcore, mcsampler
 
 SRC = str(Path(degcount.__file__).resolve().parents[1])
 
-# every name the package re-exported when it imported all six route modules
-# eagerly, by the module it came from
+# every public name of the package, by the module it comes from
 PUBLIC = {
     "graphcore": ("DegreeSequence", "ForbiddenGraph", "InputFormatError", "Parameters",
                   "compute_parameters", "induced_spec", "is_graphical", "read_degrees",
@@ -31,8 +30,8 @@ PUBLIC = {
     "saddle": ("QuadratureError", "SaddlePoint", "SaddlePoleError", "contour_point",
                "fixed_radii_point", "integral_quadrature", "log_prefactor", "solve_saddle"),
     "asymptotics": ("HypothesisFlag", "LogEstimate", "check_hypotheses",
-                    "dense_count_estimate", "induced_estimate", "lambda_jk_expansion",
-                    "miss_hit_estimate", "naive_estimate", "overlap_distribution_estimate",
+                    "dense_count_estimate", "induced_estimate", "miss_hit_estimate",
+                    "naive_estimate", "overlap_distribution_estimate",
                     "regular_graph_expectations", "sparse_estimates", "specialized_estimates"),
     "mvintegral": ("CoefficientSet", "DegenerateProposalError", "MCBoxResult",
                    "gaussian_reference", "mc_box_integral", "theta1", "theta1_terms",
