@@ -7,7 +7,10 @@ monomials up to quartic order with optional coefficient tables of rank 1 to 4
 |z_j| <= N^(-1/2+eps).  theta1 gives the closed-form correction exponent
 relative to the pure Gaussian value (pi/(A N))^(N/2); the MC path uses the
 Gaussian restricted to the box as the proposal, so the weight is exactly exp
-of the perturbation.
+of the perturbation.  The weights are real, and taken in real arithmetic, when
+every present table is real, and a box batch is bounded by cells: at most
+BATCH_SIZE rows and BATCH_CELLS normals.  An absent table is never built; a
+term that reads one is 0.
 
 Two coefficient conventions are pinned here by independent checks: the
 quadratic-in-J exponent coefficient is 1/(4 A N), forced by Gaussian
@@ -37,6 +40,7 @@ MONOMIALS = {"J": (0.0, (1,)), "a": (0.5, (2,)), "B": (1.0, (3,)), "E": (1.0, (4
 # (k, l) of every scale A^k N^l the correction exponent divides by
 SCALES = ((1, 0.5), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
 BATCH_SIZE = 1 << 16   # Monte-Carlo proposals per batch
+BATCH_CELLS = BATCH_SIZE * 8  # most normals one batch draws at a time
 CHUNK_CELLS = 1 << 16  # most doubles one intermediate of perturbation_exponent holds
 MASS_FLOOR = 0.99      # least Gaussian mass the box must keep for the proposal
 
@@ -135,38 +139,42 @@ class CoefficientSet:
         return doc
 
 
-def _dense(c: CoefficientSet, name: str) -> np.ndarray:
-    """The named table, with an absent one read as zeros."""
-    arr = getattr(c, name)
-    return np.zeros((c.N,) * len(MONOMIALS[name][1]), dtype=complex) if arr is None else arr
+def _total(x) -> complex:
+    """sum(x) over all entries; 0 for an absent table."""
+    return 0 if x is None else x.sum()
+
+
+def _dot(x, y) -> complex:
+    """sum(x * y) over all entries; 0 where either table is absent."""
+    return 0 if x is None or y is None else (x * y).sum()
 
 
 def _quadratic_terms(A: float, N: int, a, B, C, J) -> dict:
-    """The terms of the correction exponent that are quadratic in the tables."""
-    c_row = C.sum(axis=1)
-    c_col = C.sum(axis=0)
+    """The terms of the correction exponent that are quadratic in the tables;
+    an absent table is None, and a term that reads one is 0."""
+    c_row = None if C is None else C.sum(axis=1)
+    c_col = None if C is None else C.sum(axis=0)
     return {
-        "a_square": (a * a).sum() / (4.0 * A * A * N),
-        "B_square": 15.0 * (B * B).sum() / (16.0 * A ** 3 * N),
-        "B_C": 3.0 * (B * c_row).sum() / (8.0 * A ** 3 * N * N),
-        "C_C": ((c_row * c_row).sum() - (C * C).sum()) / (16.0 * A ** 3 * N ** 3),
-        "J_square": (J * J).sum() / (4.0 * A * N),
-        "B_J": 3.0 * (B * J).sum() / (4.0 * A * A * N),
-        "C_J": (c_col * J).sum() / (4.0 * A * A * N * N),
+        "a_square": _dot(a, a) / (4.0 * A * A * N),
+        "B_square": 15.0 * _dot(B, B) / (16.0 * A ** 3 * N),
+        "B_C": 3.0 * _dot(B, c_row) / (8.0 * A ** 3 * N * N),
+        "C_C": (_dot(c_row, c_row) - _dot(C, C)) / (16.0 * A ** 3 * N ** 3),
+        "J_square": _dot(J, J) / (4.0 * A * N),
+        "B_J": 3.0 * _dot(B, J) / (4.0 * A * A * N),
+        "C_J": _dot(c_col, J) / (4.0 * A * A * N * N),
     }
 
 
 def theta1_terms(c: CoefficientSet) -> dict[str, complex]:
     """Named terms of the correction exponent; theta1 is their sum."""
     A, N = c.A, c.N
-    a, B, C, E, F, J = (_dense(c, name) for name in "aBCEFJ")
-    quad = _quadratic_terms(A, N, a, B, C, J)
+    quad = _quadratic_terms(A, N, c.a, c.B, c.C, c.J)
     # theta1 sums the terms in this order, which fixes its last bit
     terms = {
-        "a_linear": a.sum() / (2.0 * A * math.sqrt(N)),
+        "a_linear": _total(c.a) / (2.0 * A * math.sqrt(N)),
         **{name: quad.pop(name) for name in ("a_square", "B_square", "B_C", "C_C")},
-        "E_quartic": 3.0 * E.sum() / (4.0 * A * A * N),
-        "F_cross": F.sum() / (4.0 * A * A * N * N),
+        "E_quartic": 3.0 * _total(c.E) / (4.0 * A * A * N),
+        "F_cross": _total(c.F) / (4.0 * A * A * N * N),
         **quad,
     }
     return {k: complex(v) for k, v in terms.items()}
@@ -179,7 +187,8 @@ def theta1(c: CoefficientSet) -> complex:
 
 def z_factor_terms(c: CoefficientSet) -> dict[str, float]:
     """The quadratic terms of theta1, evaluated on the imaginary parts."""
-    quad = _quadratic_terms(c.A, c.N, *(_dense(c, name).imag for name in "aBCJ"))
+    quad = _quadratic_terms(c.A, c.N, *(None if T is None else T.imag
+                                        for T in (c.a, c.B, c.C, c.J)))
     return {k: float(v) for k, v in quad.items()}
 
 
@@ -204,18 +213,23 @@ def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
     """Non-Gaussian part of the log integrand, vectorized over sample rows z (S, N).
 
     A table of rank r is a matrix (N^h, N^(r-h)) with h = r // 2.  The z powers
-    of its last r - h axes meet the real and imaginary parts of that matrix in
-    one real matmul, and the z powers of its first h axes in a row-wise dot.
-    Rows go in chunks, so no intermediate holds more than CHUNK_CELLS doubles."""
+    of its last r - h axes meet that matrix in one real matmul, and the z powers
+    of its first h axes in a row-wise dot.  When every present table is real
+    the exponent is float64 and the matmul takes the real parts alone;
+    otherwise it is complex and takes the real and imaginary parts side by
+    side.  Rows go in chunks, so no intermediate holds more than CHUNK_CELLS
+    doubles."""
+    present = [(T, *MONOMIALS[name]) for name in MONOMIALS if (T := getattr(c, name)) is not None]
+    real = not any(T.imag.any() for T, _, _ in present)
+    parts = 1 if real else 2
     tables = []
-    for name, (scale, exponents) in MONOMIALS.items():
-        T = getattr(c, name)
-        if T is not None:
-            h = len(exponents) // 2
-            T = T.reshape(c.N ** h, -1).T
-            tables.append((exponents[:h], exponents[h:], np.hstack([T.real, T.imag]),
-                           c.N ** -scale))
-    w = np.zeros(z.shape[0], dtype=complex)
+    for T, scale, exponents in present:
+        h = len(exponents) // 2
+        T = T.reshape(c.N ** h, -1).T
+        tables.append((exponents[:h], exponents[h:],
+                       np.ascontiguousarray(T.real) if real else np.hstack([T.real, T.imag]),
+                       c.N ** -scale))
+    w = np.zeros(z.shape[0], dtype=float if real else complex)
     if not tables:
         return w
     top = max(max(left + right) for left, right, _, _ in tables)
@@ -226,10 +240,10 @@ def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
             powers.append(powers[p // 2] * powers[p - p // 2])
         rows = len(powers[1])
         for left, right, T, divisor in tables:
-            M = (_row_kron(powers, right) @ T).reshape(rows, 2, -1)
+            M = (_row_kron(powers, right) @ T).reshape(rows, parts, -1)
             if left:
                 M = np.einsum("ikj,ij->ik", M, _row_kron(powers, left))
-            out = M.reshape(rows, 2).view(complex)[:, 0]
+            out = M.reshape(rows, parts).view(w.dtype)[:, 0]
             out /= divisor   # divide, not multiply: as the per-entry loop did
             w[lo:lo + step] += out
     return w
@@ -253,8 +267,11 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     estimate is (pi/(A N))^(N/2) * box_mass * mean(weight).  Bit-reproducible
     for a fixed seed: batch k draws from the k-th spawn of the master seed
     sequence and batches are reduced in order.  A batch draws only the rows
-    it uses (at most BATCH_SIZE), so acceptance_rate is the share of the rows
+    it uses, and no more than min(BATCH_SIZE, BATCH_CELLS // N) rows (one row
+    where N exceeds BATCH_CELLS), so acceptance_rate is the share of the rows
     drawn that fell inside the box.
+    The weights and their moments are real when every present table is real
+    (perturbation_exponent's dtype), and complex otherwise.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -280,15 +297,16 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     # sum of |w - mean|^2, merged over batches (Chan et al.); box_mass >=
     # MASS_FLOOR, so every batch accepts points and take > 0
     m2 = 0.0
+    batch = min(BATCH_SIZE, max(1, BATCH_CELLS // N))
     while collected < samples:
         rng = np.random.default_rng(master.spawn(1)[0])
         # draw only the rows still needed, topping up the misses, and at most
-        # BATCH_SIZE rows: the draws are sequential, so these are the first
+        # batch rows: the draws are sequential, so these are the first
         # accepted rows of a full batch.  Standard normals scaled in place are
         # bit for bit rng.normal(0.0, sigma), from numpy's bulk normal fill
         parts, drawn, take = [], 0, 0
-        while take < samples - collected and drawn < BATCH_SIZE:
-            rows = min(samples - collected - take, BATCH_SIZE - drawn)
+        while take < samples - collected and drawn < batch:
+            rows = min(samples - collected - take, batch - drawn)
             zb = rng.standard_normal((rows, N))
             zb *= sigma
             # one max/min pass over the batch; the per-row mask only when a
@@ -304,7 +322,10 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
         sb = w.sum()
         dev = w - sb / take
         # numpy's pairwise sum, not a BLAS dot, whose bits vary with the thread count
-        m2 += float((dev.real * dev.real + dev.imag * dev.imag).sum())
+        sq = dev.real * dev.real
+        if np.iscomplexobj(dev):
+            sq += dev.imag * dev.imag
+        m2 += float(sq.sum())
         if collected:
             shift = abs(sb / take - s1 / collected)
             m2 += shift * shift * collected * take / (collected + take)

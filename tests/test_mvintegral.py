@@ -12,6 +12,7 @@ import pytest
 
 from degcount import mvintegral
 from degcount.mvintegral import (
+    BATCH_CELLS,
     BATCH_SIZE,
     CHUNK_CELLS,
     MONOMIALS,
@@ -82,6 +83,35 @@ def test_theta1_strict_sums_exclude_coincident_indices():
                 if j != k and j != l and k != l:
                     brute += C[j, k] * C[j, l]
     assert theta1_terms(c)["C_C"].real == pytest.approx(brute / (16 * N ** 3), rel=1e-12)
+
+
+def test_theta1_terms_of_an_a_only_set():
+    # the two a terms as the all-zero dense tables gave them, and 0 for every
+    # term that reads an absent table
+    c = CoefficientSet(N=8, A=1.0, a=[0.031, 0.038, 0.045, 0.052, 0.059, 0.066, 0.041, 0.063])
+    terms = theta1_terms(c)
+    assert terms == {"a_linear": 0.06982679464217156 + 0j, "a_square": 0.00064440625 + 0j,
+                     **{name: 0j for name in ("B_square", "B_C", "C_C", "E_quartic",
+                                              "F_cross", "J_square", "B_J", "C_J")}}
+    assert repr(theta1(c)) == "(0.07047120089217157+0j)"
+
+
+@pytest.mark.parametrize("present", ["".join(p) for k in range(7)
+                                     for p in itertools.combinations("aBCEFJ", k)])
+def test_absent_table_reads_as_an_all_zero_table(present):
+    # theta1, its terms and the z factor, with each absent table present as zeros
+    N = 5
+    rng = np.random.default_rng(len(present))
+    shapes = {"a": N, "B": N, "E": N, "J": N, "C": (N, N), "F": (N, N)}
+    tables = {name: rng.normal(size=shapes[name]) + 1j * rng.normal(size=shapes[name])
+              for name in present}
+    sparse = CoefficientSet(N=N, A=0.7, **tables)
+    dense = CoefficientSet(N=N, A=0.7, **{name: tables.get(name, np.zeros(shape))
+                                          for name, shape in shapes.items()})
+    assert theta1_terms(sparse) == theta1_terms(dense)
+    assert repr(theta1(sparse)) == repr(theta1(dense))
+    assert z_factor_terms(sparse) == z_factor_terms(dense)
+    assert z_factor(sparse) == z_factor(dense)
 
 
 # ------------------------------------------------------------------ z factor
@@ -187,7 +217,7 @@ def box_weights(c, samples, seed):
      (1.2629108171759054, 0.0005220440086991265)),
     # every row inside
     (dict(N=8, A=1.0, a=[0.05] * 8), 100_000, 7,
-     (0.02553517228352561, 2.8896360678271128e-06)),
+     (0.025535172283525608, 2.8896360678271128e-06)),
 ], ids=["outside-rows", "outside-rows-two-batches", "three-batches", "all-inside"])
 def test_trimmed_draws_are_the_full_batch_rows(monkeypatch, coeffs, samples, seed, pinned):
     # the rows a batch draws are the first accepted rows of a full batch, bit
@@ -226,7 +256,7 @@ def test_mc_result_does_not_depend_on_the_blas_thread_count():
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                    text=True, check=True, timeout=120).stdout)
-    assert outs[0] == outs[1] == "(0.02553517228352561+0j) 2.8896360678271128e-06\n"
+    assert outs[0] == outs[1] == "(0.025535172283525608+0j) 2.8896360678271128e-06\n"
 
 
 @pytest.mark.parametrize("amplitude", [1e-8, 1e-10])
@@ -271,6 +301,32 @@ def test_mc_factorizing_case_matches_1d_quadrature_product():
                    + N * 0.05 * z ** 3 - N * 0.04 * z ** 4)
         total *= np.trapezoid(f, z) if hasattr(np, "trapezoid") else np.trapz(f, z)
     assert abs(res.mean.real - total) <= 3 * res.stderr
+
+
+def test_box_batch_is_bounded_by_cells(monkeypatch):
+    # each batch evaluates at most BATCH_CELLS // N rows, and one at least; at
+    # N = 1000 a batch of BATCH_SIZE rows would hold 2^16 * 1000 doubles
+    # (524 MB), and 524 rows hold 4.2 MB.  The peak allows four batches of
+    # doubles: the last batch's rows live on while the next one draws, and
+    # the exponent takes z^2 of a batch
+    rows = []
+
+    def recording(c, z):
+        rows.append(len(z))
+        return perturbation_exponent(c, z)
+    monkeypatch.setattr(mvintegral, "perturbation_exponent", recording)
+    for N, samples, batch in ((9, 60_000, BATCH_CELLS // 9), (1000, 5000, 524),
+                              (BATCH_CELLS + 1, 2, 1)):
+        rows.clear()
+        c = CoefficientSet(N=N, A=1.0, a=np.full(N, 0.01))
+        tracemalloc.start()
+        try:
+            res = mc_box_integral(c, samples=samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rows) == samples and max(rows) == batch and res.acceptance_rate == 1.0
+        assert peak <= 4 * 8 * BATCH_CELLS
 
 
 def test_mc_degenerate_proposal_rejected():
@@ -326,22 +382,28 @@ def per_entry_exponent(c, z):
     return w
 
 
-def assert_matches_per_entry_reference(N, seed, present, rows, complex_):
+def assert_exponent_matches_reference(c, z):
     # the error is measured against the sum of |terms|, since the two orders of
-    # summation may cancel differently
+    # summation may cancel differently; the exponent is complex exactly when
+    # some present table has a nonzero imaginary entry, and float64 otherwise
+    present = {name: getattr(c, name) for name in MONOMIALS if getattr(c, name) is not None}
+    got = perturbation_exponent(c, z)
+    want = per_entry_exponent(c, z)
+    size = per_entry_exponent(
+        CoefficientSet(N=c.N, A=1.0, **{k: np.abs(v) for k, v in present.items()}), np.abs(z))
+    imaginary = any(np.any(T.imag) for T in present.values())
+    assert got.shape == (len(z),) and got.dtype == (complex if imaginary else np.float64)
+    assert np.all(np.abs(got - want) <= 1e-12 * size.real)
+
+
+def assert_matches_per_entry_reference(N, seed, present, rows, complex_):
     rng = np.random.default_rng(seed)
     tables = {}
     for name in present:
         shape = (N,) * len(MONOMIALS[name][1])
         tables[name] = rng.normal(size=shape) + 1j * complex_ * rng.normal(size=shape)
     c = CoefficientSet(N=N, A=1.0, **tables)
-    z = rng.normal(scale=0.3, size=(rows, N))
-    got = perturbation_exponent(c, z)
-    want = per_entry_exponent(c, z)
-    size = per_entry_exponent(
-        CoefficientSet(N=N, A=1.0, **{k: np.abs(v) for k, v in tables.items()}), np.abs(z))
-    assert got.shape == (rows,) and got.dtype == complex
-    assert np.all(np.abs(got - want) <= 1e-12 * size.real)
+    assert_exponent_matches_reference(c, rng.normal(scale=0.3, size=(rows, N)))
 
 
 @pytest.mark.parametrize("name", sorted(MONOMIALS))
@@ -367,6 +429,50 @@ def test_table_mixes_match_per_entry_reference():
         assert_matches_per_entry_reference(N, seed, present, rows, complex_)
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIALS))
+def test_one_imaginary_entry_takes_the_complex_path(name):
+    # real J and a tables, with one off-diagonal entry of the named table
+    # imaginary: whichever table holds it, the exponent is complex
+    N = 5
+    rng = np.random.default_rng(41)
+    tables = {k: rng.normal(size=(N,) * len(MONOMIALS[k][1])).astype(complex)
+              for k in dict.fromkeys(["J", "a", name])}
+    entry = (0, 1, 2, 3)[:len(MONOMIALS[name][1])]
+    tables[name][entry] += 0.5j
+    z = rng.normal(scale=0.3, size=(7, N))
+    c = CoefficientSet(N=N, A=1.0, **tables)
+    assert_exponent_matches_reference(c, z)
+    assert perturbation_exponent(c, z).dtype == complex
+    if len(entry) > 1:
+        # on a coincident index the entry is zeroed with the rest: the real path
+        tables[name][entry] = tables[name][entry].real
+        tables[name][(1,) * len(entry)] = 0.5j
+        c = CoefficientSet(N=N, A=1.0, **tables)
+        assert_exponent_matches_reference(c, z)
+        assert perturbation_exponent(c, z).dtype == np.float64
+
+
+def test_zero_imaginary_pairs_take_the_real_path():
+    # [re, 0.0] pair tables decode to complex tables with no imaginary part:
+    # the exponent is float64, bit for bit that of the plain-number document,
+    # and so is the box integral
+    N = 4
+    rng = np.random.default_rng(37)
+    real = {"N": N, "A": 1.0, "a": (0.05 * rng.normal(size=N)).tolist(),
+            "C": (0.05 * rng.normal(size=(N, N))).tolist(),
+            "D": (0.05 * rng.normal(size=(N,) * 3)).tolist()}
+    pairs = dict(real, **{name: np.stack([real[name], np.full_like(real[name], zero)],
+                                         axis=-1).tolist()
+                          for name, zero in (("a", 0.0), ("C", 0.0), ("D", -0.0))})
+    c, c_real = CoefficientSet.from_dict(pairs), CoefficientSet.from_dict(real)
+    assert c.a.dtype == complex and not np.any(c.C.imag)
+    z = rng.normal(scale=0.3, size=(7, N))
+    assert_exponent_matches_reference(c, z)
+    got = perturbation_exponent(c, z)
+    assert got.dtype == np.float64 and np.array_equal(got, perturbation_exponent(c_real, z))
+    assert mc_box_integral(c, samples=2000, seed=5) == mc_box_integral(c_real, samples=2000, seed=5)
 
 
 def test_perturbation_exponent_memory_is_bounded():
