@@ -311,6 +311,8 @@ def sparse_estimates(d: DegreeSequence, X: ForbiddenGraph, which: str) -> LogEst
     if which == "perth":
         if E < 1:
             raise ValueError("need E >= 1")
+        if impossible(d, X):
+            return LogEstimate(NEG_INF, NEG_INF, 0.0, "count is zero", ())
         classes = d.histogram.items()
         base = (lgamma(2 * E + 1) - lgamma(E + 1) - E * log(2.0)
                 - math.fsum(chain.from_iterable(repeat(lgamma(dj + 1), c) for dj, c in classes)))

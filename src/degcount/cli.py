@@ -48,8 +48,8 @@ from .graphcore import (
 
 SCHEMA = "degcount-report/1"
 
-FORMULAS = ("naive", "dense", "miss", "hit", "num", "flat", "reg", "induced",
-            "overlap", "perth", "mckay81", "matchings", "cycles", "sptrees")
+FORMULAS = ("naive", "dense", "miss", "hit", "flat", "reg", "induced", "overlap",
+            "perth", "mckay81", "matchings", "cycles", "sptrees")
 
 
 def _finite(value: float) -> float | None:
@@ -180,23 +180,15 @@ def _cmd_estimate(args, out) -> int:
                      "scale": "log", "validity": []}
 
     if formula in ("matchings", "cycles", "sptrees"):
-        if args.degrees:
-            d = read_degrees(args.degrees)
-            if not d.is_regular():
-                raise InputFormatError("regular-graph formulas need constant degrees",
-                                       args.degrees)
-            n, dv = d.n, d.degrees[0]
-        elif args.n is not None and args.d is not None:
-            n, dv = args.n, args.d
-        else:
-            raise InputFormatError("provide --degrees or both --n and --d")
-        est = asymptotics.regular_graph_expectations(n, dv, formula, q=args.q)
+        d = read_degrees(args.degrees)
+        if not d.is_regular():
+            raise InputFormatError("regular-graph formulas need constant degrees",
+                                   args.degrees)
+        est = asymptotics.regular_graph_expectations(d.n, d.degrees[0], formula, q=args.q)
         payload.update(_estimate_payload(est))
         _emit(out, payload, args.format)
         return 0
 
-    if not args.degrees:
-        raise InputFormatError(f"formula {formula} needs --degrees")
     if formula == "induced" and args.m is None:
         raise InputFormatError("formula induced needs --m")
     d, X = _load_instance(args)
@@ -209,7 +201,7 @@ def _cmd_estimate(args, out) -> int:
         payload["validity"] = [
             {"hypothesis": f.hypothesis, "measured": f.measured, "bound": f.bound}
             for f in flags]
-    elif formula in ("miss", "hit", "num"):
+    elif formula in ("miss", "hit"):
         est = asymptotics.miss_hit_estimate(d, X)[formula]
         payload.update(_estimate_payload(est))
     elif formula in ("flat", "reg"):
@@ -254,14 +246,11 @@ def _cmd_saddle(args, out) -> int:
 def _cmd_verify_start(args, out) -> int:
     from . import validation
 
-    if args.degrees:
-        G, product, I, err, ok = validation.contour_factorization(*_load_instance(args))
-        _emit(out, {"schema": SCHEMA, "subcommand": "verify-start",
-                    "count": G, "product": product, "imag": I.imag,
-                    "relError": err, "passed": ok, "scale": "linear"}, args.format)
-        return 0 if ok else 1
-    result = validation.check_contour_factorization(ns=tuple(range(3, args.n_max + 1)))
-    return _emit_results(out, args.format, "verify-start", [result])
+    G, product, I, err, ok = validation.contour_factorization(*_load_instance(args))
+    _emit(out, {"schema": SCHEMA, "subcommand": "verify-start",
+                "count": G, "product": product, "imag": I.imag,
+                "relError": err, "passed": ok, "scale": "linear"}, args.format)
+    return 0 if ok else 1
 
 
 def _cmd_mw3(args, out) -> int:
@@ -318,28 +307,23 @@ def _cmd_sample(args, out) -> int:
     return 0
 
 
-def _emit_results(out, fmt: str, subcommand: str, results, **fields) -> int:
-    """Report validation check results: JSON or CSV, or one text line per check."""
+def _cmd_validate(args, out) -> int:
+    from . import validation
+
+    results = validation.run_suite(args.suite)
     passed = all(r.passed for r in results)
-    if fmt == "text":
+    if args.format == "text":
         width = max(len(r.name) for r in results)
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             out.write(f"{r.name:<{width}}  {status}  {r.detail}\n")
         out.write("suite result: " + ("PASS" if passed else "FAIL") + "\n")
     else:
-        _emit(out, {"schema": SCHEMA, "subcommand": subcommand, **fields,
+        _emit(out, {"schema": SCHEMA, "subcommand": "validate", "suite": args.suite,
                     "results": [{"name": r.name, "passed": r.passed, "detail": r.detail,
                                  "measured": r.measured} for r in results],
-                    "passed": passed}, fmt)
+                    "passed": passed}, args.format)
     return 0 if passed else 1
-
-
-def _cmd_validate(args, out) -> int:
-    from . import validation
-
-    results = validation.run_suite(args.suite)
-    return _emit_results(out, args.format, "validate", results, suite=args.suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,24 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="closed-form estimates")
     p.add_argument("--formula", choices=FORMULAS, required=True,
-                   help="flat is an alias reporting num, miss and hit at once, for constant degrees")
-    p.add_argument("--degrees", help="degree file")
-    p.add_argument("--forbidden", help="forbidden graph edge list (Y for overlap)")
+                   help="flat reports num, miss and hit at once, for constant degrees; "
+                        "matchings, cycles and sptrees read n and d from a constant degree file")
+    add_instance(p)
     p.add_argument("--m", type=int, help="induced support order")
     p.add_argument("--k", type=int, help="overlap count")
     p.add_argument("--q", type=int, help="cycle length")
-    p.add_argument("--n", type=int, help="vertex count for regular-graph formulas")
-    p.add_argument("--d", type=int, help="degree for regular-graph formulas")
 
     p = sub.add_parser("saddle", help="solve the radius equations")
     add_instance(p)
     p.add_argument("--mode", choices=("converge", "fixed"), default="converge")
 
-    p = sub.add_parser("verify-start", help="check count = P * I at tiny n")
-    p.add_argument("--degrees", help="single instance degree file")
-    p.add_argument("--forbidden")
-    p.add_argument("--n-max", type=int, default=4, choices=(3, 4, 5),
-                   help="sweep all graphical sequences up to this n")
+    p = sub.add_parser("verify-start", help="check count = P * I on one tiny instance")
+    add_instance(p)
 
     p = sub.add_parser("mw3", help="box-integral evaluation")
     p.add_argument("--coefficients", required=True, help="coefficient JSON document")

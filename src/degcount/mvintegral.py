@@ -249,6 +249,38 @@ def perturbation_exponent(c: CoefficientSet, z: np.ndarray) -> np.ndarray:
     return w
 
 
+def _box_batch(c: CoefficientSet, rng: np.random.Generator, sigma: float, bound: float,
+               batch: int, need: int) -> tuple[np.number, float, int, int]:
+    """One batch of box draws: (sum of w, sum of |w - batch mean|^2, points
+    taken, rows drawn).  Only scalars come back, so the batch's arrays are
+    freed before the next batch draws."""
+    # draw only the rows still needed, topping up the misses, and at most
+    # batch rows: the draws are sequential, so these are the first accepted
+    # rows of a full batch.  Standard normals scaled in place are bit for bit
+    # rng.normal(0.0, sigma), from numpy's bulk normal fill
+    parts, drawn, take = [], 0, 0
+    while take < need and drawn < batch:
+        rows = min(need - take, batch - drawn)
+        zb = rng.standard_normal((rows, c.N))
+        zb *= sigma
+        # one max/min pass over the batch; the per-row mask only when a
+        # row leaves the box (a NaN fails both tests, as it fails the mask)
+        if not (zb.max() <= bound and zb.min() >= -bound):
+            zb = zb[(np.abs(zb) <= bound).all(axis=1)]
+        parts.append(zb)
+        drawn += rows
+        take += zb.shape[0]
+    zin = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    w = np.exp(perturbation_exponent(c, zin))
+    sb = w.sum()
+    dev = w - sb / take
+    # numpy's pairwise sum, not a BLAS dot, whose bits vary with the thread count
+    sq = dev.real * dev.real
+    if np.iscomplexobj(dev):
+        sq += dev.imag * dev.imag
+    return sb, float(sq.sum()), take, drawn
+
+
 @dataclass(frozen=True)
 class MCBoxResult:
     mean: complex
@@ -300,32 +332,9 @@ def mc_box_integral(c: CoefficientSet, samples: int, seed: int) -> MCBoxResult:
     batch = min(BATCH_SIZE, max(1, BATCH_CELLS // N))
     while collected < samples:
         rng = np.random.default_rng(master.spawn(1)[0])
-        # draw only the rows still needed, topping up the misses, and at most
-        # batch rows: the draws are sequential, so these are the first
-        # accepted rows of a full batch.  Standard normals scaled in place are
-        # bit for bit rng.normal(0.0, sigma), from numpy's bulk normal fill
-        parts, drawn, take = [], 0, 0
-        while take < samples - collected and drawn < batch:
-            rows = min(samples - collected - take, batch - drawn)
-            zb = rng.standard_normal((rows, N))
-            zb *= sigma
-            # one max/min pass over the batch; the per-row mask only when a
-            # row leaves the box (a NaN fails both tests, as it fails the mask)
-            if not (zb.max() <= bound and zb.min() >= -bound):
-                zb = zb[(np.abs(zb) <= bound).all(axis=1)]
-            parts.append(zb)
-            drawn += rows
-            take += zb.shape[0]
+        sb, sq, take, drawn = _box_batch(c, rng, sigma, bound, batch, samples - collected)
         proposed += drawn
-        zin = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        w = np.exp(perturbation_exponent(c, zin))
-        sb = w.sum()
-        dev = w - sb / take
-        # numpy's pairwise sum, not a BLAS dot, whose bits vary with the thread count
-        sq = dev.real * dev.real
-        if np.iscomplexobj(dev):
-            sq += dev.imag * dev.imag
-        m2 += float(sq.sum())
+        m2 += sq
         if collected:
             shift = abs(sb / take - s1 / collected)
             m2 += shift * shift * collected * take / (collected + take)

@@ -491,6 +491,17 @@ def test_perth_matches_tiny_exact_counts():
     assert est.log_value == pytest.approx(math.log(3), abs=1e-12)
 
 
+def test_perth_zero_when_the_count_is_zero():
+    # d_1 = n - 1 needs the edge 12, so no graph avoids X: the one zero rule
+    # of naive and dense, not a finite count
+    d = DegreeSequence((5, 3, 3, 3, 3, 3))
+    X = fg(6, [(1, 2)])
+    assert exact_count(d) == 12 and exact_count(d, X) == 0
+    est = sparse_estimates(d, X, "perth")
+    assert est.log_value == est.base_log == NEG_INF and est.terms == ()
+    assert naive_estimate(compute_parameters(d, X), d, X).log_value == NEG_INF
+
+
 def test_mckay81_ratio_vs_exact_discrepancy_reported():
     d = DegreeSequence((2, 2, 2, 2))
     X = fg(4, [(1, 2)])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from degcount import cli
+from degcount.asymptotics import regular_graph_expectations
 from degcount.graphcore import DegreeSequence, ForbiddenGraph
 from degcount.mcsampler import realize
 from degcount.saddle import log_prefactor, solve_saddle
@@ -76,29 +77,41 @@ def test_estimate_triple_for_flat(files):
     doc = json.loads(out)
     assert {"num", "miss", "hit"} <= set(doc)
     # flat is the general tables at constant degrees: the same reports
-    for key in ("num", "miss", "hit"):
+    for key in ("miss", "hit"):
         _, single = run(["estimate", "--formula", key,
                          "--degrees", files["d8"], "--forbidden", files["x"]])
         assert doc[key] == {k: v for k, v in json.loads(single).items() if k in doc[key]}
+    # and num's exponent is dense's
+    _, dense = run(["estimate", "--formula", "dense",
+                    "--degrees", files["d8"], "--forbidden", files["x"]])
+    dense = json.loads(dense)
+    assert (doc["num"]["correction"], doc["num"]["terms"]) == (dense["correction"], dense["terms"])
 
 
-def test_estimate_regular_formula_flags():
-    code, out = run(["estimate", "--formula", "matchings", "--n", "6", "--d", "3"])
+def regular_file(tmp_path, n, d):
+    path = tmp_path / f"r{n}-{d}.txt"
+    path.write_text(f"{d}\n" * n)
+    return str(path)
+
+
+def test_estimate_regular_formula_flags(tmp_path):
+    code, out = run(["estimate", "--formula", "matchings", "--degrees", regular_file(tmp_path, 6, 3)])
     assert code == 0
     assert json.loads(out)["logValue"] > 0
-    code, out = run(["estimate", "--formula", "sptrees", "--n", "6", "--d", "3"])
+    code, out = run(["estimate", "--formula", "sptrees", "--degrees", regular_file(tmp_path, 6, 3)])
     assert code == 0 and json.loads(out)["errorOrder"] == "O(n^-0.1)"
-    code, _ = run(["estimate", "--formula", "cycles", "--n", "10", "--d", "5",
+    code, _ = run(["estimate", "--formula", "cycles", "--degrees", regular_file(tmp_path, 10, 5),
                    "--q", "3"])
     assert code == 0
 
 
 @pytest.mark.parametrize("n", ["5", "7"])
-def test_regular_formula_with_odd_degree_sum_exits_two(n, capsys):
-    # no 3-regular graph on an odd number of vertices, so no expectation
-    code, out = run(["estimate", "--formula", "cycles", "--n", n, "--d", "3", "--q", "3"])
+def test_regular_formula_with_odd_degree_sum_exits_two(n, tmp_path, capsys):
+    # no 3-regular graph on an odd number of vertices: the degree file is an input error
+    path = regular_file(tmp_path, int(n), 3)
+    code, out = run(["estimate", "--formula", "cycles", "--degrees", path, "--q", "3"])
     assert code == 2 and out == ""
-    assert "n*d is odd" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: degree sum must be even\n"
 
 
 def test_estimate_overlap(files):
@@ -283,6 +296,7 @@ def test_negative_seed_is_an_input_error(files, capsys):
     ("3\n1\n1\n1\n", "", ["estimate", "--formula", "induced", "--m", "2"]),
     ("3\n1\n1\n1\n", "", ["estimate", "--formula", "induced", "--m", "3"]),
     ("1\n1\n0\n0\n", "1 2\n2 3\n", ["estimate", "--formula", "induced", "--m", "3"]),
+    ("5\n3\n3\n3\n3\n3\n", "1 2\n", ["estimate", "--formula", "perth"]),
 ])
 def test_zero_estimate_is_strict_json(tmp_path, degrees, edges, argv):
     d = tmp_path / "d.txt"
@@ -309,13 +323,19 @@ def test_every_formula_reports_strict_json(files, tmp_path, formula):
 
 
 @pytest.mark.parametrize("argv", [
-    ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--a", "0.3"],
-    ["estimate", "--formula", "sptrees", "--n", "6", "--d", "3", "--b", "0.1"],
+    ["estimate", "--formula", "sptrees", "--degrees", "{d8}", "--a", "0.3"],
+    ["estimate", "--formula", "sptrees", "--degrees", "{d8}", "--b", "0.1"],
     ["validate", "--threads", "2"],
     ["saddle", "--degrees", "{d8}", "--tol", "1e-12"],
     ["saddle", "--degrees", "{d8}", "--max-iter", "100"],
     ["estimate", "--formula", "lambda-model", "--degrees", "{d8}", "--m", "2"],
     ["estimate", "--formula", "induced", "--degrees", "{d8}", "--m", "2", "--model", "leading"],
+    ["estimate", "--formula", "cycles", "--n", "10", "--d", "5", "--q", "3"],
+    ["estimate", "--formula", "cycles", "--degrees", "{d8}", "--n", "8", "--d", "3", "--q", "3"],
+    ["estimate", "--formula", "num", "--degrees", "{d8}", "--forbidden", "{x}"],
+    ["verify-start", "--n-max", "3"],
+    ["verify-start", "--degrees", "{d4}", "--n-max", "3"],
+    ["verify-start"],
 ])
 def test_removed_options_exit_two(files, argv):
     code, out = run([arg.format(**files) for arg in argv])
@@ -431,7 +451,7 @@ def test_missing_options_exit_two(files):
     assert code == 2   # --m required
     code, _ = run(["estimate", "--formula", "miss"])
     assert code == 2   # --degrees required
-    code, _ = run(["estimate", "--formula", "cycles", "--n", "10", "--d", "5"])
+    code, _ = run(["estimate", "--formula", "cycles", "--degrees", files["d8"]])
     assert code == 2   # --q required
     code, _ = run(["sample", "--degrees", files["d8"], "--forbidden", files["x"],
                    "--mode", "induced", "--samples", "50"])
@@ -479,10 +499,11 @@ def test_saddle_text_format_lists_the_radii_and_prefactor(files):
 @pytest.mark.parametrize("formula,extra", [
     ("matchings", []), ("cycles", ["--q", "3"]), ("sptrees", [])])
 def test_regular_formulas_read_constant_degree_files(files, tmp_path, capsys, formula, extra):
-    # a constant degree file gives the --n/--d report; any other one is an input error
+    # a constant degree file gives n and d; any other one is an input error
     argv = ["estimate", "--formula", formula] + extra
     code, from_file = run(argv + ["--degrees", files["d8"]])
-    assert code == 0 and from_file == run(argv + ["--n", "8", "--d", "3"])[1]
+    est = regular_graph_expectations(8, 3, formula, q=3 if extra else None)
+    assert code == 0 and json.loads(from_file)["logValue"] == est.log_value
     uneven = tmp_path / "uneven.txt"
     uneven.write_text("3\n3\n3\n3\n2\n2\n2\n2\n")
     capsys.readouterr()
@@ -493,10 +514,17 @@ def test_regular_formulas_read_constant_degree_files(files, tmp_path, capsys, fo
 
 
 @pytest.mark.parametrize("given", [[], ["--n", "8"], ["--d", "3"]])
-def test_regular_formula_without_an_instance_exits_two(capsys, given):
+def test_regular_formula_without_an_instance_exits_two(tmp_path, monkeypatch, capsys, given):
+    # --degrees is the one way in: the retired --n and --d give no instance
+    monkeypatch.chdir(tmp_path)
     code, out = run(["estimate", "--formula", "matchings"] + given)
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: provide --degrees or both --n and --d\n"
+    err = capsys.readouterr().err
+    if given[:1] == ["--d"]:
+        # argparse reads a unique prefix as the option: --d 3 is the path --degrees 3
+        assert err == "error: [Errno 2] No such file or directory: '3'\n"
+    else:
+        assert err.endswith("error: the following arguments are required: --degrees\n")
 
 
 def test_overlap_without_k_exits_two(files, capsys):
@@ -533,15 +561,6 @@ def test_validate_json_report():
     assert code == 0 and doc["passed"] is True
     assert {r["name"] for r in doc["results"]} >= {"complementation",
                                                    "contour-factorization"}
-
-
-def test_verify_start_sweep():
-    code, out = run(["verify-start", "--n-max", "3"])
-    doc = strict_json(out)
-    assert code == 0 and doc["passed"] is True and doc["subcommand"] == "verify-start"
-    assert [r["name"] for r in doc["results"]] == ["contour-factorization"]
-    code, out = run(["--format", "text", "verify-start", "--n-max", "3"])
-    assert code == 0 and out.endswith("suite result: PASS\n")
 
 
 def test_verify_start_beyond_quadrature_limit_exits_two(tmp_path):
@@ -585,7 +604,7 @@ def test_dump_graph_is_the_greedy_start(files, tmp_path):
 
 
 def test_csv_format(files):
-    code, out = run(["--format", "csv", "estimate", "--formula", "num",
+    code, out = run(["--format", "csv", "estimate", "--formula", "dense",
                      "--degrees", files["d8"], "--forbidden", files["x"]])
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
@@ -593,7 +612,8 @@ def test_csv_format(files):
     # every subcommand writes key,value rows that a csv reader splits in two
     inst = ["--degrees", files["d8"], "--forbidden", files["x"]]
     for argv in (["count"] + inst, ["estimate", "--formula", "dense"] + inst,
-                 ["verify-start", "--n-max", "3"], ["validate", "--suite", "small"]):
+                 ["verify-start", "--degrees", files["d4"], "--forbidden", files["x"]],
+                 ["validate", "--suite", "small"]):
         code, out = run(["--format", "csv"] + argv)
         rows = list(csv.reader(io.StringIO(out)))
         assert code == 0 and rows and all(len(row) == 2 for row in rows), argv
@@ -601,20 +621,20 @@ def test_csv_format(files):
 
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["count"], ["verify-start", "--n-max", "3"]])
-def test_parsing_leaves_the_collector_as_it_was(argv):
+@pytest.mark.parametrize("argv", [["--help"], ["count"], ["verify-start", "--degrees", "{d4}"]])
+def test_parsing_leaves_the_collector_as_it_was(files, argv):
     # the parser is built with the cyclic collector paused; parsing that
     # exits (help, a usage error) or succeeds restores the caller's setting
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            run(argv)
+            run([arg.format(**files) for arg in argv])
             assert gc.isenabled() is enabled
     finally:
         gc.enable()
 
 
-def test_parser_cycles_die_young():
+def test_parser_cycles_die_young(files):
     # a parser alive during a young collection would move to an older
     # generation, which only a rarer collection frees; built with the
     # collector paused, each one is garbage in the youngest generation
@@ -622,7 +642,7 @@ def test_parser_cycles_die_young():
     gc.set_threshold(1, 1, 10 ** 6)     # young collections at every allocation
     try:
         for _ in range(3):
-            run(["verify-start", "--n-max", "3"])
+            run(["verify-start", "--degrees", files["d4"]])
         gc.collect(0)
         survivors = [o for o in gc.get_objects()
                      if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("degcount")]

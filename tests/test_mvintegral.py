@@ -307,8 +307,7 @@ def test_box_batch_is_bounded_by_cells(monkeypatch):
     # each batch evaluates at most BATCH_CELLS // N rows, and one at least; at
     # N = 1000 a batch of BATCH_SIZE rows would hold 2^16 * 1000 doubles
     # (524 MB), and 524 rows hold 4.2 MB.  The peak allows four batches of
-    # doubles: the last batch's rows live on while the next one draws, and
-    # the exponent takes z^2 of a batch
+    # doubles: a batch's draws, and the z powers the exponent takes of them
     rows = []
 
     def recording(c, z):
@@ -327,6 +326,23 @@ def test_box_batch_is_bounded_by_cells(monkeypatch):
             tracemalloc.stop()
         assert sum(rows) == samples and max(rows) == batch and res.acceptance_rate == 1.0
         assert peak <= 4 * 8 * BATCH_CELLS
+
+
+def test_one_box_batch_is_alive_at_a_time():
+    # a batch's arrays are freed before the next batch draws: at N = 1000 a
+    # batch is 524 rows of 1000 doubles, so two batches alive at once hold
+    # twice that, while one batch and its per-row weights stay below it
+    N = 1000
+    batch = BATCH_CELLS // N
+    c = CoefficientSet(N=N, A=1.0, a=np.full(N, 0.01))
+    tracemalloc.start()
+    try:
+        res = mc_box_integral(c, samples=5000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.acceptance_rate == 1.0
+    assert peak < 2 * 8 * batch * N
 
 
 def test_mc_degenerate_proposal_rejected():

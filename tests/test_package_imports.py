@@ -114,7 +114,7 @@ def instance_dir(tmp_path):
     ["estimate", "--formula", "flat", *INSTANCE],
     ["estimate", "--formula", "induced", "--m", "2", *INSTANCE],
     ["estimate", "--formula", "overlap", "--k", "1", *INSTANCE],
-    ["estimate", "--formula", "cycles", "--n", "8", "--d", "3", "--q", "3"],
+    ["estimate", "--formula", "cycles", "--q", "3", "--degrees", "d8.txt"],
 ], ids=lambda argv: argv[0] if argv[0] == "count" else argv[2])
 def test_count_and_estimate_import_no_numpy(instance_dir, argv):
     loaded = loaded_after(RUN_CLI, *argv, cwd=instance_dir)

@@ -24,7 +24,7 @@ INSTANCES = {
 }
 INDUCED_EDGES = [(1, 2), (2, 3), (3, 4), (1, 3)]   # supported on vertices 1..4
 
-ESTIMATES = ("naive", "dense", "miss", "hit", "num", "perth", "mckay81")
+ESTIMATES = ("naive", "dense", "miss", "hit", "perth", "mckay81")
 
 PINNED = {
     ("n1000-two", "estimate", "naive"):
@@ -35,8 +35,6 @@ PINNED = {
         "90868bcdb017c935b098a17750b1d614b78a930250692e256ef2fb535c9c8d85",
     ("n1000-two", "estimate", "hit"):
         "c81ffd4956f6285c20f826b3a77cbc3f46c2d60f3a61ab737eee9dce34318578",
-    ("n1000-two", "estimate", "num"):
-        "e454aecacf2f9d3587717f37dea298c88e0c2628eaa5363f9c481b296ef1e4f0",
     ("n1000-two", "estimate", "perth"):
         "442beb19013dbbbf3ffe2e71b4b3e3960a71b0af5e2c1419bd52dfa45f7dd56b",
     ("n1000-two", "estimate", "mckay81"):
@@ -55,8 +53,6 @@ PINNED = {
         "0e5bad355ab4bb4bd139d600c5482f70a660ab1fb3d44bc32c52929a7a7c2ae6",
     ("n2000-three", "estimate", "hit"):
         "9c4181a7e089ac0455f0a30643fff9bf5645de9673ae2e446380c7c00a507046",
-    ("n2000-three", "estimate", "num"):
-        "ab0f9e66cd8a0ecd0e9966af1051c0f8cb4c2a6900d99e27ee892e5d0f51dd99",
     ("n2000-three", "estimate", "perth"):
         "4553ccd3f479fc27879880612d6dfd52e892c4a0afdb881df41ef590c5340e87",
     ("n2000-three", "estimate", "mckay81"):
@@ -75,8 +71,6 @@ PINNED = {
         "57e5f407642a00b081b8e62df7e3047e4cb081c49a5c7815dcac28dab3e5fd8f",
     ("n1000-regular", "estimate", "hit"):
         "af37b54c51cc4e453c09b5123e4e41fc939c31e931fbeee8fba9c77c870cc315",
-    ("n1000-regular", "estimate", "num"):
-        "b00aac23d46bf88701bf02abbf8b0e0bc0e0fd9a3da6895af8bb32ef2f41ec51",
     ("n1000-regular", "estimate", "perth"):
         "f6fb6ab6cdb74a1f50c288c2e3177a003cebae6e29a6a0980b74d688963f96ed",
     ("n1000-regular", "estimate", "mckay81"):
